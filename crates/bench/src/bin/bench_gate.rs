@@ -370,6 +370,33 @@ mod tests {
         assert_eq!(dispatch_level("{\"chars_per_sec\": 1.0}"), None);
     }
 
+    /// The gate parses what the telemetry exporter actually writes, so
+    /// an exporter format change the gate cannot read fails here.
+    #[test]
+    fn reads_the_real_telemetry_exporter() {
+        use pm_chip::telemetry::MetricsRegistry;
+        use pm_systolic::superplane::SimdLevel;
+        use pm_systolic::telemetry::{TraceEvent, TraceSink};
+
+        let registry = MetricsRegistry::new();
+        assert_eq!(dispatch_level(&registry.snapshot().to_json(0.0)), None);
+        registry.record(TraceEvent::JobCompleted {
+            job: 0,
+            worker: 0,
+            chars: 4096,
+            matches: 3,
+        });
+        registry.record(TraceEvent::DispatchSelected {
+            words: 8,
+            level: SimdLevel::Avx2,
+        });
+        let json = registry.snapshot().to_json(108625454.9);
+        assert_eq!(metric(&json, "chars_per_sec"), Some(108625454.9));
+        assert_eq!(metric(&json, "pm_chars_total"), Some(4096.0));
+        assert_eq!(metric(&json, "pm_superplane_words"), Some(8.0));
+        assert_eq!(dispatch_level(&json), Some("avx2"));
+    }
+
     #[test]
     fn gate_spec_parses_slack_and_defaults() {
         let spec = GateSpec::parse("BENCH_chaos.json=0.25").unwrap();

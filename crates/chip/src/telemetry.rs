@@ -4,17 +4,26 @@
 //! `pm_systolic::telemetry` defines *what can be observed* (the
 //! [`TraceEvent`] taxonomy and the [`TraceSink`] contract); this module
 //! defines *what is kept*: [`MetricsRegistry`] is a sink that folds the
-//! event stream into monotonic [`Counter`]s and fixed-bucket
-//! [`Histogram`]s — the same shared-atomic discipline as
-//! [`crate::counters`] — and snapshots into a [`TelemetrySnapshot`]
-//! with two exporters:
+//! event stream into monotonic [`Counter`]s, last-value or high-water
+//! gauges and fixed-bucket [`Histogram`]s — the same shared-atomic
+//! discipline as [`crate::counters`] — and snapshots into a
+//! [`TelemetrySnapshot`] with two exporters:
 //!
 //! * [`TelemetrySnapshot::to_prometheus`] — Prometheus text exposition
-//!   (`pm_*_total` counters, `_bucket{le=…}/_sum/_count` histograms),
-//!   for scraping a long-running scheduler;
+//!   (`pm_*_total` counters, gauges, `_bucket{le=…}/_sum/_count`
+//!   histograms), for scraping a long-running scheduler;
 //! * [`TelemetrySnapshot::to_json`] — the `BENCH_telemetry.json`
 //!   snapshot the E30 figure writes and the CI `bench-smoke` gate
 //!   reads (hand-rolled: the workspace is offline and carries no serde).
+//!
+//! Every metric is declared once, as a row of the `metrics!` table
+//! below; the registry and snapshot structs, [`MetricsRegistry::new`],
+//! [`MetricsRegistry::snapshot`] and both exporters' rows are generated
+//! from it. Only the event → metric fold (`impl TraceSink for
+//! MetricsRegistry`) is written by hand, one arm per event. Adding a
+//! metric is one table row, one line in a fold arm, and one row in
+//! ARCHITECTURE.md's metrics reference carrying the same help text
+//! (pm-lint's `telemetry-completeness` rule checks the last).
 //!
 //! ```
 //! use pm_chip::telemetry::MetricsRegistry;
@@ -142,272 +151,186 @@ impl HistogramSnapshot {
     }
 }
 
-/// A [`TraceSink`] that folds the event stream into counters and
-/// histograms. Share one behind an `Arc` (wrapped in a
-/// [`SinkHandle`](pm_systolic::telemetry::SinkHandle)) across workers;
-/// recording is a handful of relaxed atomic adds per event.
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    /// Clock phases observed (2 per array beat).
-    pub clock_phases: Counter,
-    /// Text items injected into a beat-accurate array.
-    pub texts_injected: Counter,
-    /// Complete-window results that exited an array.
-    pub comparator_fires: Counter,
-    /// Matching lanes summed over comparator fires (= total matches on
-    /// the beat-accurate path).
-    pub match_lanes: Counter,
-    /// Host watchdog stall declarations.
-    pub host_stalls: Counter,
-    /// Host retries after backoff.
-    pub host_retries: Counter,
-    /// Idle backoff beats summed over retries.
-    pub backoff_beats: Counter,
-    /// BIST scrubs that passed.
-    pub scrubs_passed: Counter,
-    /// BIST scrubs that failed.
-    pub scrubs_failed: Counter,
-    /// Array beats spent inside BIST programs.
-    pub scrub_beats: Counter,
-    /// Sockets condemned.
-    pub condemned: Counter,
-    /// Chain remaps performed.
-    pub remaps: Counter,
-    /// Characters replayed through healed chains.
-    pub replayed_chars: Counter,
-    /// Result-watermark commits.
-    pub commits: Counter,
-    /// Software-fallback engagements.
-    pub fallbacks: Counter,
-    /// Jobs handed to workers.
-    pub jobs_started: Counter,
-    /// Jobs whose results were recorded.
-    pub jobs_completed: Counter,
-    /// Text characters processed by completed jobs.
-    pub chars: Counter,
-    /// Matches found by completed jobs.
-    pub matches: Counter,
-    /// Word batches executed.
-    pub batches: Counter,
-    /// Engine steps summed over batches.
-    pub batch_steps: Counter,
-    /// Lane slots that carried a stream, summed over batches.
-    pub lane_slots_used: Counter,
-    /// Lane slots offered, summed over batches (64 per `u64` batch,
-    /// `W × 64` per width-`W` superplane batch).
-    pub lane_slots_total: Counter,
-    /// Compiled-pattern cache hits.
-    pub cache_hits: Counter,
-    /// Compiled-pattern cache misses.
-    pub cache_misses: Counter,
-    /// Runs dispatched to the portable kernel.
-    pub dispatch_portable: Counter,
-    /// Runs dispatched to the AVX2 kernel.
-    pub dispatch_avx2: Counter,
-    /// Runs dispatched to the AVX-512 kernel.
-    pub dispatch_avx512: Counter,
-    /// Chaos-harness faults injected into scheduler workers.
-    pub faults_injected: Counter,
-    /// Sampled-lane scrubs whose lane disagreed with the scalar spec.
-    pub scrub_mismatches: Counter,
-    /// Scheduler workers quarantined (outputs voided, batches requeued).
-    pub quarantined_workers: Counter,
-    /// Degradation-ladder demotions (moves to a narrower rung).
-    pub ladder_demotions: Counter,
-    /// Degradation-ladder re-promotions after clean batches.
-    pub ladder_promotions: Counter,
-    /// Voided batches re-executed on a recovery rung.
-    pub batches_retried: Counter,
-    /// Patterns submitted to the dictionary compiler.
-    pub dict_patterns: Counter,
-    /// Patterns left resident after dictionary dedup (resident ÷
-    /// submitted = dedup ratio).
-    pub dict_resident_lanes: Counter,
-    /// Superplane groups planned by the dictionary compiler.
-    pub dict_groups: Counter,
-    /// Lane slots across planned dictionary groups (resident ÷ slots =
-    /// occupancy).
-    pub dict_lane_slots: Counter,
-    /// Front-door sessions admitted (`pm-serve`).
-    pub sessions_opened: Counter,
-    /// Front-door sessions closed normally.
-    pub sessions_closed: Counter,
-    /// Text characters streamed by closed sessions.
-    pub session_chars: Counter,
-    /// Admission-control rejections (session cap or byte budgets).
-    pub sessions_rejected: Counter,
-    /// Protocol frames received on front-door connections.
-    pub frames: Counter,
-    /// Payload bytes carried by received frames.
-    pub frame_bytes: Counter,
-    /// Match events delivered to front-door clients.
-    pub events_delivered: Counter,
-    /// Backpressure signals (SERVER_BUSY with a retry-after hint).
-    pub backpressure_signals: Counter,
-    /// Batches a worker stole from a sibling's deque.
-    pub batch_steals: Counter,
-    /// Routed batch runs completed by the shard router.
-    pub router_runs: Counter,
-    /// Jobs admitted through the shard router.
-    pub router_jobs: Counter,
-    /// Pattern groups the router planned.
-    pub router_groups: Counter,
-    /// Groups routed away from their affinity shard to balance load.
-    pub router_affinity_moves: Counter,
-    /// Microseconds the router spent grouping and assigning.
-    pub router_micros: Counter,
-    /// Jobs admitted to shards, summed over routing rounds.
-    pub shard_jobs: Counter,
-    /// High-water mark of jobs admitted to any one shard in a routing
-    /// round — a gauge, not a counter.
-    pub shard_queue_depth: AtomicU64,
-    /// Superplane width (words) of the most recent dispatch — a gauge,
-    /// not a counter.
-    pub superplane_words: AtomicU64,
-    /// Current degradation-ladder rung as a superplane width in words
-    /// (0 = software fallback) — a gauge, not a counter.
-    pub ladder_words: AtomicU64,
-    /// Lanes-per-batch distribution.
-    pub batch_occupancy: Histogram,
-    /// Batch wall-clock distribution, microseconds (only batches the
-    /// caller timed; untimed batches observe nothing).
-    pub batch_micros: Histogram,
+/// Declares every exported metric once and generates everything that
+/// names it: the [`MetricsRegistry`] fields and constructor, the
+/// [`TelemetrySnapshot`] fields and [`MetricsRegistry::snapshot`], and
+/// the rows both exporters render, in table order.
+///
+/// Each row is `field: "pm_name", "help"`; the help text doubles as the
+/// field's rustdoc and the Prometheus `# HELP` line. Histogram rows also
+/// carry their bucket bounds. A counter row may be followed by
+/// `=> field: "pm_name", "help", derive`: a snapshot-only counter
+/// computed by the `fn(u64) -> u64` `derive` from the registry
+/// counter's value.
+macro_rules! metrics {
+    (
+        counters {
+            $($c:ident: $c_name:literal, $c_help:literal
+                $(=> $d:ident: $d_name:literal, $d_help:literal, $derive:expr)?;)*
+        }
+        gauges { $($g:ident: $g_name:literal, $g_help:literal;)* }
+        histograms { $($h:ident: $h_name:literal, $h_help:literal, $bounds:expr;)* }
+    ) => {
+        /// A [`TraceSink`] that folds the event stream into counters,
+        /// gauges and histograms. Share one behind an `Arc` (wrapped in
+        /// a [`SinkHandle`](pm_systolic::telemetry::SinkHandle)) across
+        /// workers; recording is a handful of relaxed atomic adds per
+        /// event.
+        #[derive(Debug)]
+        pub struct MetricsRegistry {
+            $(#[doc = $c_help] pub $c: Counter,)*
+            $(#[doc = $g_help] pub $g: AtomicU64,)*
+            $(#[doc = $h_help] pub $h: Histogram,)*
+        }
+
+        impl MetricsRegistry {
+            /// A fresh registry with the default bucket bounds.
+            pub fn new() -> Self {
+                MetricsRegistry {
+                    $($c: Counter::new(),)*
+                    $($g: AtomicU64::new(0),)*
+                    $($h: Histogram::new($bounds),)*
+                }
+            }
+
+            /// Folds the current counts into an exportable snapshot.
+            pub fn snapshot(&self) -> TelemetrySnapshot {
+                TelemetrySnapshot {
+                    $(
+                        $c: self.$c.get(),
+                        $($d: {
+                            let derive: fn(u64) -> u64 = $derive;
+                            derive(self.$c.get())
+                        },)?
+                    )*
+                    $($g: self.$g.load(Ordering::Relaxed),)*
+                    $($h: self.$h.snapshot(),)*
+                }
+            }
+        }
+
+        /// A point-in-time reading of a [`MetricsRegistry`], ready to
+        /// export.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct TelemetrySnapshot {
+            $(
+                #[doc = $c_help] pub $c: u64,
+                $(#[doc = $d_help] pub $d: u64,)?
+            )*
+            $(#[doc = $g_help] pub $g: u64,)*
+            $(#[doc = $h_help] pub $h: HistogramSnapshot,)*
+        }
+
+        impl TelemetrySnapshot {
+            /// Every counter and gauge as `(name, help, type, value)`.
+            fn scalar_rows(&self) -> Vec<(&'static str, &'static str, &'static str, u64)> {
+                vec![
+                    $(
+                        ($c_name, $c_help, "counter", self.$c),
+                        $(($d_name, $d_help, "counter", self.$d),)?
+                    )*
+                    $(($g_name, $g_help, "gauge", self.$g),)*
+                ]
+            }
+
+            /// Every histogram as `(name, help, reading)`.
+            fn histogram_rows(&self) -> Vec<(&'static str, &'static str, &HistogramSnapshot)> {
+                vec![$(($h_name, $h_help, &self.$h),)*]
+            }
+        }
+    };
+}
+
+metrics! {
+    counters {
+        clock_phases: "pm_clock_phases_total", "Clock phases observed (2 per array beat)."
+            => beats: "pm_beats_total", "Array beats executed.", |phases| phases / 2;
+        texts_injected: "pm_texts_injected_total", "Text items injected into beat-accurate arrays.";
+        comparator_fires: "pm_comparator_fires_total", "Complete-window results exited from arrays.";
+        match_lanes: "pm_match_lanes_total", "Matching lanes summed over comparator fires.";
+        host_stalls: "pm_host_stalls_total", "Host watchdog stall declarations.";
+        host_retries: "pm_host_retries_total", "Host retries after backoff.";
+        backoff_beats: "pm_backoff_beats_total", "Idle backoff beats summed over retries.";
+        scrubs_passed: "pm_scrubs_passed_total", "BIST scrubs that passed.";
+        scrubs_failed: "pm_scrubs_failed_total", "BIST scrubs that failed.";
+        scrub_beats: "pm_scrub_beats_total", "Array beats spent inside BIST programs.";
+        condemned: "pm_condemned_total", "Sockets condemned.";
+        remaps: "pm_remaps_total", "Chain remaps performed.";
+        replayed_chars: "pm_replayed_chars_total", "Characters replayed through healed chains.";
+        commits: "pm_commits_total", "Result-watermark commits.";
+        fallbacks: "pm_fallbacks_total", "Software-fallback engagements.";
+        jobs_started: "pm_jobs_started_total", "Jobs handed to workers.";
+        jobs_completed: "pm_jobs_completed_total", "Jobs whose results were recorded.";
+        chars: "pm_chars_total", "Text characters processed.";
+        matches: "pm_matches_total", "Matches found.";
+        batches: "pm_batches_total", "Word batches executed.";
+        batch_steps: "pm_batch_steps_total", "Engine steps summed over batches.";
+        lane_slots_used: "pm_lane_slots_used_total", "Lane slots that carried a stream.";
+        lane_slots_total: "pm_lane_slots_total",
+            "Lane slots offered (64 per u64 batch, W*64 per superplane batch).";
+        cache_hits: "pm_cache_hits_total", "Compiled-pattern cache hits.";
+        cache_misses: "pm_cache_misses_total", "Compiled-pattern cache misses.";
+        dispatch_portable: "pm_dispatch_portable_total",
+            "Runs dispatched to the portable superplane kernel.";
+        dispatch_avx2: "pm_dispatch_avx2_total", "Runs dispatched to the AVX2 superplane kernel.";
+        dispatch_avx512: "pm_dispatch_avx512_total",
+            "Runs dispatched to the AVX-512 superplane kernel.";
+        faults_injected: "pm_faults_injected_total",
+            "Chaos-harness faults injected into scheduler workers.";
+        scrub_mismatches: "pm_scrub_mismatches_total",
+            "Sampled-lane scrubs that disagreed with the scalar spec.";
+        quarantined_workers: "pm_quarantined_workers_total", "Scheduler workers quarantined.";
+        ladder_demotions: "pm_ladder_demotions_total", "Degradation-ladder demotions.";
+        ladder_promotions: "pm_ladder_promotions_total", "Degradation-ladder re-promotions.";
+        batches_retried: "pm_batches_retried_total",
+            "Voided batches re-executed on a recovery rung.";
+        dict_patterns: "pm_dict_patterns_total", "Patterns submitted to the dictionary compiler.";
+        dict_resident_lanes: "pm_dict_resident_lanes_total",
+            "Patterns resident after dictionary dedup (÷ submitted = dedup ratio).";
+        dict_groups: "pm_dict_groups_total",
+            "Superplane groups planned by the dictionary compiler.";
+        dict_lane_slots: "pm_dict_lane_slots_total",
+            "Lane slots across planned dictionary groups (resident ÷ slots = occupancy).";
+        sessions_opened: "pm_sessions_opened_total", "Front-door sessions admitted by pm-serve.";
+        sessions_closed: "pm_sessions_closed_total", "Front-door sessions closed normally.";
+        session_chars: "pm_session_chars_total", "Text characters streamed by closed sessions.";
+        sessions_rejected: "pm_sessions_rejected_total",
+            "Admission-control rejections (session cap or byte budgets).";
+        frames: "pm_frames_total", "Protocol frames received on front-door connections.";
+        frame_bytes: "pm_frame_bytes_total", "Payload bytes carried by received frames.";
+        events_delivered: "pm_events_delivered_total",
+            "Match events delivered to front-door clients.";
+        backpressure_signals: "pm_backpressure_signals_total",
+            "SERVER_BUSY backpressure signals with a retry-after hint.";
+        batch_steals: "pm_batch_steals_total", "Batches a worker stole from a sibling's deque.";
+        router_runs: "pm_router_runs_total", "Routed batch runs completed by the shard router.";
+        router_jobs: "pm_router_jobs_total", "Jobs admitted through the shard router.";
+        router_groups: "pm_router_groups_total", "Pattern groups the router planned.";
+        router_affinity_moves: "pm_router_affinity_moves_total",
+            "Groups routed away from their affinity shard to balance load.";
+        router_micros: "pm_router_micros_total",
+            "Microseconds the router spent grouping and assigning.";
+        shard_jobs: "pm_shard_jobs_total", "Jobs admitted to shards, summed over routing rounds.";
+    }
+    gauges {
+        superplane_words: "pm_superplane_words",
+            "Superplane width (words) of the most recent dispatch.";
+        ladder_words: "pm_ladder_words", "Current degradation-ladder rung in words (0 = software).";
+        shard_queue_depth: "pm_shard_queue_depth",
+            "High-water mark of jobs admitted to any one shard per routing round.";
+    }
+    histograms {
+        batch_occupancy: "pm_batch_occupancy", "Lane slots carried per word batch.",
+            OCCUPANCY_BOUNDS;
+        // Only batches the caller timed observe; untimed ones report 0 µs.
+        batch_micros: "pm_batch_micros", "Word-batch wall clock, microseconds.",
+            LATENCY_BOUNDS_MICROS;
+    }
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl MetricsRegistry {
-    /// A fresh registry with the default bucket bounds.
-    pub fn new() -> Self {
-        MetricsRegistry {
-            clock_phases: Counter::new(),
-            texts_injected: Counter::new(),
-            comparator_fires: Counter::new(),
-            match_lanes: Counter::new(),
-            host_stalls: Counter::new(),
-            host_retries: Counter::new(),
-            backoff_beats: Counter::new(),
-            scrubs_passed: Counter::new(),
-            scrubs_failed: Counter::new(),
-            scrub_beats: Counter::new(),
-            condemned: Counter::new(),
-            remaps: Counter::new(),
-            replayed_chars: Counter::new(),
-            commits: Counter::new(),
-            fallbacks: Counter::new(),
-            jobs_started: Counter::new(),
-            jobs_completed: Counter::new(),
-            chars: Counter::new(),
-            matches: Counter::new(),
-            batches: Counter::new(),
-            batch_steps: Counter::new(),
-            lane_slots_used: Counter::new(),
-            lane_slots_total: Counter::new(),
-            cache_hits: Counter::new(),
-            cache_misses: Counter::new(),
-            dispatch_portable: Counter::new(),
-            dispatch_avx2: Counter::new(),
-            dispatch_avx512: Counter::new(),
-            faults_injected: Counter::new(),
-            scrub_mismatches: Counter::new(),
-            quarantined_workers: Counter::new(),
-            ladder_demotions: Counter::new(),
-            ladder_promotions: Counter::new(),
-            batches_retried: Counter::new(),
-            dict_patterns: Counter::new(),
-            dict_resident_lanes: Counter::new(),
-            dict_groups: Counter::new(),
-            dict_lane_slots: Counter::new(),
-            sessions_opened: Counter::new(),
-            sessions_closed: Counter::new(),
-            session_chars: Counter::new(),
-            sessions_rejected: Counter::new(),
-            frames: Counter::new(),
-            frame_bytes: Counter::new(),
-            events_delivered: Counter::new(),
-            backpressure_signals: Counter::new(),
-            batch_steals: Counter::new(),
-            router_runs: Counter::new(),
-            router_jobs: Counter::new(),
-            router_groups: Counter::new(),
-            router_affinity_moves: Counter::new(),
-            router_micros: Counter::new(),
-            shard_jobs: Counter::new(),
-            shard_queue_depth: AtomicU64::new(0),
-            superplane_words: AtomicU64::new(0),
-            ladder_words: AtomicU64::new(0),
-            batch_occupancy: Histogram::new(OCCUPANCY_BOUNDS),
-            batch_micros: Histogram::new(LATENCY_BOUNDS_MICROS),
-        }
-    }
-
-    /// Folds the current counts into an exportable snapshot.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            clock_phases: self.clock_phases.get(),
-            beats: self.clock_phases.get() / 2,
-            texts_injected: self.texts_injected.get(),
-            comparator_fires: self.comparator_fires.get(),
-            match_lanes: self.match_lanes.get(),
-            host_stalls: self.host_stalls.get(),
-            host_retries: self.host_retries.get(),
-            backoff_beats: self.backoff_beats.get(),
-            scrubs_passed: self.scrubs_passed.get(),
-            scrubs_failed: self.scrubs_failed.get(),
-            scrub_beats: self.scrub_beats.get(),
-            condemned: self.condemned.get(),
-            remaps: self.remaps.get(),
-            replayed_chars: self.replayed_chars.get(),
-            commits: self.commits.get(),
-            fallbacks: self.fallbacks.get(),
-            jobs_started: self.jobs_started.get(),
-            jobs_completed: self.jobs_completed.get(),
-            chars: self.chars.get(),
-            matches: self.matches.get(),
-            batches: self.batches.get(),
-            batch_steps: self.batch_steps.get(),
-            lane_slots_used: self.lane_slots_used.get(),
-            lane_slots_total: self.lane_slots_total.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            dispatch_portable: self.dispatch_portable.get(),
-            dispatch_avx2: self.dispatch_avx2.get(),
-            dispatch_avx512: self.dispatch_avx512.get(),
-            faults_injected: self.faults_injected.get(),
-            scrub_mismatches: self.scrub_mismatches.get(),
-            quarantined_workers: self.quarantined_workers.get(),
-            ladder_demotions: self.ladder_demotions.get(),
-            ladder_promotions: self.ladder_promotions.get(),
-            batches_retried: self.batches_retried.get(),
-            dict_patterns: self.dict_patterns.get(),
-            dict_resident_lanes: self.dict_resident_lanes.get(),
-            dict_groups: self.dict_groups.get(),
-            dict_lane_slots: self.dict_lane_slots.get(),
-            sessions_opened: self.sessions_opened.get(),
-            sessions_closed: self.sessions_closed.get(),
-            session_chars: self.session_chars.get(),
-            sessions_rejected: self.sessions_rejected.get(),
-            frames: self.frames.get(),
-            frame_bytes: self.frame_bytes.get(),
-            events_delivered: self.events_delivered.get(),
-            backpressure_signals: self.backpressure_signals.get(),
-            batch_steals: self.batch_steals.get(),
-            router_runs: self.router_runs.get(),
-            router_jobs: self.router_jobs.get(),
-            router_groups: self.router_groups.get(),
-            router_affinity_moves: self.router_affinity_moves.get(),
-            router_micros: self.router_micros.get(),
-            shard_jobs: self.shard_jobs.get(),
-            shard_queue_depth: self.shard_queue_depth.load(Ordering::Relaxed),
-            superplane_words: self.superplane_words.load(Ordering::Relaxed),
-            ladder_words: self.ladder_words.load(Ordering::Relaxed),
-            batch_occupancy: self.batch_occupancy.snapshot(),
-            batch_micros: self.batch_micros.snapshot(),
-        }
     }
 }
 
@@ -536,455 +459,46 @@ impl TraceSink for MetricsRegistry {
         }
     }
 }
-
-/// One row of the counter table: `(metric name, help text, value)`.
-type CounterRow<'a> = (&'a str, &'a str, u64);
-
-/// A point-in-time reading of a [`MetricsRegistry`], ready to export.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetrySnapshot {
-    /// Clock phases observed.
-    pub clock_phases: u64,
-    /// Array beats (clock phases ÷ 2).
-    pub beats: u64,
-    /// Text items injected.
-    pub texts_injected: u64,
-    /// Complete-window results exited.
-    pub comparator_fires: u64,
-    /// Matching lanes summed over fires.
-    pub match_lanes: u64,
-    /// Host stalls declared.
-    pub host_stalls: u64,
-    /// Host retries after backoff.
-    pub host_retries: u64,
-    /// Backoff beats summed over retries.
-    pub backoff_beats: u64,
-    /// BIST scrubs passed.
-    pub scrubs_passed: u64,
-    /// BIST scrubs failed.
-    pub scrubs_failed: u64,
-    /// Beats spent in BIST programs.
-    pub scrub_beats: u64,
-    /// Sockets condemned.
-    pub condemned: u64,
-    /// Chain remaps.
-    pub remaps: u64,
-    /// Characters replayed through healed chains.
-    pub replayed_chars: u64,
-    /// Watermark commits.
-    pub commits: u64,
-    /// Fallback engagements.
-    pub fallbacks: u64,
-    /// Jobs started.
-    pub jobs_started: u64,
-    /// Jobs completed.
-    pub jobs_completed: u64,
-    /// Characters processed.
-    pub chars: u64,
-    /// Matches found.
-    pub matches: u64,
-    /// Word batches executed.
-    pub batches: u64,
-    /// Engine steps summed over batches.
-    pub batch_steps: u64,
-    /// Lane slots carrying a stream.
-    pub lane_slots_used: u64,
-    /// Lane slots available.
-    pub lane_slots_total: u64,
-    /// Pattern-cache hits.
-    pub cache_hits: u64,
-    /// Pattern-cache misses.
-    pub cache_misses: u64,
-    /// Runs dispatched to the portable kernel.
-    pub dispatch_portable: u64,
-    /// Runs dispatched to the AVX2 kernel.
-    pub dispatch_avx2: u64,
-    /// Runs dispatched to the AVX-512 kernel.
-    pub dispatch_avx512: u64,
-    /// Chaos-harness faults injected.
-    pub faults_injected: u64,
-    /// Sampled-lane scrub mismatches.
-    pub scrub_mismatches: u64,
-    /// Workers quarantined.
-    pub quarantined_workers: u64,
-    /// Ladder demotions.
-    pub ladder_demotions: u64,
-    /// Ladder re-promotions.
-    pub ladder_promotions: u64,
-    /// Batches retried on a recovery rung.
-    pub batches_retried: u64,
-    /// Patterns submitted to the dictionary compiler.
-    pub dict_patterns: u64,
-    /// Patterns resident after dictionary dedup.
-    pub dict_resident_lanes: u64,
-    /// Dictionary superplane groups planned.
-    pub dict_groups: u64,
-    /// Lane slots across planned dictionary groups.
-    pub dict_lane_slots: u64,
-    /// Front-door sessions admitted.
-    pub sessions_opened: u64,
-    /// Front-door sessions closed normally.
-    pub sessions_closed: u64,
-    /// Characters streamed by closed sessions.
-    pub session_chars: u64,
-    /// Admission-control rejections.
-    pub sessions_rejected: u64,
-    /// Protocol frames received.
-    pub frames: u64,
-    /// Payload bytes carried by received frames.
-    pub frame_bytes: u64,
-    /// Match events delivered to clients.
-    pub events_delivered: u64,
-    /// Backpressure signals sent.
-    pub backpressure_signals: u64,
-    /// Batches stolen across worker deques.
-    pub batch_steals: u64,
-    /// Routed batch runs completed.
-    pub router_runs: u64,
-    /// Jobs admitted through the router.
-    pub router_jobs: u64,
-    /// Pattern groups the router planned.
-    pub router_groups: u64,
-    /// Groups moved off their affinity shard for load.
-    pub router_affinity_moves: u64,
-    /// Microseconds spent routing.
-    pub router_micros: u64,
-    /// Jobs admitted to shards.
-    pub shard_jobs: u64,
-    /// High-water mark of jobs on any one shard per round.
-    pub shard_queue_depth: u64,
-    /// Superplane width (words) of the most recent dispatch.
-    pub superplane_words: u64,
-    /// Current ladder rung in words (0 = software fallback).
-    pub ladder_words: u64,
-    /// Lanes-per-batch distribution.
-    pub batch_occupancy: HistogramSnapshot,
-    /// Batch latency distribution (µs).
-    pub batch_micros: HistogramSnapshot,
-}
-
 impl TelemetrySnapshot {
-    /// The counter table driving both exporters, so they cannot drift.
-    fn counter_rows(&self) -> Vec<CounterRow<'_>> {
-        vec![
-            (
-                "pm_clock_phases_total",
-                "Clock phases observed (2 per array beat).",
-                self.clock_phases,
-            ),
-            ("pm_beats_total", "Array beats executed.", self.beats),
-            (
-                "pm_texts_injected_total",
-                "Text items injected into beat-accurate arrays.",
-                self.texts_injected,
-            ),
-            (
-                "pm_comparator_fires_total",
-                "Complete-window results exited from arrays.",
-                self.comparator_fires,
-            ),
-            (
-                "pm_match_lanes_total",
-                "Matching lanes summed over comparator fires.",
-                self.match_lanes,
-            ),
-            (
-                "pm_host_stalls_total",
-                "Host watchdog stall declarations.",
-                self.host_stalls,
-            ),
-            (
-                "pm_host_retries_total",
-                "Host retries after backoff.",
-                self.host_retries,
-            ),
-            (
-                "pm_backoff_beats_total",
-                "Idle backoff beats summed over retries.",
-                self.backoff_beats,
-            ),
-            (
-                "pm_scrubs_passed_total",
-                "BIST scrubs that passed.",
-                self.scrubs_passed,
-            ),
-            (
-                "pm_scrubs_failed_total",
-                "BIST scrubs that failed.",
-                self.scrubs_failed,
-            ),
-            (
-                "pm_scrub_beats_total",
-                "Array beats spent inside BIST programs.",
-                self.scrub_beats,
-            ),
-            ("pm_condemned_total", "Sockets condemned.", self.condemned),
-            ("pm_remaps_total", "Chain remaps performed.", self.remaps),
-            (
-                "pm_replayed_chars_total",
-                "Characters replayed through healed chains.",
-                self.replayed_chars,
-            ),
-            (
-                "pm_commits_total",
-                "Result-watermark commits.",
-                self.commits,
-            ),
-            (
-                "pm_fallbacks_total",
-                "Software-fallback engagements.",
-                self.fallbacks,
-            ),
-            (
-                "pm_jobs_started_total",
-                "Jobs handed to workers.",
-                self.jobs_started,
-            ),
-            (
-                "pm_jobs_completed_total",
-                "Jobs whose results were recorded.",
-                self.jobs_completed,
-            ),
-            ("pm_chars_total", "Text characters processed.", self.chars),
-            ("pm_matches_total", "Matches found.", self.matches),
-            ("pm_batches_total", "Word batches executed.", self.batches),
-            (
-                "pm_batch_steps_total",
-                "Engine steps summed over batches.",
-                self.batch_steps,
-            ),
-            (
-                "pm_lane_slots_used_total",
-                "Lane slots that carried a stream.",
-                self.lane_slots_used,
-            ),
-            (
-                "pm_lane_slots_total",
-                "Lane slots offered (64 per u64 batch, W*64 per superplane batch).",
-                self.lane_slots_total,
-            ),
-            (
-                "pm_cache_hits_total",
-                "Compiled-pattern cache hits.",
-                self.cache_hits,
-            ),
-            (
-                "pm_cache_misses_total",
-                "Compiled-pattern cache misses.",
-                self.cache_misses,
-            ),
-            (
-                "pm_dispatch_portable_total",
-                "Runs dispatched to the portable superplane kernel.",
-                self.dispatch_portable,
-            ),
-            (
-                "pm_dispatch_avx2_total",
-                "Runs dispatched to the AVX2 superplane kernel.",
-                self.dispatch_avx2,
-            ),
-            (
-                "pm_dispatch_avx512_total",
-                "Runs dispatched to the AVX-512 superplane kernel.",
-                self.dispatch_avx512,
-            ),
-            (
-                "pm_faults_injected_total",
-                "Chaos-harness faults injected into scheduler workers.",
-                self.faults_injected,
-            ),
-            (
-                "pm_scrub_mismatches_total",
-                "Sampled-lane scrubs that disagreed with the scalar spec.",
-                self.scrub_mismatches,
-            ),
-            (
-                "pm_quarantined_workers_total",
-                "Scheduler workers quarantined.",
-                self.quarantined_workers,
-            ),
-            (
-                "pm_ladder_demotions_total",
-                "Degradation-ladder demotions.",
-                self.ladder_demotions,
-            ),
-            (
-                "pm_ladder_promotions_total",
-                "Degradation-ladder re-promotions.",
-                self.ladder_promotions,
-            ),
-            (
-                "pm_batches_retried_total",
-                "Voided batches re-executed on a recovery rung.",
-                self.batches_retried,
-            ),
-            (
-                "pm_dict_patterns_total",
-                "Patterns submitted to the dictionary compiler.",
-                self.dict_patterns,
-            ),
-            (
-                "pm_dict_resident_lanes_total",
-                "Patterns resident after dictionary dedup (÷ submitted = dedup ratio).",
-                self.dict_resident_lanes,
-            ),
-            (
-                "pm_dict_groups_total",
-                "Superplane groups planned by the dictionary compiler.",
-                self.dict_groups,
-            ),
-            (
-                "pm_dict_lane_slots_total",
-                "Lane slots across planned dictionary groups (resident ÷ slots = occupancy).",
-                self.dict_lane_slots,
-            ),
-            (
-                "pm_sessions_opened_total",
-                "Front-door sessions admitted by pm-serve.",
-                self.sessions_opened,
-            ),
-            (
-                "pm_sessions_closed_total",
-                "Front-door sessions closed normally.",
-                self.sessions_closed,
-            ),
-            (
-                "pm_session_chars_total",
-                "Text characters streamed by closed sessions.",
-                self.session_chars,
-            ),
-            (
-                "pm_sessions_rejected_total",
-                "Admission-control rejections (session cap or byte budgets).",
-                self.sessions_rejected,
-            ),
-            (
-                "pm_frames_total",
-                "Protocol frames received on front-door connections.",
-                self.frames,
-            ),
-            (
-                "pm_frame_bytes_total",
-                "Payload bytes carried by received frames.",
-                self.frame_bytes,
-            ),
-            (
-                "pm_events_delivered_total",
-                "Match events delivered to front-door clients.",
-                self.events_delivered,
-            ),
-            (
-                "pm_backpressure_signals_total",
-                "SERVER_BUSY backpressure signals with a retry-after hint.",
-                self.backpressure_signals,
-            ),
-            (
-                "pm_batch_steals_total",
-                "Batches a worker stole from a sibling's deque.",
-                self.batch_steals,
-            ),
-            (
-                "pm_router_runs_total",
-                "Routed batch runs completed by the shard router.",
-                self.router_runs,
-            ),
-            (
-                "pm_router_jobs_total",
-                "Jobs admitted through the shard router.",
-                self.router_jobs,
-            ),
-            (
-                "pm_router_groups_total",
-                "Pattern groups the router planned.",
-                self.router_groups,
-            ),
-            (
-                "pm_router_affinity_moves_total",
-                "Groups routed away from their affinity shard to balance load.",
-                self.router_affinity_moves,
-            ),
-            (
-                "pm_router_micros_total",
-                "Microseconds the router spent grouping and assigning.",
-                self.router_micros,
-            ),
-            (
-                "pm_shard_jobs_total",
-                "Jobs admitted to shards, summed over routing rounds.",
-                self.shard_jobs,
-            ),
-        ]
-    }
-
     /// Renders the snapshot in Prometheus text exposition format.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        for (name, help, value) in self.counter_rows() {
+        for (name, help, kind, value) in self.scalar_rows() {
             let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "# TYPE {name} {kind}");
             let _ = writeln!(out, "{name} {value}");
         }
-        let _ = writeln!(
-            out,
-            "# HELP pm_superplane_words Superplane width (words) of the most recent dispatch."
-        );
-        let _ = writeln!(out, "# TYPE pm_superplane_words gauge");
-        let _ = writeln!(out, "pm_superplane_words {}", self.superplane_words);
-        let _ = writeln!(
-            out,
-            "# HELP pm_ladder_words Current degradation-ladder rung in words (0 = software)."
-        );
-        let _ = writeln!(out, "# TYPE pm_ladder_words gauge");
-        let _ = writeln!(out, "pm_ladder_words {}", self.ladder_words);
-        let _ = writeln!(
-            out,
-            "# HELP pm_shard_queue_depth High-water mark of jobs admitted to any one shard per routing round."
-        );
-        let _ = writeln!(out, "# TYPE pm_shard_queue_depth gauge");
-        let _ = writeln!(out, "pm_shard_queue_depth {}", self.shard_queue_depth);
-        self.batch_occupancy.to_prometheus(
-            "pm_batch_occupancy",
-            "Lane slots carried per word batch.",
-            &mut out,
-        );
-        self.batch_micros.to_prometheus(
-            "pm_batch_micros",
-            "Word-batch wall clock, microseconds.",
-            &mut out,
-        );
+        for (name, help, histogram) in self.histogram_rows() {
+            histogram.to_prometheus(name, help, &mut out);
+        }
         out
     }
 
     /// Renders the snapshot as the `BENCH_telemetry.json` document:
     /// `chars_per_sec` at top level (what the CI gate reads), then
-    /// every counter and histogram.
+    /// every counter and gauge under `"counters"` and every histogram
+    /// under `"histograms"`.
     pub fn to_json(&self, chars_per_sec: f64) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"chars_per_sec\": {chars_per_sec:.1},");
-        out.push_str("  \"counters\": {\n");
-        let rows = self.counter_rows();
-        for (name, _, value) in rows.iter() {
-            let _ = writeln!(out, "    \"{name}\": {value},");
-        }
-        let _ = writeln!(
-            out,
-            "    \"pm_shard_queue_depth\": {},",
-            self.shard_queue_depth
-        );
-        let _ = writeln!(out, "    \"pm_ladder_words\": {},", self.ladder_words);
-        let _ = writeln!(
-            out,
-            "    \"pm_superplane_words\": {}",
-            self.superplane_words
-        );
-        out.push_str("  },\n");
-        out.push_str("  \"histograms\": {\n    \"pm_batch_occupancy\": ");
-        self.batch_occupancy.to_json(&mut out);
-        out.push_str(",\n    \"pm_batch_micros\": ");
-        self.batch_micros.to_json(&mut out);
-        out.push_str("\n  }\n}\n");
-        out
+        let scalars: Vec<String> = self
+            .scalar_rows()
+            .into_iter()
+            .map(|(name, _, _, value)| format!("    \"{name}\": {value}"))
+            .collect();
+        let histograms: Vec<String> = self
+            .histogram_rows()
+            .into_iter()
+            .map(|(name, _, histogram)| {
+                let mut row = format!("    \"{name}\": ");
+                histogram.to_json(&mut row);
+                row
+            })
+            .collect();
+        format!(
+            "{{\n  \"chars_per_sec\": {chars_per_sec:.1},\n  \"counters\": {{\n{}\n  }},\n  \
+             \"histograms\": {{\n{}\n  }}\n}}\n",
+            scalars.join(",\n"),
+            histograms.join(",\n")
+        )
     }
 }
 

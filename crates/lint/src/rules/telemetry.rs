@@ -17,19 +17,22 @@
 //!    `TraceEvent::Variant` pattern in the file that implements
 //!    `TraceSink for MetricsRegistry`;
 //! 2. every exported metric name (a string literal of the shape
-//!    `pm_[a-z0-9_]+` in the registry file — counter rows, gauges and
-//!    histogram prefixes alike) appears in `ARCHITECTURE.md`, so the
-//!    Prometheus page and the documentation can't drift apart. (The
-//!    Prometheus exposition itself is generated from the same
-//!    `counter_rows()` table it is checked against, so exposition
-//!    coverage is structural; the doc is the part that needs proving.)
+//!    `pm_[a-z0-9_]+` in the registry file) appears in
+//!    `ARCHITECTURE.md`;
+//! 3. where such a name literal is followed by a string literal — a
+//!    `field: "pm_name", "help"` row of the registry's `metrics!`
+//!    table — the ARCHITECTURE.md table row holding `` `pm_name` ``
+//!    contains that help text verbatim, so the documented meaning
+//!    cannot drift from the exported `# HELP` line. (The exporters are
+//!    generated from the same table, so exposition coverage is
+//!    structural; the doc is the part that needs proving.)
 //!
-//! Both halves locate their subjects by content, so fixtures model the
+//! Every check locates its subjects by content, so fixtures model the
 //! contract in one file.
 
 use super::{enum_variants, find_seq, Rule};
 use crate::diag::Finding;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::workspace::Workspace;
 
 /// See the module docs.
@@ -42,7 +45,7 @@ impl Rule for TelemetryCompleteness {
 
     fn description(&self) -> &'static str {
         "every TraceEvent variant folds into the MetricsRegistry and every \
-         exported pm_* metric name is documented in ARCHITECTURE.md"
+         exported pm_* metric is documented in ARCHITECTURE.md with its help text"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
@@ -77,24 +80,53 @@ impl Rule for TelemetryCompleteness {
             return; // fixture mode: no doc to check against
         };
         let Some(fold_file) = fold else { return };
-        for t in &fold_file.lexed.tokens {
+        let tokens = &fold_file.lexed.tokens;
+        for (i, t) in tokens.iter().enumerate() {
             if t.kind != TokenKind::Str || !is_metric_name(&t.text) {
                 continue;
             }
-            if !arch.contains(&t.text) {
-                out.push(Finding {
-                    rule: self.name(),
-                    file: fold_file.rel.clone(),
-                    line: t.line,
-                    message: format!(
-                        "exported metric `{}` is not documented in ARCHITECTURE.md's \
-                         metrics table",
-                        t.text
-                    ),
-                });
-            }
+            let message = if !arch.contains(&t.text) {
+                format!(
+                    "exported metric `{}` is not documented in ARCHITECTURE.md's \
+                     metrics table",
+                    t.text
+                )
+            } else if let Some(help) = help_after(tokens, i).filter(|h| !row_has(arch, &t.text, h))
+            {
+                format!(
+                    "ARCHITECTURE.md's row for `{}` does not carry its help text \
+                     \"{help}\"",
+                    t.text
+                )
+            } else {
+                continue;
+            };
+            out.push(Finding {
+                rule: self.name(),
+                file: fold_file.rel.clone(),
+                line: t.line,
+                message,
+            });
         }
     }
+}
+
+/// The help literal of a `"pm_name", "help"` pair: the string literal
+/// after the name, past an optional comma.
+fn help_after(tokens: &[Token], name: usize) -> Option<&str> {
+    let mut next = tokens.get(name + 1)?;
+    if next.kind == TokenKind::Punct && next.text == "," {
+        next = tokens.get(name + 2)?;
+    }
+    (next.kind == TokenKind::Str).then_some(next.text.as_str())
+}
+
+/// Whether some markdown table row of `doc` names `` `metric` `` and
+/// contains `help`.
+fn row_has(doc: &str, metric: &str, help: &str) -> bool {
+    let cell = format!("`{metric}`");
+    doc.lines()
+        .any(|l| l.trim_start().starts_with('|') && l.contains(&cell) && l.contains(help))
 }
 
 /// Whether a string literal is exactly a metric name (`pm_` + lowercase
@@ -112,6 +144,8 @@ fn is_metric_name(s: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+    use crate::workspace::SourceFile;
 
     #[test]
     fn metric_name_shape() {
@@ -121,5 +155,48 @@ mod tests {
         assert!(!is_metric_name("pm_")); // empty tail
         assert!(!is_metric_name("PM_SIMD")); // env var
         assert!(!is_metric_name("pm_chars_total\": 1")); // JSON fragment
+    }
+
+    /// Findings for a one-file registry whose table declares
+    /// `pm_chars_total` against an ARCHITECTURE.md holding `row`.
+    fn findings_with_row(row: &str) -> Vec<Finding> {
+        let text = "impl TraceSink for MetricsRegistry {}\n\
+                    metrics! { counters { chars: \"pm_chars_total\", \"Text characters processed.\"; } }\n";
+        let ws = Workspace {
+            files: vec![SourceFile {
+                rel: "telemetry.rs".into(),
+                crate_name: "demo".into(),
+                text: text.into(),
+                lexed: lex(text),
+                suppressions: Vec::new(),
+            }],
+            docs: vec![(
+                "ARCHITECTURE.md".into(),
+                format!("| metric | help |\n|---|---|\n{row}\n"),
+            )],
+            grammar_findings: Vec::new(),
+        };
+        let mut out = Vec::new();
+        TelemetryCompleteness.check(&ws, &mut out);
+        out
+    }
+
+    #[test]
+    fn documented_row_must_carry_the_help_text() {
+        assert!(findings_with_row("| `pm_chars_total` | Text characters processed. |").is_empty());
+        let drifted = findings_with_row("| `pm_chars_total` | text characters scanned |");
+        assert_eq!(drifted.len(), 1, "{drifted:?}");
+        assert!(
+            drifted[0].message.contains("help text"),
+            "{}",
+            drifted[0].message
+        );
+        let missing = findings_with_row("| `pm_other_total` | Text characters processed. |");
+        assert_eq!(missing.len(), 1, "{missing:?}");
+        assert!(
+            missing[0].message.contains("not documented"),
+            "{}",
+            missing[0].message
+        );
     }
 }
