@@ -94,11 +94,11 @@ pub mod prelude {
         ChipFault, FaultError, Mode, RecoveryEvent, RecoveryPolicy, ResilientHostBus,
         SelfHealingCascade,
     };
-    pub use crate::shard::{Router, RouterConfig, RouterReport, Shard};
+    pub use crate::shard::{Router, RouterConfig, RouterReport, Shard, SlotLease, SlotPool};
     pub use crate::telemetry::{Histogram, HistogramSnapshot, MetricsRegistry, TelemetrySnapshot};
     pub use crate::throughput::{
         Job, JobOutput, JobRef, PatternCache, PatternIndex, ResiliencePolicy, ResilienceReport,
-        SlotLease, SlotPool, SuperWidth, ThroughputEngine, WorkerStats,
+        SuperWidth, ThroughputEngine, WorkerStats,
     };
     pub use crate::timing::{ClockModel, GateDelays};
     pub use crate::wafer::{Wafer, YieldPoint};

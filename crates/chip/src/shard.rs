@@ -44,8 +44,8 @@
 //! [`ThroughputEngine`]: crate::throughput::ThroughputEngine
 
 use crate::throughput::{
-    group_by_pattern, Job, JobOutput, JobRef, ResiliencePolicy, SlotPool, SuperWidth,
-    ThroughputEngine, ThroughputReport,
+    group_by_pattern, Job, JobOutput, JobRef, ResiliencePolicy, SuperWidth, ThroughputEngine,
+    ThroughputReport,
 };
 use pm_systolic::error::Error;
 use pm_systolic::symbol::Pattern;
@@ -53,6 +53,7 @@ use pm_systolic::telemetry::{SinkHandle, TraceEvent};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Shape of the sharded memory system.
@@ -79,6 +80,137 @@ impl Default for RouterConfig {
             budget_bytes: 8 << 20,
             width: SuperWidth::default(),
         }
+    }
+}
+
+/// A bounded budget of batch-slot bytes: one [`Shard`]'s slice of the
+/// memory system's byte budget, leased by any front end that feeds it
+/// (the `pm-serve` front door).
+///
+/// The superplane engine's capacity is finite: `workers × W × 64`
+/// lanes, each carrying a stream of text. A front door multiplexing
+/// thousands of client sessions must not buffer unbounded text on
+/// behalf of slow clients, so admission happens in *bytes*: every feed
+/// leases its chunk length from the pool and the lease releases on
+/// drop (RAII). When the pool is exhausted the caller signals
+/// backpressure (SERVER_BUSY paced by
+/// [`RetryPolicy`](crate::host::RetryPolicy)) instead of queueing.
+///
+/// Acquisition is a CAS loop on one atomic — no lock, no fairness
+/// queue; contention cost is a handful of retries under the same
+/// relaxed discipline as [`crate::counters`].
+///
+/// ```
+/// use pm_chip::shard::SlotPool;
+///
+/// let pool = SlotPool::new(1024);
+/// let lease = pool.try_lease(1000).expect("fits");
+/// assert_eq!(pool.available(), 24);
+/// assert!(pool.try_lease(100).is_none(), "exhausted: backpressure");
+/// drop(lease);
+/// assert_eq!(pool.available(), 1024);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SlotPool {
+    inner: Arc<SlotPoolInner>,
+}
+
+#[derive(Debug)]
+struct SlotPoolInner {
+    capacity: u64,
+    in_flight: AtomicU64,
+}
+
+impl SlotPool {
+    /// A pool of `capacity_bytes` leasable batch-slot bytes.
+    pub fn new(capacity_bytes: u64) -> Self {
+        SlotPool {
+            inner: Arc::new(SlotPoolInner {
+                capacity: capacity_bytes,
+                in_flight: AtomicU64::new(0),
+            }),
+        }
+    }
+
+    /// `budget_bytes` split exactly over `n` pools (at least one): the
+    /// first `budget_bytes % n` take one extra byte, so the capacities
+    /// sum to the whole budget.
+    ///
+    /// ```
+    /// use pm_chip::shard::SlotPool;
+    ///
+    /// let pools = SlotPool::split(10, 3);
+    /// let caps: Vec<u64> = pools.iter().map(SlotPool::capacity).collect();
+    /// assert_eq!(caps, vec![4, 3, 3]);
+    /// ```
+    pub fn split(budget_bytes: u64, n: usize) -> Vec<SlotPool> {
+        let n = n.max(1) as u64;
+        (0..n)
+            .map(|i| SlotPool::new(budget_bytes / n + u64::from(i < budget_bytes % n)))
+            .collect()
+    }
+
+    /// Leases `bytes` from the pool, or `None` when the remaining
+    /// budget is too small — the caller's cue to apply backpressure.
+    /// A zero-byte lease always succeeds and holds nothing.
+    pub fn try_lease(&self, bytes: u64) -> Option<SlotLease> {
+        let mut current = self.inner.in_flight.load(Ordering::Relaxed);
+        loop {
+            let next = current.checked_add(bytes)?;
+            if next > self.inner.capacity {
+                return None;
+            }
+            match self.inner.in_flight.compare_exchange_weak(
+                current,
+                next,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    return Some(SlotLease {
+                        pool: Arc::clone(&self.inner),
+                        bytes,
+                    })
+                }
+                Err(seen) => current = seen,
+            }
+        }
+    }
+
+    /// Total leasable bytes.
+    pub fn capacity(&self) -> u64 {
+        self.inner.capacity
+    }
+
+    /// Bytes currently leased out.
+    pub fn in_flight(&self) -> u64 {
+        self.inner.in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Bytes still available to lease.
+    pub fn available(&self) -> u64 {
+        self.inner.capacity.saturating_sub(self.in_flight())
+    }
+}
+
+/// A live lease of batch-slot bytes from a [`SlotPool`]; the bytes
+/// return to the pool when the lease drops.
+#[derive(Debug)]
+pub struct SlotLease {
+    pool: Arc<SlotPoolInner>,
+    bytes: u64,
+}
+
+impl SlotLease {
+    /// Bytes this lease holds.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl Drop for SlotLease {
+    fn drop(&mut self) {
+        self.pool.in_flight.fetch_sub(self.bytes, Ordering::AcqRel);
     }
 }
 
@@ -150,24 +282,18 @@ impl Router {
     /// A router whose shards (and the router itself) emit trace events
     /// into `sink`.
     pub fn with_sink(config: RouterConfig, sink: SinkHandle) -> Self {
-        let n = config.shards.max(1);
         let workers = config.workers_per_shard.max(1);
-        // Split the byte budget exactly: the first `budget % n` shards
-        // take one extra byte so the slices sum to the whole.
-        let (base, extra) = (
-            config.budget_bytes / n as u64,
-            config.budget_bytes % n as u64,
-        );
-        let shards = (0..n)
-            .map(|id| {
+        let shards = SlotPool::split(config.budget_bytes, config.shards)
+            .into_iter()
+            .enumerate()
+            .map(|(id, pool)| {
                 let mut engine =
                     ThroughputEngine::with_sink(workers, config.cache_capacity, sink.clone());
                 engine.set_width(config.width);
-                let slice = base + u64::from((id as u64) < extra);
                 Shard {
                     id,
                     engine,
-                    pool: SlotPool::new(slice),
+                    pool,
                     queue_depth: AtomicU64::new(0),
                 }
             })
@@ -244,7 +370,7 @@ impl Router {
         let route_timer = Instant::now();
         let n = self.shards.len();
 
-        let mut groups = group_by_pattern(jobs);
+        let mut groups = group_by_pattern(jobs, 0..jobs.len());
         // Bucket groups by pattern length so each shard's own planner
         // receives length-sorted singles — the shared discipline of
         // `plan::bucket_by_len` applied one level up.
@@ -508,5 +634,48 @@ mod tests {
         assert_eq!(report.groups, 0);
         assert_eq!(report.total_chars(), 0);
         assert_eq!(report.shard_reports.len(), 4);
+    }
+
+    #[test]
+    fn slot_pool_leases_and_releases() {
+        let pool = SlotPool::new(100);
+        assert_eq!(pool.capacity(), 100);
+        let a = pool.try_lease(60).expect("fits");
+        assert_eq!(a.bytes(), 60);
+        assert_eq!(pool.in_flight(), 60);
+        assert_eq!(pool.available(), 40);
+        assert!(pool.try_lease(41).is_none(), "over budget");
+        let b = pool.try_lease(40).expect("exactly fits");
+        assert_eq!(pool.available(), 0);
+        drop(a);
+        assert_eq!(pool.available(), 60);
+        drop(b);
+        assert_eq!(pool.in_flight(), 0);
+        // Zero-byte leases always succeed, even at capacity.
+        let _full = pool.try_lease(100).unwrap();
+        assert!(pool.try_lease(0).is_some());
+    }
+
+    #[test]
+    fn slot_pool_is_exact_under_contention() {
+        let pool = SlotPool::new(64);
+        let mut handles = Vec::new();
+        for _ in 0..8 {
+            let pool = pool.clone();
+            handles.push(std::thread::spawn(move || {
+                let mut granted = 0u64;
+                for _ in 0..1000 {
+                    if let Some(lease) = pool.try_lease(1) {
+                        granted += 1;
+                        assert!(pool.in_flight() <= 64, "budget overshot");
+                        drop(lease);
+                    }
+                }
+                granted
+            }));
+        }
+        let granted: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert!(granted > 0);
+        assert_eq!(pool.in_flight(), 0, "every lease returned");
     }
 }

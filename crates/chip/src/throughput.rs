@@ -32,6 +32,12 @@
 //!   analysis worries about ("loading this pattern") is paid once per
 //!   *distinct* pattern, not once per job — and never behind a global
 //!   mutex;
+//! * every worker runs one loop and buffers its outputs; the
+//!   coordinator commits them once all threads have joined. An
+//!   installed [`ResiliencePolicy`] adds fault tolerance to that loop —
+//!   a watchdog, lane scrubbing, `catch_unwind` containment and an exit
+//!   known-answer test gating each worker's commit — plus a recovery
+//!   ladder for whatever a condemned worker left unresolved;
 //! * per-worker [`WorkerStats`] and whole-run rates (chars/sec, lane
 //!   occupancy, cache hit rate) are surfaced through the
 //!   [`counters`](crate::counters) module.
@@ -441,21 +447,19 @@ pub struct ThroughputReport {
     /// router's `planner_overhead_frac` accounting.
     pub plan_micros: u64,
     /// What the fault-tolerant scheduler saw and did, when a
-    /// [`ResiliencePolicy`] is installed (`None` on the fast path).
+    /// [`ResiliencePolicy`] is installed (`None` without one).
     pub resilience: Option<ResilienceReport>,
 }
 
 /// Tunables of the fault-tolerant scheduler layer. Installing one via
-/// [`ThroughputEngine::set_resilience`] switches
-/// [`run`](ThroughputEngine::run) from the fast path to the resilient
-/// path: workers buffer results instead of committing them, every
-/// batch runs under `catch_unwind` and a wall-clock watchdog, a sampled
-/// lane is periodically re-checked against the scalar spec, and each
-/// worker must pass an exit known-answer test before its buffered
-/// results commit. Detected faults void the worker's results and send
-/// its jobs down the recovery ladder (retry → narrower width → software
-/// fallback), so committed output is spec-identical even under active
-/// fault injection.
+/// [`ThroughputEngine::set_resilience`] arms four tripwires in the
+/// scheduler's one worker loop: every batch runs under `catch_unwind`
+/// and a wall-clock watchdog, a sampled lane is periodically re-checked
+/// against the scalar spec, and each worker must pass an exit
+/// known-answer test before its buffered results commit. Detected
+/// faults void the worker's results and send its jobs down the recovery
+/// ladder (retry → narrower width → software fallback), so committed
+/// output is spec-identical even under active fault injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResiliencePolicy {
     /// Re-run one random lane of every Nth batch (per worker) through
@@ -544,18 +548,23 @@ enum BatchDesc {
     },
 }
 
-/// Groups job indices by pattern, preserving first-seen order — the
-/// shared first stage of the batch planner below and the
-/// [`Router`](crate::shard::Router)'s affinity planner.
-pub(crate) fn group_by_pattern<'a>(jobs: &[JobRef<'a>]) -> Vec<(&'a Pattern, Vec<usize>)> {
+/// Groups the job indices `picks` by pattern, preserving first-seen
+/// order — the shared first stage of the batch planner below, the
+/// recovery ladder and the [`Router`](crate::shard::Router)'s affinity
+/// planner.
+pub(crate) fn group_by_pattern<'a>(
+    jobs: &[JobRef<'a>],
+    picks: impl IntoIterator<Item = usize>,
+) -> Vec<(&'a Pattern, Vec<usize>)> {
     let mut order: Vec<&Pattern> = Vec::new();
     let mut groups: HashMap<&Pattern, Vec<usize>> = HashMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        groups.entry(job.pattern).or_insert_with(|| {
-            order.push(job.pattern);
+    for i in picks {
+        let pattern = jobs[i].pattern;
+        groups.entry(pattern).or_insert_with(|| {
+            order.push(pattern);
             Vec::new()
         });
-        groups.get_mut(job.pattern).expect("just inserted").push(i);
+        groups.get_mut(pattern).expect("just inserted").push(i);
     }
     order
         .into_iter()
@@ -578,7 +587,7 @@ pub(crate) fn group_by_pattern<'a>(jobs: &[JobRef<'a>]) -> Vec<(&'a Pattern, Vec
 fn plan_batches(jobs: &[JobRef<'_>], lanes: usize) -> Vec<BatchDesc> {
     let mut plan = Vec::new();
     let mut singles: Vec<usize> = Vec::new();
-    for (_, members) in group_by_pattern(jobs) {
+    for (_, members) in group_by_pattern(jobs, 0..jobs.len()) {
         if members.len() == 1 {
             singles.push(members[0]);
             continue;
@@ -664,7 +673,7 @@ pub struct ThroughputEngine {
     resilience: Option<ResiliencePolicy>,
     /// Seeded chaos campaign, when armed (orthogonal to `resilience`:
     /// a plan without a policy injects faults nobody contains, which is
-    /// what the fast-path regression tests want).
+    /// what the unprotected regression tests want).
     chaos: Option<FaultPlan>,
     /// Persistent degradation-ladder position across runs.
     ladder: LadderState,
@@ -717,7 +726,10 @@ impl ThroughputEngine {
         self.ladder.clean.store(0, Ordering::Relaxed);
     }
 
-    /// Installs (or removes) the fault-tolerant scheduler layer.
+    /// Installs (or removes) the fault-tolerant scheduler layer: the
+    /// policy's tripwires, the recovery ladder and the
+    /// [`ResilienceReport`]. Workers run the same loop and buffer their
+    /// outputs either way.
     pub fn set_resilience(&mut self, policy: Option<ResiliencePolicy>) {
         self.resilience = policy;
     }
@@ -731,8 +743,8 @@ impl ThroughputEngine {
     /// resilience policy injects faults nobody contains: data faults
     /// silently corrupt results and panics surface as
     /// [`Error::WorkerPanicked`] — the harness the regression tests
-    /// point at the fast path. With a policy installed, the same plan
-    /// exercises detection and recovery instead.
+    /// point at an unprotected engine. With a policy installed, the
+    /// same plan exercises detection and recovery instead.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.chaos = plan;
     }
@@ -742,9 +754,10 @@ impl ThroughputEngine {
         self.chaos.as_ref()
     }
 
-    /// The width the *next* resilient run will use: the configured
-    /// width lowered to the ladder's current rung. The fast path
-    /// ignores the ladder.
+    /// The width the *next* run under a [`ResiliencePolicy`] will use:
+    /// the configured width lowered to the ladder's current rung. A run
+    /// without a policy ignores the ladder and uses the configured
+    /// width.
     pub fn ladder_width(&self) -> SuperWidth {
         let rungs = ladder_rungs(self.width);
         rungs[self
@@ -792,19 +805,22 @@ impl ThroughputEngine {
     /// Output `i` belongs to input job `i` regardless of which worker
     /// or batch carried it.
     ///
-    /// With a [`ResiliencePolicy`] installed the run is fault-tolerant:
-    /// worker results commit only after the worker passes its exit
-    /// known-answer test, and anything voided is re-executed down the
-    /// degradation ladder with full verification against the scalar
-    /// spec — so outputs are spec-identical even under an armed
-    /// [`FaultPlan`].
+    /// Workers buffer their outputs and the coordinator commits them
+    /// once every thread has joined. With a [`ResiliencePolicy`]
+    /// installed the run is also fault-tolerant: a worker's buffer
+    /// commits only after the worker passes its exit known-answer test,
+    /// and anything voided is re-executed down the degradation ladder
+    /// with full verification against the scalar spec — so outputs are
+    /// spec-identical even under an armed [`FaultPlan`].
     ///
     /// # Errors
     ///
-    /// On the fast path, an injected (or genuine) worker panic surfaces
-    /// as [`Error::WorkerPanicked`] *after* every worker thread has
-    /// been joined — an early failure never leaks running threads. The
-    /// resilient path contains panics and returns `Ok`.
+    /// Without a policy, an injected (or genuine) worker panic surfaces
+    /// as [`Error::WorkerPanicked`] and an engine failure as the
+    /// engine's own error, both *after* every worker thread has been
+    /// joined — an early failure never leaks running threads. With a
+    /// policy, panics and engine errors condemn the worker instead and
+    /// the run returns `Ok`.
     pub fn run(&self, jobs: &[Job]) -> Result<ThroughputReport, Error> {
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
         self.run_refs(&refs)
@@ -819,99 +835,17 @@ impl ThroughputEngine {
     ///
     /// As [`run`](Self::run).
     pub fn run_refs(&self, jobs: &[JobRef<'_>]) -> Result<ThroughputReport, Error> {
-        match self.resilience {
-            Some(policy) => self.run_resilient(jobs, policy),
-            None => self.run_fast(jobs),
-        }
-    }
-
-    /// The zero-overhead path: no scrubbing, no buffering, no ladder.
-    fn run_fast(&self, jobs: &[JobRef<'_>]) -> Result<ThroughputReport, Error> {
         let started = Instant::now();
-        let width = self.width;
-        let simd = simd_level();
-        self.sink.record(TraceEvent::DispatchSelected {
-            words: width.words() as u32,
-            level: simd,
-        });
-
-        let counters = ThroughputCounters::new();
-        let plan_timer = Instant::now();
-        let plan = plan_batches(jobs, width.lanes());
-        let plan_micros = plan_timer.elapsed().as_micros() as u64;
-        let queue = WorkQueue::new(plan.len(), self.workers);
-        let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
-
-        let joined: Vec<std::thread::Result<Result<WorkerYield, Error>>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.workers)
-                    .map(|w| {
-                        let (counters, plan, queue) = (&counters, &plan, &queue);
-                        let (index, sink) = (&self.index, &self.sink);
-                        let capacity = self.cache_capacity;
-                        let chaos = self.chaos.as_ref();
-                        scope.spawn(move || {
-                            worker_run(
-                                w, jobs, plan, queue, index, capacity, counters, sink, width, chaos,
-                            )
-                        })
-                    })
-                    .collect();
-                // Join every handle before inspecting any outcome, so a
-                // panicked worker cannot leave its siblings running when
-                // we bail out below.
-                handles.into_iter().map(|h| h.join()).collect()
-            });
-
-        let mut worker_stats = Vec::with_capacity(self.workers);
-        let mut results = Vec::with_capacity(self.workers);
-        for (w, joined) in joined.into_iter().enumerate() {
-            match joined {
-                Ok(res) => results.push(res),
-                Err(_) => return Err(Error::WorkerPanicked { worker: w }),
-            }
-        }
-        for res in results {
-            let (outs, stats) = res?;
-            for (idx, out) in outs {
-                outputs[idx] = Some(out);
-            }
-            worker_stats.push(stats);
-        }
-        worker_stats.sort_by_key(|s| s.worker);
-
-        let outputs = outputs
-            .into_iter()
-            .map(|o| o.expect("every job produces an output"))
-            .collect();
-        let totals = counters.snapshot(started.elapsed());
-        self.lifetime_chars.add(totals.chars);
-        self.rate.sample(self.lifetime_chars.get());
-        Ok(ThroughputReport {
-            outputs,
-            workers: worker_stats,
-            totals,
-            simd,
-            lanes_per_batch: width.lanes(),
-            plan_micros,
-            resilience: None,
-        })
-    }
-
-    /// The fault-tolerant path: execute → detect → quarantine →
-    /// recover, committing only verified results.
-    fn run_resilient(
-        &self,
-        jobs: &[JobRef<'_>],
-        policy: ResiliencePolicy,
-    ) -> Result<ThroughputReport, Error> {
-        let started = Instant::now();
+        let policy = self.resilience;
         let rungs = ladder_rungs(self.width);
-        let rung0 = self
-            .ladder
-            .rung
-            .load(Ordering::Relaxed)
-            .min(rungs.len() - 1);
+        // Only a policy rides the ladder; without one every run keeps
+        // the configured width.
+        let rung0 = policy.map_or(0, |_| {
+            self.ladder
+                .rung
+                .load(Ordering::Relaxed)
+                .min(rungs.len() - 1)
+        });
         let width = rungs[rung0];
         let simd = simd_level();
         self.sink.record(TraceEvent::DispatchSelected {
@@ -924,39 +858,43 @@ impl ThroughputEngine {
         let plan = plan_batches(jobs, width.lanes());
         let plan_micros = plan_timer.elapsed().as_micros() as u64;
         let queue = WorkQueue::new(plan.len(), self.workers);
+
+        let joined: Vec<std::thread::Result<Result<WorkerOutcome, Error>>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..self.workers)
+                    .map(|w| {
+                        let (counters, plan, queue) = (&counters, &plan, &queue);
+                        scope
+                            .spawn(move || self.work(w, jobs, plan, queue, counters, width, policy))
+                    })
+                    .collect();
+                // Join every handle before inspecting any outcome, so a
+                // panicked worker cannot leave its siblings running when
+                // we bail out below.
+                handles.into_iter().map(|h| h.join()).collect()
+            });
+        let mut outcomes = Vec::with_capacity(self.workers);
+        for (w, joined) in joined.into_iter().enumerate() {
+            outcomes.push(match joined {
+                Ok(outcome) => outcome,
+                // Under a policy a panic that escaped containment can
+                // only come from the worker harness itself, not a
+                // batch: void the worker like a quarantined one.
+                Err(_) if policy.is_some() => {
+                    Ok(WorkerOutcome::condemned(w, PlaneFault::WorkerPanic.label()))
+                }
+                Err(_) => return Err(Error::WorkerPanicked { worker: w }),
+            });
+        }
+
         let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
         let mut report = ResilienceReport::default();
-
-        let joined: Vec<std::thread::Result<ResilientYield>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|w| {
-                    let (counters, plan, queue) = (&counters, &plan, &queue);
-                    let (index, sink) = (&self.index, &self.sink);
-                    let capacity = self.cache_capacity;
-                    let chaos = self.chaos.as_ref();
-                    scope.spawn(move || {
-                        resilient_worker(
-                            w, jobs, plan, queue, index, capacity, counters, sink, width, policy,
-                            chaos,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-
         let mut worker_stats = Vec::with_capacity(self.workers);
-        for (w, joined) in joined.into_iter().enumerate() {
-            let yielded = match joined {
-                Ok(y) => y,
-                // A panic that escaped containment (can only come from
-                // the worker harness itself, not a batch): treat like a
-                // quarantined worker with everything voided.
-                Err(_) => ResilientYield::condemned(w, PlaneFault::WorkerPanic.label()),
-            };
-            report.faults_injected += yielded.faults_injected;
-            report.scrub_mismatches += yielded.scrub_mismatches;
-            if let Some(label) = yielded.condemned {
+        for (w, outcome) in outcomes.into_iter().enumerate() {
+            let outcome = outcome?;
+            report.faults_injected += outcome.faults_injected;
+            report.scrub_mismatches += outcome.scrub_mismatches;
+            if let Some(label) = outcome.condemned {
                 self.sink.record(TraceEvent::WorkerQuarantined {
                     worker: w as u32,
                     label,
@@ -968,7 +906,7 @@ impl ThroughputEngine {
                 // guard matters: `hits.count()` walks every output
                 // bit, a price only a listening sink should charge.)
                 if self.sink.enabled() {
-                    for (idx, out) in &yielded.outs {
+                    for (idx, out) in &outcome.outs {
                         self.sink.record(TraceEvent::JobCompleted {
                             job: out.id,
                             worker: w as u32,
@@ -977,70 +915,67 @@ impl ThroughputEngine {
                         });
                     }
                 }
-                counters.jobs.add(yielded.stats.jobs);
-                counters.chars.add(yielded.stats.chars);
-                counters.batches.add(yielded.stats.batches);
-                counters.lane_slots_used.add(yielded.stats.lanes_used);
-                counters.lane_slots_total.add(yielded.stats.lane_slots);
-                for (idx, out) in yielded.outs {
+                counters.jobs.add(outcome.stats.jobs);
+                counters.chars.add(outcome.stats.chars);
+                counters.batches.add(outcome.stats.batches);
+                counters.lane_slots_used.add(outcome.stats.lanes_used);
+                counters.lane_slots_total.add(outcome.stats.lane_slots);
+                for (idx, out) in outcome.outs {
                     outputs[idx] = Some(out);
                 }
             }
-            worker_stats.push(yielded.stats);
+            worker_stats.push(outcome.stats);
         }
-        worker_stats.sort_by_key(|s| s.worker);
 
-        // Everything not committed — batches of quarantined workers,
-        // batches left unclaimed because every worker was condemned —
-        // goes down the recovery ladder.
-        let unresolved: Vec<usize> = (0..jobs.len()).filter(|&i| outputs[i].is_none()).collect();
-        report.recovered_jobs = unresolved.len() as u64;
-        let deepest = self.recover(
-            jobs,
-            &unresolved,
-            &mut outputs,
-            rungs,
-            rung0,
-            policy,
-            &counters,
-            &mut report,
-        );
+        if let Some(policy) = policy {
+            // Everything not committed — batches of quarantined
+            // workers, batches left unclaimed because every worker was
+            // condemned — goes down the recovery ladder.
+            let unresolved: Vec<usize> =
+                (0..jobs.len()).filter(|&i| outputs[i].is_none()).collect();
+            report.recovered_jobs = unresolved.len() as u64;
+            let deepest = self.recover(
+                jobs,
+                &unresolved,
+                &mut outputs,
+                rungs,
+                rung0,
+                policy,
+                &counters,
+                &mut report,
+            );
 
-        // Ladder bookkeeping: a demoted run parks the engine on the
-        // deepest rung recovery needed; a clean run counts toward
-        // re-promotion.
-        if deepest > rung0 {
-            self.ladder
-                .rung
-                .store(deepest.min(rungs.len() - 1), Ordering::Relaxed);
-            self.ladder.clean.store(0, Ordering::Relaxed);
-        } else if unresolved.is_empty() && rung0 > 0 {
-            let clean = self
-                .ladder
-                .clean
-                .fetch_add(plan.len() as u64, Ordering::Relaxed)
-                + plan.len() as u64;
-            if clean >= policy.repromote_after {
-                let up = rung0 - 1;
-                self.ladder.rung.store(up, Ordering::Relaxed);
+            // Ladder bookkeeping: a demoted run parks the engine on the
+            // deepest rung recovery needed; a clean run counts toward
+            // re-promotion.
+            if deepest > rung0 {
+                self.ladder
+                    .rung
+                    .store(deepest.min(rungs.len() - 1), Ordering::Relaxed);
                 self.ladder.clean.store(0, Ordering::Relaxed);
-                self.sink.record(TraceEvent::LadderMoved {
-                    words: rungs[up].words() as u32,
-                    down: false,
-                });
-                report.promotions += 1;
+            } else if unresolved.is_empty() && rung0 > 0 {
+                let clean = self
+                    .ladder
+                    .clean
+                    .fetch_add(plan.len() as u64, Ordering::Relaxed)
+                    + plan.len() as u64;
+                if clean >= policy.repromote_after {
+                    let up = rung0 - 1;
+                    self.ladder.rung.store(up, Ordering::Relaxed);
+                    self.ladder.clean.store(0, Ordering::Relaxed);
+                    self.sink.record(TraceEvent::LadderMoved {
+                        words: rungs[up].words() as u32,
+                        down: false,
+                    });
+                    report.promotions += 1;
+                }
             }
+            report.ladder_words = self.ladder_width().words();
         }
-        report.ladder_words = rungs[self
-            .ladder
-            .rung
-            .load(Ordering::Relaxed)
-            .min(rungs.len() - 1)]
-        .words();
 
         let outputs = outputs
             .into_iter()
-            .map(|o| o.expect("recovery resolves every job"))
+            .map(|o| o.expect("every job is committed or recovered"))
             .collect();
         let totals = counters.snapshot(started.elapsed());
         self.lifetime_chars.add(totals.chars);
@@ -1052,7 +987,172 @@ impl ThroughputEngine {
             simd,
             lanes_per_batch: width.lanes(),
             plan_micros,
-            resilience: Some(report),
+            resilience: policy.map(|_| report),
+        })
+    }
+
+    /// One worker: pull batches from the stealing queue until none
+    /// remain, buffering every batch's outputs for the coordinator to
+    /// commit.
+    ///
+    /// Without a policy nothing contains an armed chaos plan's faults:
+    /// corruption flows into the outputs, a panic unwinds to the join
+    /// in [`run_refs`](Self::run_refs) and an engine error returns
+    /// as-is. A policy adds the four tripwires — every batch runs under
+    /// `catch_unwind` and a wall-clock watchdog, a sampled lane is
+    /// periodically re-run through the scalar spec, and the worker must
+    /// pass the exit known-answer test before its buffer commits. A
+    /// tripped wire condemns the worker: its buffer is voided and the
+    /// coordinator recovers its jobs down the ladder.
+    #[allow(clippy::too_many_arguments)]
+    fn work(
+        &self,
+        worker: usize,
+        jobs: &[JobRef<'_>],
+        plan: &[BatchDesc],
+        queue: &WorkQueue,
+        counters: &ThroughputCounters,
+        width: SuperWidth,
+        policy: Option<ResiliencePolicy>,
+    ) -> Result<WorkerOutcome, Error> {
+        let started = Instant::now();
+        let sink = &self.sink;
+        let mut local = PatternCache::new(self.cache_capacity);
+        let mut stats = WorkerStats::idle(worker);
+        let mut outs: Vec<(usize, JobOutput)> = Vec::new();
+        let sticky = self.chaos.as_ref().and_then(|p| p.worker_fault(worker));
+        let stall_millis = self.chaos.as_ref().map_or(0, |p| p.stall_millis());
+        let mut scrub_rng = XorShift64::new(mix(worker as u64 + 1) ^ 0x5C4B_0000);
+        let mut batch_no = 0u64;
+        let mut faults_injected = 0u64;
+        let mut scrub_mismatches = 0u64;
+        let mut condemned: Option<&'static str> = None;
+
+        while let Some((b, stolen_from)) = queue.next(worker) {
+            if let Some(victim) = stolen_from {
+                counters.steals.add(1);
+                sink.record(TraceEvent::BatchStolen {
+                    worker: worker as u32,
+                    victim: victim as u32,
+                });
+            }
+            let members = match &plan[b] {
+                BatchDesc::Uniform { members } | BatchDesc::Mixed { members } => members,
+            };
+            if sink.enabled() {
+                for &i in members {
+                    sink.record(TraceEvent::JobStarted {
+                        job: jobs[i].id,
+                        worker: worker as u32,
+                    });
+                }
+            }
+            let timer = (policy.is_some() || sink.enabled()).then(Instant::now);
+            let active = sticky.filter(|f| batch_no >= f.onset);
+            let mut execute = || -> Result<Vec<MatchBits>, Error> {
+                let (mut hits, cache_hit) = execute_members(
+                    &plan[b],
+                    jobs,
+                    &mut local,
+                    &self.index,
+                    counters,
+                    sink,
+                    width,
+                )?;
+                if let Some(f) = active {
+                    sink.record(TraceEvent::FaultInjected {
+                        worker: worker as u32,
+                        label: f.kind.label(),
+                    });
+                    faults_injected += 1;
+                    apply_sticky(
+                        f,
+                        batch_no,
+                        stall_millis,
+                        members,
+                        jobs,
+                        &mut hits,
+                        cache_hit,
+                    );
+                }
+                Ok(hits)
+            };
+            // Only a policy contains panics; without one they unwind to
+            // the join.
+            let executed = match policy {
+                Some(_) => catch_unwind(AssertUnwindSafe(execute)),
+                None => Ok(execute()),
+            };
+            batch_no += 1;
+            let hits = match executed {
+                Err(_) => {
+                    condemned = Some(PlaneFault::WorkerPanic.label());
+                    break;
+                }
+                Ok(Err(e)) if policy.is_none() => return Err(e),
+                Ok(Err(_)) => {
+                    condemned = Some("engine_error");
+                    break;
+                }
+                Ok(Ok(hits)) => hits,
+            };
+            let elapsed = timer.map_or(Duration::ZERO, |t| t.elapsed());
+            if let Some(policy) = policy {
+                if elapsed > policy.watchdog {
+                    condemned = Some(PlaneFault::WorkerStall.label());
+                    break;
+                }
+                if policy.scrub_period_batches > 0
+                    && batch_no.is_multiple_of(policy.scrub_period_batches)
+                {
+                    let pos = scrub_rng.bounded(members.len() as u64 - 1) as usize;
+                    let i = members[pos];
+                    if hits[pos].bits() != match_spec(jobs[i].text, jobs[i].pattern).as_slice() {
+                        sink.record(TraceEvent::ScrubMismatch {
+                            worker: worker as u32,
+                            batch: b as u64,
+                        });
+                        scrub_mismatches += 1;
+                        condemned = Some("scrub_mismatch");
+                        break;
+                    }
+                }
+            }
+            book_pending(
+                members,
+                hits,
+                jobs,
+                &mut outs,
+                &mut stats,
+                sink,
+                elapsed.as_micros() as u64,
+                width,
+            );
+        }
+
+        // Exit known-answer test: the commit gate. Faults are sticky, so
+        // a datapath fault that was active during any pending batch is
+        // still active here and must reveal itself on the known answers.
+        // Every worker runs it, even one whose batches were all stolen,
+        // so a fault active from batch 0 quarantines its worker whatever
+        // the steal order.
+        if policy.is_some()
+            && condemned.is_none()
+            && !known_answer_test(worker, width, &mut local, sticky, batch_no)
+        {
+            condemned = Some("kat_mismatch");
+        }
+        if condemned.is_some() {
+            outs.clear();
+            stats = WorkerStats::idle(worker);
+        }
+        stats.elapsed = started.elapsed();
+        Ok(WorkerOutcome {
+            stats,
+            outs,
+            condemned,
+            faults_injected,
+            scrub_mismatches,
         })
     }
 
@@ -1083,22 +1183,10 @@ impl ThroughputEngine {
         // uniform path, then chunk at the *narrowest* rung width so one
         // chunk fits every rung it may descend through.
         let narrow = rungs[rungs.len() - 1].lanes();
-        let mut order: Vec<&Pattern> = Vec::new();
-        let mut groups: HashMap<&Pattern, Vec<usize>> = HashMap::new();
-        for &i in unresolved {
-            groups.entry(jobs[i].pattern).or_insert_with(|| {
-                order.push(jobs[i].pattern);
-                Vec::new()
-            });
-            groups
-                .get_mut(jobs[i].pattern)
-                .expect("just inserted")
-                .push(i);
-        }
         let mut chunk_no = 0usize;
-        for pattern in order {
+        for (pattern, members) in group_by_pattern(jobs, unresolved.iter().copied()) {
             let (compiled, _) = cache.get_or_compile(pattern);
-            for chunk in groups[pattern].chunks(narrow) {
+            for chunk in members.chunks(narrow) {
                 let texts: Vec<&[Symbol]> = chunk.iter().map(|&i| jobs[i].text).collect();
                 let truth: Vec<Vec<bool>> = chunk
                     .iter()
@@ -1193,11 +1281,6 @@ impl ThroughputEngine {
         deepest
     }
 }
-
-/// What one worker hands back: outputs tagged with their global job
-/// index, plus the worker's own statistics.
-type WorkerYield = (Vec<(usize, JobOutput)>, WorkerStats);
-
 /// Two-tier pattern lookup: private cache, then shared index (copying
 /// the hit down into the cache), then compile-and-publish. Only the
 /// last is a miss. The returned flag reports whether the lookup was a
@@ -1287,7 +1370,6 @@ fn uniform_hits(
 
 /// Applies an active sticky fault to one executed batch: stalls sleep,
 /// panics panic, data faults corrupt the result lanes in place.
-/// Returns whether anything observable fired.
 fn apply_sticky(
     fault: StickyFault,
     batch_no: u64,
@@ -1296,181 +1378,42 @@ fn apply_sticky(
     jobs: &[JobRef<'_>],
     hits: &mut [MatchBits],
     cache_hit: bool,
-) -> bool {
-    match fault.kind {
-        PlaneFault::WorkerStall => {
-            std::thread::sleep(Duration::from_millis(stall_millis));
-            true
-        }
-        PlaneFault::WorkerPanic => panic!("injected fault: worker panic"),
-        _ => {
-            let mut lanes: Vec<Vec<bool>> = hits.iter().map(|h| h.bits().to_vec()).collect();
-            let changed = corrupt_bits(
-                fault.kind,
-                fault.salt ^ mix(batch_no),
-                &mut lanes,
-                cache_hit,
-            );
-            if changed {
-                for ((hit, bits), &i) in hits.iter_mut().zip(lanes).zip(members) {
-                    *hit = MatchBits::new(bits, jobs[i].pattern.k());
-                }
-            }
-            changed
-        }
-    }
-}
-
-/// One fast-path worker: pull batches from the stealing queue until
-/// none remain. An armed chaos plan injects faults that nothing on
-/// this path contains — corruption flows into the outputs and a panic
-/// unwinds to the join in [`ThroughputEngine::run`].
-#[allow(clippy::too_many_arguments)]
-fn worker_run(
-    worker: usize,
-    jobs: &[JobRef<'_>],
-    plan: &[BatchDesc],
-    queue: &WorkQueue,
-    index: &PatternIndex,
-    cache_capacity: usize,
-    counters: &ThroughputCounters,
-    sink: &SinkHandle,
-    width: SuperWidth,
-    chaos: Option<&FaultPlan>,
-) -> Result<WorkerYield, Error> {
-    let started = Instant::now();
-    let mut local = PatternCache::new(cache_capacity);
-    let mut stats = WorkerStats::idle(worker);
-    let mut outs: Vec<(usize, JobOutput)> = Vec::new();
-    let sticky = chaos.and_then(|p| p.worker_fault(worker));
-    let stall_millis = chaos.map_or(0, |p| p.stall_millis());
-    let mut batch_no = 0u64;
-
-    while let Some((b, stolen_from)) = queue.next(worker) {
-        if let Some(victim) = stolen_from {
-            counters.steals.add(1);
-            sink.record(TraceEvent::BatchStolen {
-                worker: worker as u32,
-                victim: victim as u32,
-            });
-        }
-        let members = match &plan[b] {
-            BatchDesc::Uniform { members } | BatchDesc::Mixed { members } => members,
-        };
-        if sink.enabled() {
-            for &i in members {
-                sink.record(TraceEvent::JobStarted {
-                    job: jobs[i].id,
-                    worker: worker as u32,
-                });
-            }
-        }
-        let timer = sink.enabled().then(Instant::now);
-        let (mut hits, cache_hit) =
-            execute_members(&plan[b], jobs, &mut local, index, counters, sink, width)?;
-        if let Some(f) = sticky.filter(|f| batch_no >= f.onset) {
-            sink.record(TraceEvent::FaultInjected {
-                worker: worker as u32,
-                label: f.kind.label(),
-            });
-            apply_sticky(
-                f,
-                batch_no,
-                stall_millis,
-                members,
-                jobs,
-                &mut hits,
-                cache_hit,
-            );
-        }
-        batch_no += 1;
-        record_batch(
-            members,
-            hits,
-            jobs,
-            &mut outs,
-            &mut stats,
-            counters,
-            sink,
-            elapsed_micros(timer),
-            width,
-        );
-    }
-
-    stats.elapsed = started.elapsed();
-    Ok((outs, stats))
-}
-
-/// Microseconds since an optional batch timer was armed (0 when the
-/// sink was disabled and no timer ran).
-fn elapsed_micros(timer: Option<Instant>) -> u64 {
-    timer.map_or(0, |t| t.elapsed().as_micros() as u64)
-}
-
-/// Books one completed batch into outputs, stats, counters and the
-/// trace sink.
-#[allow(clippy::too_many_arguments)]
-fn record_batch(
-    members: &[usize],
-    hits: Vec<MatchBits>,
-    jobs: &[JobRef<'_>],
-    outs: &mut Vec<(usize, JobOutput)>,
-    stats: &mut WorkerStats,
-    counters: &ThroughputCounters,
-    sink: &SinkHandle,
-    micros: u64,
-    width: SuperWidth,
 ) {
-    debug_assert_eq!(members.len(), hits.len());
-    let traced = sink.enabled();
-    let slots = width.lanes() as u64;
-    let mut batch_chars = 0u64;
-    let mut steps = 0u64;
-    for (&i, hit) in members.iter().zip(hits) {
-        let job = &jobs[i];
-        batch_chars += job.text.len() as u64;
-        steps = steps.max(job.text.len() as u64);
-        if traced {
-            sink.record(TraceEvent::JobCompleted {
-                job: job.id,
-                worker: stats.worker as u32,
-                chars: job.text.len() as u64,
-                matches: hit.count() as u64,
-            });
-        }
-        outs.push((
-            i,
-            JobOutput {
-                id: job.id,
-                hits: hit,
-            },
-        ));
+    match fault.kind {
+        PlaneFault::WorkerStall => std::thread::sleep(Duration::from_millis(stall_millis)),
+        PlaneFault::WorkerPanic => panic!("injected fault: worker panic"),
+        _ => corrupt_hits(
+            fault,
+            mix(batch_no),
+            hits,
+            members.iter().map(|&i| jobs[i].pattern.k()),
+            cache_hit,
+        ),
     }
-    if traced {
-        sink.record(TraceEvent::BatchExecuted {
-            worker: stats.worker as u32,
-            lanes: members.len() as u32,
-            slots: slots as u32,
-            steps,
-            micros,
-        });
-    }
-    stats.jobs += members.len() as u64;
-    stats.chars += batch_chars;
-    stats.batches += 1;
-    stats.lanes_used += members.len() as u64;
-    stats.lane_slots += slots;
-    counters.jobs.add(members.len() as u64);
-    counters.chars.add(batch_chars);
-    counters.batches.add(1);
-    counters.lane_slots_used.add(members.len() as u64);
-    counters.lane_slots_total.add(slots);
 }
 
-/// What one resilient worker hands back. Unlike the fast path's
-/// [`WorkerYield`], outputs here are *pending* — the coordinator
-/// commits them only for workers that returned un-condemned.
-struct ResilientYield {
+/// Corrupts result lanes in place through [`corrupt_bits`], salted by
+/// `fault.salt ^ stir`, rewrapping each changed lane with its
+/// pattern's `k` (one per lane, in order).
+fn corrupt_hits(
+    fault: StickyFault,
+    stir: u64,
+    hits: &mut [MatchBits],
+    ks: impl IntoIterator<Item = usize>,
+    cache_hit: bool,
+) {
+    let mut lanes: Vec<Vec<bool>> = hits.iter().map(|h| h.bits().to_vec()).collect();
+    if corrupt_bits(fault.kind, fault.salt ^ stir, &mut lanes, cache_hit) {
+        for ((hit, bits), k) in hits.iter_mut().zip(lanes).zip(ks) {
+            *hit = MatchBits::new(bits, k);
+        }
+    }
+}
+
+/// What one worker hands back: its stats, its *pending* outputs tagged
+/// with their global job index, and what (if anything) condemned it.
+/// The coordinator commits the outputs only for un-condemned workers.
+struct WorkerOutcome {
     stats: WorkerStats,
     outs: Vec<(usize, JobOutput)>,
     condemned: Option<&'static str>,
@@ -1478,10 +1421,10 @@ struct ResilientYield {
     scrub_mismatches: u64,
 }
 
-impl ResilientYield {
-    /// A fully voided yield: no outputs, zeroed stats.
+impl WorkerOutcome {
+    /// A fully voided outcome: no outputs, zeroed stats.
     fn condemned(worker: usize, label: &'static str) -> Self {
-        ResilientYield {
+        WorkerOutcome {
             stats: WorkerStats::idle(worker),
             outs: Vec::new(),
             condemned: Some(label),
@@ -1570,145 +1513,6 @@ fn commit_recovered(
     counters.lane_slots_total.add(width.lanes() as u64);
 }
 
-/// One resilient worker: like [`worker_run`] but every batch executes
-/// under `catch_unwind` and a wall-clock watchdog, a sampled lane is
-/// periodically re-run through the scalar spec, results are buffered
-/// rather than committed, and the worker must pass the exit
-/// known-answer test before the coordinator will commit its buffer.
-/// Any detected fault condemns the worker: its buffer is voided and
-/// the coordinator recovers its jobs down the ladder.
-#[allow(clippy::too_many_arguments)]
-fn resilient_worker(
-    worker: usize,
-    jobs: &[JobRef<'_>],
-    plan: &[BatchDesc],
-    queue: &WorkQueue,
-    index: &PatternIndex,
-    cache_capacity: usize,
-    counters: &ThroughputCounters,
-    sink: &SinkHandle,
-    width: SuperWidth,
-    policy: ResiliencePolicy,
-    chaos: Option<&FaultPlan>,
-) -> ResilientYield {
-    let started = Instant::now();
-    let mut local = PatternCache::new(cache_capacity);
-    let mut stats = WorkerStats::idle(worker);
-    let mut pending: Vec<(usize, JobOutput)> = Vec::new();
-    let sticky = chaos.and_then(|p| p.worker_fault(worker));
-    let stall_millis = chaos.map_or(0, |p| p.stall_millis());
-    let mut scrub_rng = XorShift64::new(mix(worker as u64 + 1) ^ 0x5C4B_0000);
-    let mut batch_no = 0u64;
-    let mut faults_injected = 0u64;
-    let mut scrub_mismatches = 0u64;
-    let mut condemned: Option<&'static str> = None;
-
-    while let Some((b, stolen_from)) = queue.next(worker) {
-        if let Some(victim) = stolen_from {
-            counters.steals.add(1);
-            sink.record(TraceEvent::BatchStolen {
-                worker: worker as u32,
-                victim: victim as u32,
-            });
-        }
-        let members = match &plan[b] {
-            BatchDesc::Uniform { members } | BatchDesc::Mixed { members } => members,
-        };
-        if sink.enabled() {
-            for &i in members {
-                sink.record(TraceEvent::JobStarted {
-                    job: jobs[i].id,
-                    worker: worker as u32,
-                });
-            }
-        }
-        let timer = Instant::now();
-        let active = sticky.filter(|f| batch_no >= f.onset);
-        let executed = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<MatchBits>, Error> {
-            let (mut hits, cache_hit) =
-                execute_members(&plan[b], jobs, &mut local, index, counters, sink, width)?;
-            if let Some(f) = active {
-                sink.record(TraceEvent::FaultInjected {
-                    worker: worker as u32,
-                    label: f.kind.label(),
-                });
-                faults_injected += 1;
-                apply_sticky(
-                    f,
-                    batch_no,
-                    stall_millis,
-                    members,
-                    jobs,
-                    &mut hits,
-                    cache_hit,
-                );
-            }
-            Ok(hits)
-        }));
-        batch_no += 1;
-        let hits = match executed {
-            Err(_) => {
-                condemned = Some(PlaneFault::WorkerPanic.label());
-                break;
-            }
-            Ok(Err(_)) => {
-                condemned = Some("engine_error");
-                break;
-            }
-            Ok(Ok(hits)) => hits,
-        };
-        if timer.elapsed() > policy.watchdog {
-            condemned = Some(PlaneFault::WorkerStall.label());
-            break;
-        }
-        if policy.scrub_period_batches > 0 && batch_no.is_multiple_of(policy.scrub_period_batches) {
-            let pos = scrub_rng.bounded(members.len() as u64 - 1) as usize;
-            let i = members[pos];
-            if hits[pos].bits() != match_spec(jobs[i].text, jobs[i].pattern).as_slice() {
-                sink.record(TraceEvent::ScrubMismatch {
-                    worker: worker as u32,
-                    batch: b as u64,
-                });
-                scrub_mismatches += 1;
-                condemned = Some("scrub_mismatch");
-                break;
-            }
-        }
-        book_pending(
-            members,
-            hits,
-            jobs,
-            &mut pending,
-            &mut stats,
-            sink,
-            elapsed_micros(Some(timer)),
-            width,
-        );
-    }
-
-    // Exit known-answer test: the commit gate. Faults are sticky, so a
-    // datapath fault that was active during any pending batch is still
-    // active here and must reveal itself on the known answers.
-    if condemned.is_none()
-        && batch_no > 0
-        && !known_answer_test(worker, width, &mut local, sticky, batch_no)
-    {
-        condemned = Some("kat_mismatch");
-    }
-    if condemned.is_some() {
-        pending.clear();
-        stats = WorkerStats::idle(worker);
-    }
-    stats.elapsed = started.elapsed();
-    ResilientYield {
-        stats,
-        outs: pending,
-        condemned,
-        faults_injected,
-        scrub_mismatches,
-    }
-}
-
 /// Runs a deterministic known-answer workload through the worker's own
 /// datapath — its local pattern cache, the run-width kernel and any
 /// sticky data fault — and checks every lane against the scalar spec.
@@ -1750,17 +1554,8 @@ fn known_answer_test(
         if let Some(f) =
             sticky.filter(|f| f.kind.corrupts_data() && f.onset <= batches_started + round)
         {
-            let mut lanes: Vec<Vec<bool>> = hits.iter().map(|h| h.bits().to_vec()).collect();
-            if corrupt_bits(
-                f.kind,
-                f.salt ^ mix(batches_started + round),
-                &mut lanes,
-                cache_hit,
-            ) {
-                for (hit, bits) in hits.iter_mut().zip(lanes) {
-                    *hit = MatchBits::new(bits, pattern.k());
-                }
-            }
+            let ks = std::iter::repeat(pattern.k());
+            corrupt_hits(f, mix(batches_started + round), &mut hits, ks, cache_hit);
         }
         for (hit, text) in hits.iter().zip(&texts) {
             if hit.bits() != match_spec(text, &pattern).as_slice() {
@@ -1769,118 +1564,6 @@ fn known_answer_test(
         }
     }
     true
-}
-
-/// A bounded budget of batch-slot bytes, shared between the scheduler
-/// and any front end that feeds it (the `pm-serve` front door).
-///
-/// The superplane engine's capacity is finite: `workers × W × 64`
-/// lanes, each carrying a stream of text. A front door multiplexing
-/// thousands of client sessions must not buffer unbounded text on
-/// behalf of slow clients, so admission happens in *bytes*: every feed
-/// leases its chunk length from the pool and the lease releases on
-/// drop (RAII). When the pool is exhausted the caller signals
-/// backpressure (SERVER_BUSY paced by
-/// [`RetryPolicy`]) instead of queueing.
-///
-/// Acquisition is a CAS loop on one atomic — no lock, no fairness
-/// queue; contention cost is a handful of retries under the same
-/// relaxed discipline as [`crate::counters`].
-///
-/// ```
-/// use pm_chip::throughput::SlotPool;
-///
-/// let pool = SlotPool::new(1024);
-/// let lease = pool.try_lease(1000).expect("fits");
-/// assert_eq!(pool.available(), 24);
-/// assert!(pool.try_lease(100).is_none(), "exhausted: backpressure");
-/// drop(lease);
-/// assert_eq!(pool.available(), 1024);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SlotPool {
-    inner: Arc<SlotPoolInner>,
-}
-
-#[derive(Debug)]
-struct SlotPoolInner {
-    capacity: u64,
-    in_flight: AtomicU64,
-}
-
-impl SlotPool {
-    /// A pool of `capacity_bytes` leasable batch-slot bytes.
-    pub fn new(capacity_bytes: u64) -> Self {
-        SlotPool {
-            inner: Arc::new(SlotPoolInner {
-                capacity: capacity_bytes,
-                in_flight: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// Leases `bytes` from the pool, or `None` when the remaining
-    /// budget is too small — the caller's cue to apply backpressure.
-    /// A zero-byte lease always succeeds and holds nothing.
-    pub fn try_lease(&self, bytes: u64) -> Option<SlotLease> {
-        let mut current = self.inner.in_flight.load(Ordering::Relaxed);
-        loop {
-            let next = current.checked_add(bytes)?;
-            if next > self.inner.capacity {
-                return None;
-            }
-            match self.inner.in_flight.compare_exchange_weak(
-                current,
-                next,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    return Some(SlotLease {
-                        pool: Arc::clone(&self.inner),
-                        bytes,
-                    })
-                }
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// Total leasable bytes.
-    pub fn capacity(&self) -> u64 {
-        self.inner.capacity
-    }
-
-    /// Bytes currently leased out.
-    pub fn in_flight(&self) -> u64 {
-        self.inner.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Bytes still available to lease.
-    pub fn available(&self) -> u64 {
-        self.inner.capacity.saturating_sub(self.in_flight())
-    }
-}
-
-/// A live lease of batch-slot bytes from a [`SlotPool`]; the bytes
-/// return to the pool when the lease drops.
-#[derive(Debug)]
-pub struct SlotLease {
-    pool: Arc<SlotPoolInner>,
-    bytes: u64,
-}
-
-impl SlotLease {
-    /// Bytes this lease holds.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl Drop for SlotLease {
-    fn drop(&mut self) {
-        self.pool.in_flight.fetch_sub(self.bytes, Ordering::AcqRel);
-    }
 }
 
 #[cfg(test)]
@@ -1912,20 +1595,38 @@ mod tests {
         let jobs = jobs_fixture();
         for width in [SuperWidth::W1, SuperWidth::W4, SuperWidth::W8] {
             for workers in [1, 2, 3, 7] {
-                let mut engine = ThroughputEngine::new(workers, 8);
-                engine.set_width(width);
-                let report = engine.run(&jobs).unwrap();
-                assert_eq!(report.outputs.len(), jobs.len());
-                assert_eq!(report.lanes_per_batch, width.lanes());
-                for (out, job) in report.outputs.iter().zip(&jobs) {
-                    assert_eq!(out.id, job.id);
-                    assert_eq!(
-                        out.hits.bits(),
-                        match_spec(&job.text, &job.pattern),
-                        "job {} under {workers} workers at width {width}",
-                        job.id
-                    );
+                // With and without a policy the one worker loop must
+                // book exactly the same work.
+                let mut booked = Vec::new();
+                for policy in [None, Some(ResiliencePolicy::default())] {
+                    let mut engine = ThroughputEngine::new(workers, 8);
+                    engine.set_width(width);
+                    engine.set_resilience(policy);
+                    let report = engine.run(&jobs).unwrap();
+                    assert_eq!(report.outputs.len(), jobs.len());
+                    assert_eq!(report.lanes_per_batch, width.lanes());
+                    for (out, job) in report.outputs.iter().zip(&jobs) {
+                        assert_eq!(out.id, job.id);
+                        assert_eq!(
+                            out.hits.bits(),
+                            match_spec(&job.text, &job.pattern),
+                            "job {} under {workers} workers at width {width}, policy {policy:?}",
+                            job.id
+                        );
+                    }
+                    let t = &report.totals;
+                    booked.push((
+                        t.jobs,
+                        t.chars,
+                        t.batches,
+                        t.lane_slots_used,
+                        t.lane_slots_total,
+                    ));
                 }
+                assert_eq!(
+                    booked[0], booked[1],
+                    "{workers} workers at width {width}: both modes book the same work"
+                );
             }
         }
     }
@@ -2137,7 +1838,7 @@ mod tests {
     #[test]
     fn unprotected_chaos_corrupts_fast_path_outputs() {
         // A data fault with nothing containing it flows straight into
-        // the outputs — the contrast that makes the resilient path's
+        // the outputs — the contrast that makes the policy's
         // guarantee meaningful.
         let jobs = jobs_fixture();
         let mut engine = ThroughputEngine::new(1, 8);
@@ -2352,48 +2053,5 @@ mod tests {
             &[SuperWidth::W4, SuperWidth::W1]
         );
         assert_eq!(ladder_rungs(SuperWidth::W1), &[SuperWidth::W1]);
-    }
-
-    #[test]
-    fn slot_pool_leases_and_releases() {
-        let pool = SlotPool::new(100);
-        assert_eq!(pool.capacity(), 100);
-        let a = pool.try_lease(60).expect("fits");
-        assert_eq!(a.bytes(), 60);
-        assert_eq!(pool.in_flight(), 60);
-        assert_eq!(pool.available(), 40);
-        assert!(pool.try_lease(41).is_none(), "over budget");
-        let b = pool.try_lease(40).expect("exactly fits");
-        assert_eq!(pool.available(), 0);
-        drop(a);
-        assert_eq!(pool.available(), 60);
-        drop(b);
-        assert_eq!(pool.in_flight(), 0);
-        // Zero-byte leases always succeed, even at capacity.
-        let _full = pool.try_lease(100).unwrap();
-        assert!(pool.try_lease(0).is_some());
-    }
-
-    #[test]
-    fn slot_pool_is_exact_under_contention() {
-        let pool = SlotPool::new(64);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let pool = pool.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut granted = 0u64;
-                for _ in 0..1000 {
-                    if let Some(lease) = pool.try_lease(1) {
-                        granted += 1;
-                        assert!(pool.in_flight() <= 64, "budget overshot");
-                        drop(lease);
-                    }
-                }
-                granted
-            }));
-        }
-        let granted: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(granted > 0);
-        assert_eq!(pool.in_flight(), 0, "every lease returned");
     }
 }

@@ -16,7 +16,7 @@
 //! - [`session`] — the socket-free state machine: connections own
 //!   compiled pattern dictionaries, sessions clone per-stream matchers
 //!   from them, and every `FEED` chunk leases batch-slot bytes from a
-//!   global [`SlotPool`](pm_chip::throughput::SlotPool).
+//!   global [`SlotPool`](pm_chip::shard::SlotPool).
 //! - [`server`] — acceptor plus worker threads; [`MatchServer`] is
 //!   the handle.
 //! - [`client`] — a blocking [`MatchClient`] honouring `SERVER_BUSY`

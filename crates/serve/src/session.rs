@@ -13,9 +13,9 @@
 //! the connection's compiled dictionary, plus accounting. Feeding text
 //! into the superplane farm consumes *batch-slot bytes* — the farm's
 //! finite capacity — so every `FEED` chunk takes a
-//! [`SlotLease`](pm_chip::throughput::SlotLease) from the
+//! [`SlotLease`](pm_chip::shard::SlotLease) from the
 //! [`SlotPool`] of the shard the session is pinned to
-//! (`router.shard_for(session_id)`) for exactly the chunk's length
+//! (`pools[session_id % pools.len()]`) for exactly the chunk's length
 //! and releases it when the chunk has been matched. Exhaustion is answered with
 //! `SERVER_BUSY` and a retry hint paced by the host
 //! [`RetryPolicy`](pm_chip::host::RetryPolicy) — the same
@@ -25,9 +25,8 @@
 use crate::config::ServeConfig;
 use crate::protocol::{BusyReason, ErrorCode, Frame, Match};
 use pm_chip::dictionary::{DictionaryMatcher, PatternDictionary};
-use pm_chip::shard::{Router, RouterConfig};
+use pm_chip::shard::SlotPool;
 use pm_chip::telemetry::MetricsRegistry;
-use pm_chip::throughput::SlotPool;
 use pm_systolic::symbol::{Alphabet, Pattern, Symbol};
 use pm_systolic::telemetry::{SinkHandle, TraceEvent};
 use std::collections::HashMap;
@@ -36,20 +35,17 @@ use std::sync::Arc;
 
 /// State every connection shares: the config, the metrics registry
 /// (also the trace sink), the global session count and the byte-budget
-/// pool.
+/// pools.
 #[derive(Debug)]
 pub struct Shared {
     /// The server's configuration.
     pub config: ServeConfig,
-    /// The sharded memory system sessions lease batch-slot bytes from.
-    /// Each session is pinned to `router.shard_for(session_id)`, so a
-    /// hot shard backpressures only the sessions it owns.
-    pub router: Router,
-    /// Shard 0's batch-slot pool (clones share state). With the
-    /// default single-shard config this *is* the whole byte budget;
-    /// kept as a field so callers can observe and pre-lease budget
-    /// without picking a shard.
-    pub pool: SlotPool,
+    /// One batch-slot pool per shard, splitting the global byte budget
+    /// exactly ([`SlotPool::split`]). Each session is pinned to
+    /// `pools[session_id % pools.len()]`, so a hot shard backpressures
+    /// only the sessions it owns. With the default single-shard config
+    /// `pools[0]` is the whole budget.
+    pub pools: Vec<SlotPool>,
     /// Sessions open across all connections.
     pub open_sessions: AtomicUsize,
     /// Session-id allocator (ids are unique server-wide).
@@ -65,21 +61,10 @@ impl Shared {
     pub fn new(config: ServeConfig) -> Arc<Self> {
         let registry = Arc::new(MetricsRegistry::new());
         let sink = SinkHandle::new(registry.clone());
-        let router = Router::with_sink(
-            RouterConfig {
-                shards: config.shards.max(1),
-                workers_per_shard: config.effective_workers(),
-                budget_bytes: config.global_budget_bytes,
-                width: config.width,
-                ..RouterConfig::default()
-            },
-            sink.clone(),
-        );
-        let pool = router.shard(0).pool().clone();
+        let pools = SlotPool::split(config.global_budget_bytes, config.shards);
         Arc::new(Shared {
             config,
-            router,
-            pool,
+            pools,
             open_sessions: AtomicUsize::new(0),
             next_session: AtomicU64::new(1),
             registry,
@@ -290,8 +275,9 @@ impl Conn {
         // Lease batch-slot bytes from the session's shard of the
         // memory system; exhaustion is retriable backpressure scoped
         // to that shard's slice of the budget.
-        let shard = self.shared.router.shard_for(session);
-        let Some(lease) = shard.pool().try_lease(bytes.len() as u64) else {
+        let pools = &self.shared.pools;
+        let pool = &pools[(session % pools.len() as u64) as usize];
+        let Some(lease) = pool.try_lease(bytes.len() as u64) else {
             s.busy_attempts += 1;
             let retry_after_ms = cfg.retry_after_ms(s.busy_attempts);
             self.shared
@@ -507,7 +493,7 @@ mod tests {
         };
         // Hold the whole budget from outside (as a concurrent worker
         // mid-batch would).
-        let hog = s.pool.try_lease(8).unwrap();
+        let hog = s.pools[0].try_lease(8).unwrap();
         let mut hints = Vec::new();
         for _ in 0..3 {
             let out = handle(
@@ -542,7 +528,7 @@ mod tests {
             matches!(out.last(), Some(Frame::FeedOk { consumed: 4, .. })),
             "{out:?}"
         );
-        assert_eq!(s.pool.in_flight(), 0, "lease returned after the chunk");
+        assert_eq!(s.pools[0].in_flight(), 0, "lease returned after the chunk");
         assert_eq!(s.registry.snapshot().backpressure_signals, 3);
     }
 
@@ -567,7 +553,7 @@ mod tests {
         };
         assert_eq!((first, second), (1, 2));
         // Starve shard 1 (session 1's shard) from outside.
-        let hog = s.router.shard(1).pool().try_lease(4).unwrap();
+        let hog = s.pools[1].try_lease(4).unwrap();
         let out = handle(
             &mut conn,
             Frame::Feed {
