@@ -26,6 +26,15 @@ pub mod workloads;
 /// (Figures used to write cwd-relative paths, which left duplicate
 /// snapshots behind when run from `crates/bench`.) The per-figure
 /// `PM_*_JSON` environment overrides still win over this default.
+///
+/// Under `cfg(test)` the path resolves into [`std::env::temp_dir`]
+/// instead, so the figure tests never rewrite the committed snapshots.
 pub fn snapshot_path(file_name: &str) -> String {
+    if cfg!(test) {
+        return std::env::temp_dir()
+            .join(file_name)
+            .to_string_lossy()
+            .into_owned();
+    }
     format!("{}/../../{file_name}", env!("CARGO_MANIFEST_DIR"))
 }

@@ -4,8 +4,10 @@
 //! Three schedulers in this crate make the same move: put work of
 //! similar pattern length next to each other so that one long pattern
 //! cannot inflate the `kmax` (and therefore the per-character cost) of
-//! every lane it shares a batch with. `plan_batches` buckets singleton
-//! jobs before cutting mixed batches, `PatternDictionary::new` buckets
+//! every lane it shares a batch with. `plan_batches` buckets the pool
+//! of small pattern groups before cutting it into mixed batches (the
+//! sort is stable, so each group's jobs stay contiguous and a mixed
+//! batch looks each pattern up once), `PatternDictionary::new` buckets
 //! trie survivors before cutting resident groups, and the
 //! [`Router`](crate::shard::Router) buckets pattern groups before
 //! spreading them across shards. All three call [`bucket_by_len`] so

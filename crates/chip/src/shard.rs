@@ -372,7 +372,7 @@ impl Router {
 
         let mut groups = group_by_pattern(jobs, 0..jobs.len());
         // Bucket groups by pattern length so each shard's own planner
-        // receives length-sorted singles — the shared discipline of
+        // receives length-sorted groups — the shared discipline of
         // `plan::bucket_by_len` applied one level up.
         crate::plan::bucket_by_len(&mut groups, |(p, _)| p.len());
         let group_count = groups.len() as u64;
@@ -446,10 +446,11 @@ impl Router {
             }
         }
 
+        // Move, don't clone: each output holds a bit per text position.
         let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
-        for (ids, report) in assignment.iter().zip(&shard_reports) {
-            for (&global, out) in ids.iter().zip(&report.outputs) {
-                outputs[global] = Some(out.clone());
+        for (ids, report) in assignment.iter().zip(&mut shard_reports) {
+            for (&global, out) in ids.iter().zip(std::mem::take(&mut report.outputs)) {
+                outputs[global] = Some(out);
             }
         }
         let outputs = outputs
@@ -474,7 +475,9 @@ pub struct RouterReport {
     /// One output per job, in submission order.
     pub outputs: Vec<JobOutput>,
     /// Each shard's own report, in shard order (idle shards report
-    /// empty runs).
+    /// empty runs). Their `outputs` are drained into
+    /// [`outputs`](Self::outputs), so each shard report's `outputs` is
+    /// empty; its counters, worker stats and timings are intact.
     pub shard_reports: Vec<ThroughputReport>,
     /// Distinct pattern groups the batch split into.
     pub groups: u64,

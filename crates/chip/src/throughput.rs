@@ -13,8 +13,9 @@
 //! * [`ThroughputEngine::run`] plans batches *globally* — every job is
 //!   grouped by pattern across the whole submission, so same-pattern
 //!   jobs land in the same zero-setup uniform batch no matter which
-//!   worker would have owned them under static sharding; leftover
-//!   singletons pool into mixed batches;
+//!   worker would have owned them under static sharding; groups too
+//!   small to fill half a batch are packed together into full mixed
+//!   batches (a pattern per lane);
 //! * batches go onto per-worker deques and workers *steal*: each pops
 //!   its own deque from the front and raids the back of its neighbours'
 //!   when it runs dry, so a straggler batch never idles the rest of the
@@ -552,44 +553,59 @@ enum BatchDesc {
 /// order — the shared first stage of the batch planner below, the
 /// recovery ladder and the [`Router`](crate::shard::Router)'s affinity
 /// planner.
+///
+/// Jobs are keyed by their pattern's *address* first. The ingest and
+/// router paths hand over many jobs borrowing one `&Pattern`, and those
+/// group without hashing any pattern contents: a pattern is hashed by
+/// value only the first time its address is seen. Equal patterns at
+/// distinct addresses — owned [`Job`]s, each carrying its own copy —
+/// still merge through that by-value lookup.
 pub(crate) fn group_by_pattern<'a>(
     jobs: &[JobRef<'a>],
     picks: impl IntoIterator<Item = usize>,
 ) -> Vec<(&'a Pattern, Vec<usize>)> {
-    let mut order: Vec<&Pattern> = Vec::new();
-    let mut groups: HashMap<&Pattern, Vec<usize>> = HashMap::new();
+    let mut groups: Vec<(&'a Pattern, Vec<usize>)> = Vec::new();
+    let mut by_addr: HashMap<*const Pattern, usize> = HashMap::new();
+    let mut by_value: HashMap<&'a Pattern, usize> = HashMap::new();
     for i in picks {
         let pattern = jobs[i].pattern;
-        groups.entry(pattern).or_insert_with(|| {
-            order.push(pattern);
-            Vec::new()
-        });
-        groups.get_mut(pattern).expect("just inserted").push(i);
+        let g = *by_addr
+            .entry(std::ptr::from_ref(pattern))
+            .or_insert_with(|| {
+                *by_value.entry(pattern).or_insert_with(|| {
+                    groups.push((pattern, Vec::new()));
+                    groups.len() - 1
+                })
+            });
+        groups[g].1.push(i);
     }
-    order
-        .into_iter()
-        .map(|p| {
-            let members = groups.remove(p).expect("grouped above");
-            (p, members)
-        })
-        .collect()
+    groups
 }
 
 /// Groups all jobs by pattern (first-seen order) and cuts the groups
-/// into width-sized batches. Groups of two or more ride the uniform
-/// path; singletons pool into mixed batches, length-bucketed via
-/// [`plan::bucket_by_len`](crate::plan::bucket_by_len) so one long
-/// straggler can't inflate the `kmax` of every mixed batch it touches
-/// — the dictionary planner in `pm_chip::dictionary` leans on the same
-/// bucketing. Global planning is what lets same-pattern jobs share a
-/// batch regardless of submission order — the old per-shard grouping
-/// could only merge jobs that happened to land on the same worker.
-fn plan_batches(jobs: &[JobRef<'_>], lanes: usize) -> Vec<BatchDesc> {
+/// into width-sized batches so that every lane carries a stream:
+///
+/// * a group of at least `lanes / 2` jobs fills most of a batch on its
+///   own and is cut into uniform batches (one shared pattern, zero
+///   per-lane setup);
+/// * smaller groups share one pool. A pool holding a single group of
+///   two or more jobs stays uniform. Otherwise the pool is
+///   length-bucketed via [`plan::bucket_by_len`](crate::plan::bucket_by_len)
+///   — so one long pattern can't inflate the `kmax` of every mixed
+///   batch it touches, and each group's members stay contiguous — and
+///   cut evenly into mixed batches (a pattern per lane).
+///
+/// The pool yields `ceil(pooled / lanes)` mixed batches, but never
+/// fewer than `min(workers, pooled groups)`: packing must not leave a
+/// worker idle that one batch per group would have kept busy. Global
+/// planning is what lets same-pattern jobs share a batch regardless of
+/// submission order.
+fn plan_batches(jobs: &[JobRef<'_>], lanes: usize, workers: usize) -> Vec<BatchDesc> {
     let mut plan = Vec::new();
-    let mut singles: Vec<usize> = Vec::new();
+    let mut pool: Vec<Vec<usize>> = Vec::new();
     for (_, members) in group_by_pattern(jobs, 0..jobs.len()) {
-        if members.len() == 1 {
-            singles.push(members[0]);
+        if members.len() < lanes / 2 {
+            pool.push(members);
             continue;
         }
         for batch in members.chunks(lanes) {
@@ -598,11 +614,25 @@ fn plan_batches(jobs: &[JobRef<'_>], lanes: usize) -> Vec<BatchDesc> {
             });
         }
     }
-    crate::plan::bucket_by_len(&mut singles, |&i| jobs[i].pattern.len());
-    for batch in singles.chunks(lanes) {
-        plan.push(BatchDesc::Mixed {
-            members: batch.to_vec(),
-        });
+    match pool.as_slice() {
+        [] => {}
+        [members] if members.len() > 1 => plan.push(BatchDesc::Uniform {
+            members: members.clone(),
+        }),
+        _ => {
+            let mut pooled = pool.concat();
+            crate::plan::bucket_by_len(&mut pooled, |&i| jobs[i].pattern.len());
+            let batches = pooled.len().div_ceil(lanes).max(workers.min(pool.len()));
+            let (base, extra) = (pooled.len() / batches, pooled.len() % batches);
+            let mut rest = pooled.as_slice();
+            for b in 0..batches {
+                let (batch, tail) = rest.split_at(base + usize::from(b < extra));
+                plan.push(BatchDesc::Mixed {
+                    members: batch.to_vec(),
+                });
+                rest = tail;
+            }
+        }
     }
     plan
 }
@@ -855,7 +885,7 @@ impl ThroughputEngine {
 
         let counters = ThroughputCounters::new();
         let plan_timer = Instant::now();
-        let plan = plan_batches(jobs, width.lanes());
+        let plan = plan_batches(jobs, width.lanes(), self.workers);
         let plan_micros = plan_timer.elapsed().as_micros() as u64;
         let queue = WorkQueue::new(plan.len(), self.workers);
 
@@ -1331,15 +1361,26 @@ fn execute_members(
             Ok((uniform_hits(width, &compiled, &texts)?, hit))
         }
         BatchDesc::Mixed { members } => {
+            // The planner keeps each pattern group's members contiguous,
+            // so one lookup per run of equal patterns books one lookup
+            // per (batch, pattern), exactly as a uniform batch does.
             let mut any_hit = false;
-            let compiled: Vec<Arc<CompiledPattern>> = members
-                .iter()
-                .map(|&i| {
-                    let (c, hit) = lookup_pattern(jobs[i].pattern, local, index, counters, sink);
+            let mut compiled: Vec<Arc<CompiledPattern>> = Vec::with_capacity(members.len());
+            for (lane, &i) in members.iter().enumerate() {
+                let pattern = jobs[i].pattern;
+                let repeat = lane > 0 && {
+                    let prev = jobs[members[lane - 1]].pattern;
+                    std::ptr::eq(prev, pattern) || prev == pattern
+                };
+                let c = if repeat {
+                    Arc::clone(&compiled[lane - 1])
+                } else {
+                    let (c, hit) = lookup_pattern(pattern, local, index, counters, sink);
                     any_hit |= hit;
                     c
-                })
-                .collect();
+                };
+                compiled.push(c);
+            }
             let lanes: Vec<(&CompiledPattern, &[Symbol])> = members
                 .iter()
                 .zip(&compiled)
@@ -1689,7 +1730,7 @@ mod tests {
             .map(|id| Job::new(id, p.clone(), text_from_letters("ABAB").unwrap()))
             .collect();
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
-        let plan = plan_batches(&refs, SuperWidth::W8.lanes());
+        let plan = plan_batches(&refs, SuperWidth::W8.lanes(), 4);
         assert_eq!(plan.len(), 1);
         match &plan[0] {
             BatchDesc::Uniform { members } => assert_eq!(members.len(), 8),
@@ -1711,7 +1752,7 @@ mod tests {
             .collect();
         jobs.push(Job::new(999, q.clone(), text_from_letters("BA").unwrap()));
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
-        let plan = plan_batches(&refs, lanes);
+        let plan = plan_batches(&refs, lanes, 1);
         // 65+2 same-pattern jobs → two uniform batches; the singleton
         // rides a mixed batch of its own.
         assert_eq!(plan.len(), 3);
@@ -1726,6 +1767,186 @@ mod tests {
                 assert_eq!(m2, &vec![jobs.len() - 1]);
             }
             other => panic!("unexpected plan {other:?}"),
+        }
+    }
+
+    #[test]
+    fn grouping_is_identical_for_owned_and_shared_patterns() {
+        let patterns = [
+            Pattern::parse("AB").unwrap(),
+            Pattern::parse("BA").unwrap(),
+            Pattern::parse("AXB").unwrap(),
+        ];
+        let text = text_from_letters("ABAB").unwrap();
+        let picks = [0, 1, 0, 2, 1, 0, 2, 2];
+        // Owned jobs: equal patterns at distinct addresses.
+        let owned: Vec<Job> = picks
+            .iter()
+            .enumerate()
+            .map(|(id, &p)| Job::new(id as u64, patterns[p].clone(), text.clone()))
+            .collect();
+        let owned: Vec<JobRef<'_>> = owned.iter().map(Job::to_ref).collect();
+        // Borrowed jobs: every job of a pattern shares one address.
+        let shared: Vec<JobRef<'_>> = picks
+            .iter()
+            .enumerate()
+            .map(|(id, &p)| JobRef {
+                id: id as u64,
+                pattern: &patterns[p],
+                text: &text,
+            })
+            .collect();
+        let groups = |jobs: &[JobRef<'_>]| -> Vec<(Pattern, Vec<usize>)> {
+            group_by_pattern(jobs, 0..jobs.len())
+                .into_iter()
+                .map(|(p, members)| (p.clone(), members))
+                .collect()
+        };
+        let expected = vec![
+            (patterns[0].clone(), vec![0, 2, 5]),
+            (patterns[1].clone(), vec![1, 4]),
+            (patterns[2].clone(), vec![3, 6, 7]),
+        ];
+        assert_eq!(groups(&owned), expected);
+        assert_eq!(groups(&shared), expected);
+    }
+
+    #[test]
+    fn mixed_batch_looks_up_each_pattern_once() {
+        const N: usize = 5;
+        let p = Pattern::parse("AB").unwrap();
+        let q = Pattern::parse("BXA").unwrap();
+        let text = text_from_letters("ABABBAAB").unwrap();
+        let jobs: Vec<Job> = (0..2 * N)
+            .map(|id| {
+                let pattern = if id < N { p.clone() } else { q.clone() };
+                Job::new(id as u64, pattern, text.clone())
+            })
+            .collect();
+        let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
+        let counters = ThroughputCounters::new();
+        let (hits, _) = execute_members(
+            &BatchDesc::Mixed {
+                members: (0..2 * N).collect(),
+            },
+            &refs,
+            &mut PatternCache::new(8),
+            &PatternIndex::new(8),
+            &counters,
+            &SinkHandle::null(),
+            SuperWidth::W8,
+        )
+        .unwrap();
+        // 2 patterns × N lanes: one lookup per pattern, not per lane.
+        assert_eq!(counters.cache_hits.get() + counters.cache_misses.get(), 2);
+        for (hit, job) in hits.iter().zip(&jobs) {
+            assert_eq!(hit.bits(), match_spec(&job.text, &job.pattern));
+        }
+    }
+
+    /// A planner workload: per group, a pattern (literal-or-wild
+    /// symbols) and a size spec `(tiny, n)` — `n % 3 + 1` jobs when
+    /// tiny, else `n` percent of a batch's lanes, so groups fall on
+    /// both sides of the `lanes / 2` cut at every width.
+    type PlanWorkload = Vec<(Vec<Option<u8>>, (bool, usize))>;
+
+    fn plan_workload() -> impl proptest::strategy::Strategy<Value = PlanWorkload> {
+        use proptest::prelude::*;
+        let sym = prop_oneof![4 => (0u8..=3).prop_map(Some), 1 => Just(None)];
+        let pattern = prop::collection::vec(sym, 1..=6);
+        prop::collection::vec((pattern, (any::<bool>(), 1usize..=150)), 1..=5)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn planner_packs_every_job_once_and_matches_the_spec(
+            groups in plan_workload(),
+            workers in 1usize..=7,
+            w in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            use pm_systolic::symbol::PatSym;
+            use proptest::prelude::*;
+            let width = [SuperWidth::W1, SuperWidth::W4, SuperWidth::W8][w];
+            let lanes = width.lanes();
+            let patterns: Vec<Pattern> = groups
+                .iter()
+                .map(|(syms, _)| {
+                    let syms = syms
+                        .iter()
+                        .map(|s| s.map_or(PatSym::Wild, |v| PatSym::Lit(Symbol::new(v))))
+                        .collect();
+                    Pattern::new(syms, pm_systolic::symbol::Alphabet::TWO_BIT).unwrap()
+                })
+                .collect();
+            let sizes: Vec<usize> = groups
+                .iter()
+                .map(|&(_, (tiny, n))| if tiny { n % 3 + 1 } else { (lanes * n / 100).max(1) })
+                .collect();
+            let mut rng = XorShift64::new(mix(seed + 1));
+            let texts: Vec<Vec<Symbol>> = (0..8)
+                .map(|_| {
+                    let len = rng.bounded(12) as usize;
+                    (0..len).map(|_| Symbol::new(rng.bounded(3) as u8)).collect()
+                })
+                .collect();
+            // Interleave the groups, as ingestion does: round-robin
+            // over groups with jobs left.
+            let mut left = sizes.clone();
+            let mut jobs: Vec<JobRef<'_>> = Vec::new();
+            while left.iter().any(|&l| l > 0) {
+                for (g, l) in left.iter_mut().enumerate() {
+                    if *l > 0 {
+                        *l -= 1;
+                        jobs.push(JobRef {
+                            id: jobs.len() as u64,
+                            pattern: &patterns[g],
+                            text: &texts[jobs.len() % texts.len()],
+                        });
+                    }
+                }
+            }
+
+            let plan = plan_batches(&jobs, lanes, workers);
+            let mut seen = vec![0usize; jobs.len()];
+            let mut mixed = 0;
+            for desc in &plan {
+                let members = match desc {
+                    BatchDesc::Uniform { members } => {
+                        let p = jobs[members[0]].pattern;
+                        prop_assert!(members.iter().all(|&i| jobs[i].pattern == p));
+                        members
+                    }
+                    BatchDesc::Mixed { members } => {
+                        mixed += 1;
+                        members
+                    }
+                };
+                prop_assert!(!members.is_empty() && members.len() <= lanes);
+                for &i in members {
+                    seen[i] += 1;
+                }
+            }
+            prop_assert!(seen.iter().all(|&n| n == 1), "every job planned exactly once");
+            let pooled: Vec<usize> = group_by_pattern(&jobs, 0..jobs.len())
+                .into_iter()
+                .map(|(_, members)| members.len())
+                .filter(|&n| n < lanes / 2)
+                .collect();
+            if !matches!(pooled.as_slice(), [only] if *only > 1) {
+                prop_assert!(mixed >= workers.min(pooled.len()));
+            }
+
+            let mut engine = ThroughputEngine::new(workers, 8);
+            engine.set_width(width);
+            let report = engine.run_refs(&jobs).unwrap();
+            for (out, job) in report.outputs.iter().zip(&jobs) {
+                prop_assert_eq!(out.id, job.id);
+                prop_assert_eq!(out.hits.bits().to_vec(), match_spec(job.text, job.pattern));
+            }
+            prop_assert_eq!(report.totals.batches, plan.len() as u64);
         }
     }
 
