@@ -6,9 +6,9 @@ use pm_bench::workloads;
 use pm_chip::multipass::MultipassMatcher;
 use pm_chip::throughput::{Job, ThroughputEngine};
 use pm_chip::timing::ClockModel;
-use pm_systolic::batch::BatchMatcher;
 use pm_systolic::matcher::SystolicMatcher;
 use pm_systolic::selftimed::{compare, TimingParams};
+use pm_systolic::superplane::SuperMatcher;
 use pm_systolic::symbol::{Alphabet, Symbol};
 
 fn bench_beat_rate(c: &mut Criterion) {
@@ -47,7 +47,7 @@ fn bench_batched_rate(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(total));
     group.bench_function("bit_plane_64_lanes", |b| {
-        let m = BatchMatcher::new(&pattern);
+        let m = SuperMatcher::<1>::new(&pattern);
         let lanes: Vec<&[Symbol]> = texts.iter().map(|t| t.as_slice()).collect();
         b.iter(|| m.match_streams(&lanes).expect("ok"))
     });
@@ -70,9 +70,8 @@ fn bench_batched_rate(c: &mut Criterion) {
 }
 
 fn bench_superwide_rate(c: &mut Criterion) {
-    // E31: the superplane engines against the u64 baseline on a
+    // E31: the superplane widths against the one-word W=1 kernel on a
     // 384-stream workload (six words wide — 1.5 × W=4, 0.75 × W=8).
-    use pm_systolic::superplane::SuperMatcher;
     let alphabet = Alphabet::TWO_BIT;
     let pattern = workloads::random_pattern(alphabet, 16, 10, 3);
     let texts: Vec<Vec<Symbol>> = (0..384)
@@ -85,7 +84,7 @@ fn bench_superwide_rate(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(total));
     group.bench_function("u64_64_lanes", |b| {
-        let m = BatchMatcher::new(&pattern);
+        let m = SuperMatcher::<1>::new(&pattern);
         b.iter(|| m.match_streams(&lanes).expect("ok"))
     });
     group.bench_function("superplane_w4_256_lanes", |b| {

@@ -5,15 +5,16 @@
 //! ROADMAP's "heavy traffic" scenario wants many streams at once. This
 //! figure measures how far the software reproduction gets by exploiting
 //! what the silicon could not: the per-cell state is one bit, so 64
-//! streams ride one machine word (`pm_systolic::batch`), and worker
-//! threads multiply that again (`pm_chip::throughput`).
+//! streams ride one machine word (`SuperMatcher<1>` in
+//! `pm_systolic::superplane`), and worker threads multiply that again
+//! (`pm_chip::throughput`).
 
 use crate::workloads;
 use pm_chip::throughput::{Job, ThroughputEngine};
 use pm_chip::timing::ClockModel;
-use pm_systolic::batch::BatchMatcher;
 use pm_systolic::matcher::SystolicMatcher;
 use pm_systolic::spec::match_spec;
+use pm_systolic::superplane::SuperMatcher;
 use pm_systolic::symbol::{Alphabet, Symbol};
 use std::fmt::Write;
 use std::time::Instant;
@@ -59,7 +60,7 @@ pub fn throughput() -> String {
     let scalar_rate = scalar_chars / started.elapsed().as_secs_f64();
 
     // Batched: 64 lanes per word, single thread.
-    let batch = BatchMatcher::new(&pattern);
+    let batch = SuperMatcher::<1>::new(&pattern);
     let lanes: Vec<&[Symbol]> = texts.iter().map(|t| t.as_slice()).collect();
     let started = Instant::now();
     let batch_results = batch

@@ -20,7 +20,7 @@
 //!    order;
 //! 2. **length buckets** — survivors are stable-sorted by length via
 //!    [`plan::bucket_by_len`](crate::plan::bucket_by_len), the same
-//!    bucketing the throughput planner applies to mixed batches, so one
+//!    bucketing the throughput planner applies to pooled batches, so one
 //!    long pattern can't inflate the `kmax` (and therefore the
 //!    per-character cost) of every group it touches;
 //! 3. **superplane groups** — the bucketed order is cut into groups of

@@ -29,8 +29,8 @@
 //!   fault-injection plans ([`faults::FaultPlan`]) the chaos harness
 //!   replays deterministically against the scheduler;
 //! * [`throughput`] — the multi-stream job scheduler: N `(pattern,
-//!   text)` jobs sharded across worker threads driving the bit-plane
-//!   batch engine of `pm_systolic::batch`, with an LRU compiled-pattern
+//!   text)` jobs sharded across worker threads driving the lane-packed
+//!   bit-plane kernel of `pm_systolic::superplane`, with an LRU compiled-pattern
 //!   cache, reporting through the [`counters`] module;
 //! * [`shard`] — the memory system over [`throughput`]: each
 //!   [`shard::Shard`] owns workers, caches and a resilience ladder

@@ -4,18 +4,18 @@
 //! "higher than the memory bandwidth of most conventional computers")
 //! describes a chip serving *one* stream very fast. A host with many
 //! concurrent search jobs — the ROADMAP's "heavy traffic" scenario —
-//! wants the aggregate rate instead, and the bit-plane engines supply
-//! it: 64 independent streams per machine word
-//! ([`pm_systolic::batch`]), up to 512 per superplane
-//! ([`pm_systolic::superplane`]). This module is the host-side
-//! scheduler that keeps those lanes full:
+//! wants the aggregate rate instead, and the bit-plane kernel supplies
+//! it: 64 independent streams per machine word, up to 512 per
+//! superplane ([`pm_systolic::superplane`]). This module is the
+//! host-side scheduler that keeps those lanes full:
 //!
 //! * [`ThroughputEngine::run`] plans batches *globally* — every job is
 //!   grouped by pattern across the whole submission, so same-pattern
-//!   jobs land in the same zero-setup uniform batch no matter which
-//!   worker would have owned them under static sharding; groups too
-//!   small to fill half a batch are packed together into full mixed
-//!   batches (a pattern per lane);
+//!   jobs land in the same batch (one run of one compiled pattern, set
+//!   up once) no matter which worker would have owned them under
+//!   static sharding; groups too small to fill half a batch are packed
+//!   together into full batches. Every batch is lane-packed — a
+//!   pattern per lane — and runs one kernel;
 //! * batches go onto per-worker deques and workers *steal*: each pops
 //!   its own deque from the front and raids the back of its neighbours'
 //!   when it runs dry, so a straggler batch never idles the rest of the
@@ -69,13 +69,11 @@ use crate::counters::{Counter, CounterSnapshot, RateWindow, ThroughputCounters};
 use crate::faults::{corrupt_bits, mix, FaultPlan, PlaneFault, StickyFault, XorShift64};
 use crate::host::RetryPolicy;
 use pm_matchers::software_fallback;
-use pm_systolic::batch::{match_lanes, match_uniform, CompiledPattern};
+use pm_systolic::batch::CompiledPattern;
 use pm_systolic::engine::MatchBits;
 use pm_systolic::error::Error;
 use pm_systolic::spec::match_spec;
-use pm_systolic::superplane::{
-    lanes_of, match_lanes_wide, match_uniform_wide, simd_level, SimdLevel,
-};
+use pm_systolic::superplane::{lanes_of, match_lanes_wide, simd_level, SimdLevel};
 use pm_systolic::symbol::{text_from_letters, Pattern, Symbol};
 use pm_systolic::telemetry::{SinkHandle, TraceEvent};
 use std::collections::{HashMap, VecDeque};
@@ -91,11 +89,11 @@ const RATE_WINDOW: Duration = Duration::from_secs(30);
 /// How wide one batch is: the number of 64-lane machine words packed
 /// side by side in each bit plane.
 ///
-/// [`W1`](SuperWidth::W1) is the original `u64` engine of
-/// [`pm_systolic::batch`]; [`W4`](SuperWidth::W4) and
-/// [`W8`](SuperWidth::W8) are the superplane widths of
-/// [`pm_systolic::superplane`], whose kernels runtime-dispatch to
-/// AVX2/AVX-512 on CPUs that have them.
+/// Every width runs the same lane-packed kernel of
+/// [`pm_systolic::superplane`] — [`W1`](SuperWidth::W1) one `u64`
+/// word wide, [`W4`](SuperWidth::W4) and [`W8`](SuperWidth::W8) as
+/// 4- and 8-word superplanes — runtime-dispatched to AVX2/AVX-512 on
+/// CPUs that have them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SuperWidth {
     /// One `u64` word per plane: 64 lanes per batch.
@@ -534,21 +532,6 @@ fn ladder_rungs(width: SuperWidth) -> &'static [SuperWidth] {
     }
 }
 
-/// One planned batch: global job indices that will advance together.
-#[derive(Debug)]
-enum BatchDesc {
-    /// Every member shares one pattern — zero-setup uniform path.
-    Uniform {
-        /// Global indices into the run's job slice.
-        members: Vec<usize>,
-    },
-    /// Members carry distinct patterns packed lane by lane.
-    Mixed {
-        /// Global indices into the run's job slice.
-        members: Vec<usize>,
-    },
-}
-
 /// Groups the job indices `picks` by pattern, preserving first-seen
 /// order — the shared first stage of the batch planner below, the
 /// recovery ladder and the [`Router`](crate::shard::Router)'s affinity
@@ -583,55 +566,43 @@ pub(crate) fn group_by_pattern<'a>(
 }
 
 /// Groups all jobs by pattern (first-seen order) and cuts the groups
-/// into width-sized batches so that every lane carries a stream:
+/// into width-sized batches so that every lane carries a stream. Each
+/// batch is a list of global job indices, one per lane, and every
+/// batch runs the same lane-packed kernel:
 ///
 /// * a group of at least `lanes / 2` jobs fills most of a batch on its
-///   own and is cut into uniform batches (one shared pattern, zero
-///   per-lane setup);
-/// * smaller groups share one pool. A pool holding a single group of
-///   two or more jobs stays uniform. Otherwise the pool is
-///   length-bucketed via [`plan::bucket_by_len`](crate::plan::bucket_by_len)
-///   — so one long pattern can't inflate the `kmax` of every mixed
-///   batch it touches, and each group's members stay contiguous — and
-///   cut evenly into mixed batches (a pattern per lane).
+///   own and is cut into batches of that one pattern;
+/// * smaller groups share one pool, length-bucketed via
+///   [`plan::bucket_by_len`](crate::plan::bucket_by_len) — so one long
+///   pattern can't inflate the `kmax` of every batch it touches, and
+///   each group's members stay contiguous — and cut evenly into
+///   batches.
 ///
-/// The pool yields `ceil(pooled / lanes)` mixed batches, but never
-/// fewer than `min(workers, pooled groups)`: packing must not leave a
-/// worker idle that one batch per group would have kept busy. Global
-/// planning is what lets same-pattern jobs share a batch regardless of
-/// submission order.
-fn plan_batches(jobs: &[JobRef<'_>], lanes: usize, workers: usize) -> Vec<BatchDesc> {
+/// The pool yields `ceil(pooled / lanes)` batches, but never fewer
+/// than `min(workers, pooled groups)`: packing must not leave a worker
+/// idle that one batch per group would have kept busy. (A pool of one
+/// group is therefore one batch.) Global planning is what lets
+/// same-pattern jobs share a batch regardless of submission order.
+fn plan_batches(jobs: &[JobRef<'_>], lanes: usize, workers: usize) -> Vec<Vec<usize>> {
     let mut plan = Vec::new();
     let mut pool: Vec<Vec<usize>> = Vec::new();
     for (_, members) in group_by_pattern(jobs, 0..jobs.len()) {
         if members.len() < lanes / 2 {
             pool.push(members);
-            continue;
-        }
-        for batch in members.chunks(lanes) {
-            plan.push(BatchDesc::Uniform {
-                members: batch.to_vec(),
-            });
+        } else {
+            plan.extend(members.chunks(lanes).map(<[usize]>::to_vec));
         }
     }
-    match pool.as_slice() {
-        [] => {}
-        [members] if members.len() > 1 => plan.push(BatchDesc::Uniform {
-            members: members.clone(),
-        }),
-        _ => {
-            let mut pooled = pool.concat();
-            crate::plan::bucket_by_len(&mut pooled, |&i| jobs[i].pattern.len());
-            let batches = pooled.len().div_ceil(lanes).max(workers.min(pool.len()));
-            let (base, extra) = (pooled.len() / batches, pooled.len() % batches);
-            let mut rest = pooled.as_slice();
-            for b in 0..batches {
-                let (batch, tail) = rest.split_at(base + usize::from(b < extra));
-                plan.push(BatchDesc::Mixed {
-                    members: batch.to_vec(),
-                });
-                rest = tail;
-            }
+    if !pool.is_empty() {
+        let mut pooled = pool.concat();
+        crate::plan::bucket_by_len(&mut pooled, |&i| jobs[i].pattern.len());
+        let batches = pooled.len().div_ceil(lanes).max(workers.min(pool.len()));
+        let (base, extra) = (pooled.len() / batches, pooled.len() % batches);
+        let mut rest = pooled.as_slice();
+        for b in 0..batches {
+            let (batch, tail) = rest.split_at(base + usize::from(b < extra));
+            plan.push(batch.to_vec());
+            rest = tail;
         }
     }
     plan
@@ -1039,7 +1010,7 @@ impl ThroughputEngine {
         &self,
         worker: usize,
         jobs: &[JobRef<'_>],
-        plan: &[BatchDesc],
+        plan: &[Vec<usize>],
         queue: &WorkQueue,
         counters: &ThroughputCounters,
         width: SuperWidth,
@@ -1066,9 +1037,7 @@ impl ThroughputEngine {
                     victim: victim as u32,
                 });
             }
-            let members = match &plan[b] {
-                BatchDesc::Uniform { members } | BatchDesc::Mixed { members } => members,
-            };
+            let members = &plan[b];
             if sink.enabled() {
                 for &i in members {
                     sink.record(TraceEvent::JobStarted {
@@ -1209,15 +1178,19 @@ impl ThroughputEngine {
         }
         let mut deepest = rung0;
         let mut cache = PatternCache::new(self.cache_capacity.max(unresolved.len()));
-        // Group unresolved jobs by pattern so recovery batches ride the
-        // uniform path, then chunk at the *narrowest* rung width so one
-        // chunk fits every rung it may descend through.
+        // Group unresolved jobs by pattern so each recovery batch is one
+        // run of one compiled pattern, then chunk at the *narrowest*
+        // rung width so one chunk fits every rung it may descend
+        // through.
         let narrow = rungs[rungs.len() - 1].lanes();
         let mut chunk_no = 0usize;
         for (pattern, members) in group_by_pattern(jobs, unresolved.iter().copied()) {
             let (compiled, _) = cache.get_or_compile(pattern);
             for chunk in members.chunks(narrow) {
-                let texts: Vec<&[Symbol]> = chunk.iter().map(|&i| jobs[i].text).collect();
+                let batch: Vec<(&CompiledPattern, &[Symbol])> = chunk
+                    .iter()
+                    .map(|&i| (compiled.as_ref(), jobs[i].text))
+                    .collect();
                 let truth: Vec<Vec<bool>> = chunk
                     .iter()
                     .map(|&i| match_spec(jobs[i].text, pattern))
@@ -1243,7 +1216,7 @@ impl ThroughputEngine {
                             words: rung.words() as u32,
                         });
                         report.retried_batches += 1;
-                        let Ok(hits) = uniform_hits(rung, &compiled, &texts) else {
+                        let Ok(hits) = run_lanes(rung, &batch) else {
                             continue;
                         };
                         let mut lanes: Vec<Vec<bool>> =
@@ -1343,9 +1316,14 @@ fn lookup_pattern(
 
 /// Runs one planned batch's kernel at `width`, returning the per-lane
 /// results plus whether any pattern lookup hit the cache.
+///
+/// The planner keeps each pattern group's members contiguous, so one
+/// lookup per run of equal patterns books one lookup per
+/// (batch, pattern), and the run's lanes share one compilation — which
+/// the kernel sets up once for the whole run.
 #[allow(clippy::too_many_arguments)]
 fn execute_members(
-    desc: &BatchDesc,
+    members: &[usize],
     jobs: &[JobRef<'_>],
     local: &mut PatternCache,
     index: &PatternIndex,
@@ -1353,59 +1331,40 @@ fn execute_members(
     sink: &SinkHandle,
     width: SuperWidth,
 ) -> Result<(Vec<MatchBits>, bool), Error> {
-    match desc {
-        BatchDesc::Uniform { members } => {
-            let (compiled, hit) =
-                lookup_pattern(jobs[members[0]].pattern, local, index, counters, sink);
-            let texts: Vec<&[Symbol]> = members.iter().map(|&i| jobs[i].text).collect();
-            Ok((uniform_hits(width, &compiled, &texts)?, hit))
-        }
-        BatchDesc::Mixed { members } => {
-            // The planner keeps each pattern group's members contiguous,
-            // so one lookup per run of equal patterns books one lookup
-            // per (batch, pattern), exactly as a uniform batch does.
-            let mut any_hit = false;
-            let mut compiled: Vec<Arc<CompiledPattern>> = Vec::with_capacity(members.len());
-            for (lane, &i) in members.iter().enumerate() {
-                let pattern = jobs[i].pattern;
-                let repeat = lane > 0 && {
-                    let prev = jobs[members[lane - 1]].pattern;
-                    std::ptr::eq(prev, pattern) || prev == pattern
-                };
-                let c = if repeat {
-                    Arc::clone(&compiled[lane - 1])
-                } else {
-                    let (c, hit) = lookup_pattern(pattern, local, index, counters, sink);
-                    any_hit |= hit;
-                    c
-                };
-                compiled.push(c);
-            }
-            let lanes: Vec<(&CompiledPattern, &[Symbol])> = members
-                .iter()
-                .zip(&compiled)
-                .map(|(&i, c)| (c.as_ref(), jobs[i].text))
-                .collect();
-            let hits = match width {
-                SuperWidth::W1 => match_lanes(&lanes)?,
-                SuperWidth::W4 => match_lanes_wide::<4>(&lanes)?,
-                SuperWidth::W8 => match_lanes_wide::<8>(&lanes)?,
-            };
-            Ok((hits, any_hit))
-        }
+    let mut any_hit = false;
+    let mut compiled: Vec<Arc<CompiledPattern>> = Vec::with_capacity(members.len());
+    for (lane, &i) in members.iter().enumerate() {
+        let pattern = jobs[i].pattern;
+        let repeat = lane > 0 && {
+            let prev = jobs[members[lane - 1]].pattern;
+            std::ptr::eq(prev, pattern) || prev == pattern
+        };
+        let c = if repeat {
+            Arc::clone(&compiled[lane - 1])
+        } else {
+            let (c, hit) = lookup_pattern(pattern, local, index, counters, sink);
+            any_hit |= hit;
+            c
+        };
+        compiled.push(c);
     }
+    let lanes: Vec<(&CompiledPattern, &[Symbol])> = members
+        .iter()
+        .zip(&compiled)
+        .map(|(&i, c)| (c.as_ref(), jobs[i].text))
+        .collect();
+    Ok((run_lanes(width, &lanes)?, any_hit))
 }
 
-/// The uniform kernel at a given width.
-fn uniform_hits(
+/// The lane-packed kernel at a given width.
+fn run_lanes(
     width: SuperWidth,
-    compiled: &CompiledPattern,
-    texts: &[&[Symbol]],
+    lanes: &[(&CompiledPattern, &[Symbol])],
 ) -> Result<Vec<MatchBits>, Error> {
     match width {
-        SuperWidth::W1 => match_uniform(compiled, texts),
-        SuperWidth::W4 => match_uniform_wide::<4>(compiled, texts),
-        SuperWidth::W8 => match_uniform_wide::<8>(compiled, texts),
+        SuperWidth::W1 => match_lanes_wide::<1>(lanes),
+        SuperWidth::W4 => match_lanes_wide::<4>(lanes),
+        SuperWidth::W8 => match_lanes_wide::<8>(lanes),
     }
 }
 
@@ -1586,10 +1545,13 @@ fn known_answer_test(
             text_from_letters(&s).expect("A/B are alphabet letters")
         })
         .collect();
-    let refs: Vec<&[Symbol]> = texts.iter().map(|t| t.as_slice()).collect();
     for round in 0..2u64 {
         let (compiled, cache_hit) = local.get_or_compile(&pattern);
-        let Ok(mut hits) = uniform_hits(width, &compiled, &refs) else {
+        let lanes: Vec<(&CompiledPattern, &[Symbol])> = texts
+            .iter()
+            .map(|t| (compiled.as_ref(), t.as_slice()))
+            .collect();
+        let Ok(mut hits) = run_lanes(width, &lanes) else {
             return false;
         };
         if let Some(f) =
@@ -1720,10 +1682,17 @@ mod tests {
         assert!(index.get(&c).is_some());
     }
 
+    /// Whether every member of a planned batch shares one pattern.
+    fn one_pattern(jobs: &[JobRef<'_>], members: &[usize]) -> bool {
+        members
+            .iter()
+            .all(|&i| jobs[i].pattern == jobs[members[0]].pattern)
+    }
+
     #[test]
     fn global_planning_merges_same_pattern_jobs_across_the_run() {
         // 8 jobs, one pattern, interleaved with nothing: global
-        // planning packs them into a single uniform batch even though
+        // planning packs them into a single one-pattern batch even though
         // the old static sharding would have split them over workers.
         let p = Pattern::parse("AB").unwrap();
         let jobs: Vec<Job> = (0..8)
@@ -1732,10 +1701,11 @@ mod tests {
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
         let plan = plan_batches(&refs, SuperWidth::W8.lanes(), 4);
         assert_eq!(plan.len(), 1);
-        match &plan[0] {
-            BatchDesc::Uniform { members } => assert_eq!(members.len(), 8),
-            other => panic!("expected a uniform batch, got {other:?}"),
-        }
+        assert!(
+            one_pattern(&refs, &plan[0]),
+            "expected one pattern, got {plan:?}"
+        );
+        assert_eq!(plan[0].len(), 8);
         // And the batch count survives into the run's counters.
         let engine = ThroughputEngine::new(4, 8);
         let report = engine.run(&jobs).unwrap();
@@ -1753,21 +1723,17 @@ mod tests {
         jobs.push(Job::new(999, q.clone(), text_from_letters("BA").unwrap()));
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
         let plan = plan_batches(&refs, lanes, 1);
-        // 65+2 same-pattern jobs → two uniform batches; the singleton
-        // rides a mixed batch of its own.
+        // 65+2 same-pattern jobs → two one-pattern batches; the
+        // singleton rides a pooled batch of its own.
         assert_eq!(plan.len(), 3);
-        match (&plan[0], &plan[1], &plan[2]) {
-            (
-                BatchDesc::Uniform { members: m0 },
-                BatchDesc::Uniform { members: m1 },
-                BatchDesc::Mixed { members: m2 },
-            ) => {
-                assert_eq!(m0.len(), lanes);
-                assert_eq!(m1.len(), 3);
-                assert_eq!(m2, &vec![jobs.len() - 1]);
-            }
-            other => panic!("unexpected plan {other:?}"),
-        }
+        let (m0, m1, m2) = (&plan[0], &plan[1], &plan[2]);
+        assert!(
+            one_pattern(&refs, m0) && one_pattern(&refs, m1),
+            "unexpected plan {plan:?}"
+        );
+        assert_eq!(m0.len(), lanes);
+        assert_eq!(m1.len(), 3);
+        assert_eq!(m2, &vec![jobs.len() - 1]);
     }
 
     #[test]
@@ -1826,9 +1792,7 @@ mod tests {
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
         let counters = ThroughputCounters::new();
         let (hits, _) = execute_members(
-            &BatchDesc::Mixed {
-                members: (0..2 * N).collect(),
-            },
+            &(0..2 * N).collect::<Vec<_>>(),
             &refs,
             &mut PatternCache::new(8),
             &PatternIndex::new(8),
@@ -1841,6 +1805,30 @@ mod tests {
         assert_eq!(counters.cache_hits.get() + counters.cache_misses.get(), 2);
         for (hit, job) in hits.iter().zip(&jobs) {
             assert_eq!(hit.bits(), match_spec(&job.text, &job.pattern));
+        }
+        // A batch of one pattern books exactly one lookup, as the
+        // single-pattern batches of a large group always have.
+        let one: Vec<JobRef<'_>> = (0..8)
+            .map(|id| JobRef {
+                id,
+                pattern: &p,
+                text: &text,
+            })
+            .collect();
+        let counters = ThroughputCounters::new();
+        let (hits, _) = execute_members(
+            &(0..8).collect::<Vec<_>>(),
+            &one,
+            &mut PatternCache::new(8),
+            &PatternIndex::new(8),
+            &counters,
+            &SinkHandle::null(),
+            SuperWidth::W8,
+        )
+        .unwrap();
+        assert_eq!(counters.cache_hits.get() + counters.cache_misses.get(), 1);
+        for hit in &hits {
+            assert_eq!(hit.bits(), match_spec(&text, &p));
         }
     }
 
@@ -1910,20 +1898,22 @@ mod tests {
             }
 
             let plan = plan_batches(&jobs, lanes, workers);
+            // Large groups' batches come first; every member of one
+            // shares one pattern.
+            let whole: usize = group_by_pattern(&jobs, 0..jobs.len())
+                .into_iter()
+                .map(|(_, members)| members.len())
+                .filter(|&n| n >= lanes / 2)
+                .map(|n| n.div_ceil(lanes))
+                .sum();
             let mut seen = vec![0usize; jobs.len()];
             let mut mixed = 0;
-            for desc in &plan {
-                let members = match desc {
-                    BatchDesc::Uniform { members } => {
-                        let p = jobs[members[0]].pattern;
-                        prop_assert!(members.iter().all(|&i| jobs[i].pattern == p));
-                        members
-                    }
-                    BatchDesc::Mixed { members } => {
-                        mixed += 1;
-                        members
-                    }
-                };
+            for (b, members) in plan.iter().enumerate() {
+                if b < whole {
+                    prop_assert!(one_pattern(&jobs, members));
+                } else {
+                    mixed += 1;
+                }
                 prop_assert!(!members.is_empty() && members.len() <= lanes);
                 for &i in members {
                     seen[i] += 1;

@@ -1,4 +1,4 @@
-//! Bit-plane batched matching: 64 independent text streams per word.
+//! Bit-plane batching: 64 independent text streams per word.
 //!
 //! The paper's throughput argument (§1) is that the chip's data rate —
 //! one character every 250 ns — comes from doing all `k+1` comparisons
@@ -10,9 +10,11 @@
 //! bitwise logic. Each bit position is called a *lane*; a `u64` holding
 //! one state bit for every lane is a *plane*.
 //!
-//! Two engines live here, at opposite ends of a fidelity/throughput
-//! trade:
+//! Two things live here:
 //!
+//! * [`CompiledPattern`] — a pattern compiled once to broadcast
+//!   control-bit planes. It is what the `pm-chip` pattern cache stores
+//!   and what every batch kernel consumes.
 //! * [`PlaneDriver`] runs lane-planes through the **existing** systolic
 //!   machinery — [`LaneBoolean`] is a [`MeetSemantics`] instance whose
 //!   accumulator is a `u64` plane, so the unmodified
@@ -20,44 +22,33 @@
 //!   choreography (opposing streams, recirculation, `λ` emission)
 //!   advances 64 matches per beat. This is the beat-accurate batched
 //!   array, golden-tested against the scalar engines.
-//! * [`BatchMatcher`] is the throughput engine: it drops the beat
-//!   choreography and keeps only the cell algebra, advancing every lane
-//!   one text position per step with `k+1` word operations — the
-//!   accumulator recurrence `t ← t ∧ (x ∨ d)` evaluated as plane
-//!   arithmetic. Patterns are pre-compiled to control-bit planes
-//!   ([`CompiledPattern`]), which is what the `pm-chip` pattern cache
-//!   stores. Lanes may carry *different* patterns of *different*
-//!   lengths ([`match_lanes`]); ragged lane counts (`N % 64 ≠ 0`) are
-//!   handled by chunking.
 //!
-//! 64 lanes is the width of *one machine word*, not the engine
-//! maximum: [`crate::superplane`] generalises the same kernel to
-//! `[u64; W]` superplanes (256 lanes at `W = 4`, 512 at `W = 8`) with
-//! runtime-dispatched SIMD specialisations, and this module's engines
-//! are exactly that kernel instantiated at `W = 1` — the shared
-//! [`eq_superplane`](crate::superplane)/
-//! [`step_superplanes`](crate::superplane) logic guarantees the two
-//! agree bit for bit. Reach for [`SuperMatcher`](crate::superplane::SuperMatcher)
-//! when batches exceed 64 streams.
-//!
-//! Both engines are bit-identical to
+//! The throughput engine that drops the beat choreography and keeps
+//! only the cell algebra — the accumulator recurrence
+//! `t ← t ∧ (x ∨ d)` evaluated as plane arithmetic — is
+//! [`crate::superplane`]: [`match_lanes_wide`](crate::superplane::match_lanes_wide)
+//! runs one lane-packed batch of `W × 64` lanes, where every lane may
+//! carry a different pattern of a different length, and
+//! [`SuperMatcher<1>`](crate::superplane::SuperMatcher) is its 64-lane,
+//! one-pattern form. Both are bit-identical to
 //! [`match_spec`](crate::spec::match_spec) on every lane
 //! (property-tested in `tests/proptests.rs`).
 //!
 //! ```
-//! use pm_systolic::batch::BatchMatcher;
+//! use pm_systolic::batch::PlaneDriver;
 //! use pm_systolic::symbol::{Pattern, text_from_letters};
 //!
 //! # fn main() -> Result<(), pm_systolic::Error> {
-//! let m = BatchMatcher::new(&Pattern::parse("AXC")?);
+//! // Two lanes, two patterns of one length, one beat-accurate array.
+//! let mut d = PlaneDriver::new(&[Pattern::parse("AXC")?, Pattern::parse("CCA")?])?;
 //! let texts = [
 //!     text_from_letters("ABCAACCAB")?, // the paper's Figure 3-1 text
 //!     text_from_letters("CCCAAC")?,
 //! ];
 //! let lanes: Vec<&[_]> = texts.iter().map(|t| t.as_slice()).collect();
-//! let hits = m.match_streams(&lanes)?;
+//! let hits = d.run(&lanes)?;
 //! assert_eq!(hits[0].ending_positions(), vec![2, 5, 6]);
-//! assert_eq!(hits[1].ending_positions(), vec![5]);
+//! assert_eq!(hits[1].ending_positions(), vec![3]);
 //! # Ok(())
 //! # }
 //! ```
@@ -65,7 +56,7 @@
 use crate::engine::{BeatExit, Driver, MatchBits};
 use crate::error::Error;
 use crate::semantics::MeetSemantics;
-use crate::superplane::{eq_superplane, step_superplanes, SuperPlanes};
+use crate::superplane::eq_superplane;
 use crate::symbol::{PatSym, Pattern, Symbol};
 use crate::telemetry::{ClockPhase, TraceEvent, TraceSink};
 
@@ -86,6 +77,18 @@ fn eq_plane(pat_bits: &[u64; MAX_BITS], txt_bits: &[u64; MAX_BITS], bits: u32) -
     let pat = pat_bits.map(|w| [w]);
     let txt = txt_bits.map(|w| [w]);
     eq_superplane::<1>(&pat, &txt, bits)[0]
+}
+
+/// A plane driver takes exactly one text per lane it was built with.
+pub(crate) fn check_lane_count(texts: usize, lanes: usize) -> Result<(), Error> {
+    if texts == lanes {
+        Ok(())
+    } else {
+        Err(Error::LaneCountMismatch {
+            lanes: texts,
+            expected: lanes,
+        })
+    }
 }
 
 /// A pattern compiled to broadcast control-bit planes: for each pattern
@@ -146,171 +149,6 @@ impl CompiledPattern {
     /// Never true: patterns are non-empty by construction.
     pub fn is_empty(&self) -> bool {
         self.wild.is_empty()
-    }
-}
-
-/// Runs the `W = 1` engine over per-lane texts (lengths may differ)
-/// and returns one result vector per lane, aligned to text positions
-/// exactly like [`match_spec`](crate::spec::match_spec).
-///
-/// This keeps the original per-position transpose loop rather than the
-/// strip-mined tile transpose of [`crate::superplane`]: the single-word
-/// engine is the measured baseline of figures E29/E31, so its inner
-/// loop stays byte-for-byte what those figures historically timed. The
-/// *algebra* (eq/step) is the shared superplane kernel at `W = 1`.
-fn run_narrow(planes: &SuperPlanes<1>, texts: &[&[Symbol]]) -> Vec<Vec<bool>> {
-    debug_assert!(texts.len() <= LANES);
-    let tmax = texts.iter().map(|t| t.len()).max().unwrap_or(0);
-    let mut state = vec![[0u64; 1]; planes.kmax];
-    let mut out: Vec<Vec<bool>> = texts.iter().map(|t| vec![false; t.len()]).collect();
-    for i in 0..tmax {
-        // Transpose this text position into bit planes. Exhausted
-        // lanes contribute zero planes; their state keeps stepping
-        // harmlessly because their outputs are no longer recorded.
-        let mut txt_bits = [[0u64; 1]; MAX_BITS];
-        let mut vor = 0u8;
-        for (l, t) in texts.iter().enumerate() {
-            if let Some(sym) = t.get(i) {
-                let v = sym.value();
-                vor |= v;
-                let lane = 1u64 << l;
-                for (b, plane) in txt_bits.iter_mut().enumerate() {
-                    if (v >> b) & 1 == 1 {
-                        plane[0] |= lane;
-                    }
-                }
-            }
-        }
-        // Widen the compared planes when a text symbol carries bits
-        // above the patterns' alphabet: a literal can never equal such
-        // a symbol, and comparing only the alphabet planes would alias
-        // it onto an in-alphabet value. Free when text and pattern
-        // share an alphabet (the common case).
-        let eff_bits = planes.bits.max(8 - vor.leading_zeros());
-        let r = step_superplanes(
-            &planes.wild,
-            &planes.pbits,
-            &planes.end,
-            &planes.end_positions,
-            eff_bits,
-            &mut state,
-            &txt_bits,
-        )[0];
-        for (l, o) in out.iter_mut().enumerate() {
-            if i < o.len() {
-                o[i] = (r >> l) & 1 == 1;
-            }
-        }
-    }
-    out
-}
-
-/// Matches one compiled pattern against up to [`LANES`] texts in a
-/// single word batch. Lower-level building block for schedulers that
-/// manage their own chunking; most callers want
-/// [`BatchMatcher::match_streams`], which chunks automatically.
-///
-/// # Errors
-///
-/// [`Error::TooManyLanes`] if more than 64 texts are supplied.
-pub fn match_uniform(
-    compiled: &CompiledPattern,
-    texts: &[&[Symbol]],
-) -> Result<Vec<MatchBits>, Error> {
-    if texts.len() > LANES {
-        return Err(Error::TooManyLanes {
-            lanes: texts.len(),
-            capacity: LANES,
-        });
-    }
-    if texts.is_empty() {
-        return Ok(Vec::new());
-    }
-    let planes = SuperPlanes::<1>::uniform(compiled);
-    let k = compiled.pattern.k();
-    Ok(run_narrow(&planes, texts)
-        .into_iter()
-        .map(|bits| MatchBits::new(bits, k))
-        .collect())
-}
-
-/// Matches up to [`LANES`] independent `(pattern, text)` jobs in one
-/// word batch; every lane may carry a different pattern of a different
-/// length. Returns one [`MatchBits`] per job, in order.
-///
-/// # Errors
-///
-/// [`Error::TooManyLanes`] if more than 64 jobs are supplied.
-pub fn match_lanes(jobs: &[(&CompiledPattern, &[Symbol])]) -> Result<Vec<MatchBits>, Error> {
-    if jobs.len() > LANES {
-        return Err(Error::TooManyLanes {
-            lanes: jobs.len(),
-            capacity: LANES,
-        });
-    }
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let compiled: Vec<&CompiledPattern> = jobs.iter().map(|(c, _)| *c).collect();
-    let texts: Vec<&[Symbol]> = jobs.iter().map(|(_, t)| *t).collect();
-    let planes = SuperPlanes::<1>::merge(&compiled)?;
-    Ok(run_narrow(&planes, &texts)
-        .into_iter()
-        .zip(&compiled)
-        .map(|(bits, c)| MatchBits::new(bits, c.pattern.k()))
-        .collect())
-}
-
-/// The batched throughput engine for one pattern: any number of
-/// independent text streams, processed 64 per word. See the
-/// [module docs](self) for how it relates to the systolic array, and
-/// [`SuperMatcher`](crate::superplane::SuperMatcher) for the same
-/// engine at 256/512 lanes per batch.
-#[derive(Debug, Clone)]
-pub struct BatchMatcher {
-    compiled: CompiledPattern,
-}
-
-impl BatchMatcher {
-    /// Compiles `pattern` into control-bit planes.
-    pub fn new(pattern: &Pattern) -> Self {
-        BatchMatcher {
-            compiled: CompiledPattern::compile(pattern),
-        }
-    }
-
-    /// Wraps an already-compiled pattern (e.g. one from a cache).
-    pub fn from_compiled(compiled: CompiledPattern) -> Self {
-        BatchMatcher { compiled }
-    }
-
-    /// The compiled control planes.
-    pub fn compiled(&self) -> &CompiledPattern {
-        &self.compiled
-    }
-
-    /// The pattern this matcher was built for.
-    pub fn pattern(&self) -> &Pattern {
-        self.compiled.pattern()
-    }
-
-    /// Matches every text stream against the pattern, 64 lanes per word
-    /// batch; `texts.len()` is unbounded and need not be a multiple of
-    /// 64 (the last chunk simply runs with idle lanes). 64 is the width
-    /// of this `u64` instance, not an engine limit —
-    /// [`SuperMatcher::match_streams`](crate::superplane::SuperMatcher::match_streams)
-    /// packs up to 512 lanes per batch.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; the `Result` reserves room for stream
-    /// validation, mirroring the scalar matcher's API.
-    pub fn match_streams(&self, texts: &[&[Symbol]]) -> Result<Vec<MatchBits>, Error> {
-        let mut out = Vec::with_capacity(texts.len());
-        for chunk in texts.chunks(LANES) {
-            out.extend(match_uniform(&self.compiled, chunk)?);
-        }
-        Ok(out)
     }
 }
 
@@ -375,7 +213,8 @@ impl MeetSemantics for LaneBoolean {
 /// * [`Error::TooManyLanes`] for more than 64.
 /// * [`Error::RaggedLanePatterns`] if the lengths differ — the shared
 ///   `λ` bit of the pattern stream cannot serve two lengths at once
-///   (use [`match_lanes`] for ragged batches).
+///   (use [`match_lanes_wide`](crate::superplane::match_lanes_wide)
+///   for ragged batches).
 pub fn pack_patterns(patterns: &[Pattern]) -> Result<Vec<LanePat>, Error> {
     let first = patterns.first().ok_or(Error::EmptyPattern)?;
     if patterns.len() > LANES {
@@ -462,13 +301,13 @@ impl PlaneDriver {
     /// telemetry A/B in `pm-bench` (E30) has a true baseline;
     /// [`run_with_sink`](Self::run_with_sink) is the traced twin and is
     /// tested bit-identical to it.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::LaneCountMismatch`] unless there is exactly one text per
+    /// lane the driver was built with.
     pub fn run(&mut self, texts: &[&[Symbol]]) -> Result<Vec<MatchBits>, Error> {
-        if texts.len() != self.lanes {
-            return Err(Error::TooManyLanes {
-                lanes: texts.len(),
-                capacity: self.lanes,
-            });
-        }
+        check_lane_count(texts.len(), self.lanes)?;
         let stream = self.transpose(texts);
         let planes = self.driver.run(&stream);
         Ok(self.collect(texts, |i| planes[i]))
@@ -484,17 +323,16 @@ impl PlaneDriver {
     /// [`NullSink`](crate::telemetry::NullSink) monomorphises the
     /// emission sites away; `run_with_sink(texts, &NullSink)` compiles
     /// to the same machine loop as [`run`](Self::run).
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
     pub fn run_with_sink<K: TraceSink>(
         &mut self,
         texts: &[&[Symbol]],
         sink: &K,
     ) -> Result<Vec<MatchBits>, Error> {
-        if texts.len() != self.lanes {
-            return Err(Error::TooManyLanes {
-                lanes: texts.len(),
-                capacity: self.lanes,
-            });
-        }
+        check_lane_count(texts.len(), self.lanes)?;
         let stream = self.transpose(texts);
         self.driver.reset();
         // Per-position occupancy: lanes whose text still covers position
@@ -624,94 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn figure_3_1_in_every_lane() {
-        let m = BatchMatcher::new(&Pattern::parse("AXC").unwrap());
-        let t = letters("ABCAACCAB");
-        let texts: Vec<&[Symbol]> = (0..LANES + 7).map(|_| t.as_slice()).collect();
-        let hits = m.match_streams(&texts).unwrap();
-        assert_eq!(hits.len(), LANES + 7);
-        for h in hits {
-            assert_eq!(h.ending_positions(), vec![2, 5, 6]);
-        }
-    }
-
-    #[test]
-    fn uniform_batch_matches_spec_on_distinct_texts() {
-        let p = Pattern::parse("ABXA").unwrap();
-        let m = BatchMatcher::new(&p);
-        let texts = [
-            letters("ABCABBAACBA"),
-            letters("ABBA"),
-            letters(""),
-            letters("A"),
-            letters("ABCAABBAABCAABBA"),
-        ];
-        let lanes: Vec<&[Symbol]> = texts.iter().map(|t| t.as_slice()).collect();
-        let hits = m.match_streams(&lanes).unwrap();
-        for (h, t) in hits.iter().zip(&texts) {
-            assert_eq!(h.bits(), match_spec(t, &p), "text {t:?}");
-        }
-    }
-
-    #[test]
-    fn literal_never_matches_a_symbol_outside_the_pattern_alphabet() {
-        // Pattern "AB" compiles to a 2-bit alphabet; E (100) and F
-        // (101) alias to A (00) and B (01) on the low planes. The
-        // kernel must widen the comparison for such positions rather
-        // than report "EF" as "AB" — regression for the dynamic-width
-        // fix in run_narrow.
-        let p = Pattern::parse("AB").unwrap();
-        let compiled = CompiledPattern::compile(&p);
-        let wide = letters("DEFGDEFGABDEFG");
-        let narrow = letters("ABAB");
-        let texts: Vec<&[Symbol]> = vec![&narrow, &wide];
-        let hits = match_uniform(&compiled, &texts).unwrap();
-        assert_eq!(hits[0].bits(), match_spec(&narrow, &p));
-        assert_eq!(hits[1].bits(), match_spec(&wide, &p));
-        assert_eq!(hits[1].ending_positions(), vec![9]);
-        // Wild cards still match out-of-alphabet symbols.
-        let w = Pattern::parse("XB").unwrap();
-        let cw = CompiledPattern::compile(&w);
-        let hits = match_uniform(&cw, &[&wide]).unwrap();
-        assert_eq!(hits[0].bits(), match_spec(&wide, &w));
-    }
-
-    #[test]
-    fn mixed_lanes_with_ragged_pattern_lengths() {
-        let pats = [
-            Pattern::parse("A").unwrap(),
-            Pattern::parse("AXC").unwrap(),
-            Pattern::parse("BBBBB").unwrap(),
-            Pattern::parse("XX").unwrap(),
-        ];
-        let compiled: Vec<CompiledPattern> = pats.iter().map(CompiledPattern::compile).collect();
-        let text = letters("ABCAACCABBBBBAB");
-        let jobs: Vec<(&CompiledPattern, &[Symbol])> =
-            compiled.iter().map(|c| (c, text.as_slice())).collect();
-        let hits = match_lanes(&jobs).unwrap();
-        for (h, p) in hits.iter().zip(&pats) {
-            assert_eq!(h.bits(), match_spec(&text, p), "pattern {p}");
-        }
-    }
-
-    #[test]
-    fn lane_limits_are_enforced() {
-        let p = Pattern::parse("AB").unwrap();
-        let c = CompiledPattern::compile(&p);
-        let t = letters("AB");
-        let too_many: Vec<&[Symbol]> = (0..LANES + 1).map(|_| t.as_slice()).collect();
-        assert!(matches!(
-            match_uniform(&c, &too_many),
-            Err(Error::TooManyLanes {
-                lanes: 65,
-                capacity: 64
-            })
-        ));
-        assert!(match_uniform(&c, &[]).unwrap().is_empty());
-        assert!(match_lanes(&[]).unwrap().is_empty());
-    }
-
-    #[test]
     fn plane_driver_equals_spec_per_lane() {
         let pats = [
             Pattern::parse("AXC").unwrap(),
@@ -792,15 +542,23 @@ mod tests {
     }
 
     #[test]
-    fn eight_bit_alphabet_lanes() {
-        use crate::symbol::Alphabet;
-        let p = Pattern::from_bytes(b"ab*a", Some(b'*'), Alphabet::EIGHT_BIT).unwrap();
-        let m = BatchMatcher::new(&p);
-        let t1: Vec<Symbol> = b"abba abca".iter().map(|&b| Symbol::new(b)).collect();
-        let t2: Vec<Symbol> = b"xyz".iter().map(|&b| Symbol::new(b)).collect();
-        let hits = m.match_streams(&[&t1, &t2]).unwrap();
-        assert_eq!(hits[0].bits(), match_spec(&t1, &p));
-        assert_eq!(hits[1].bits(), match_spec(&t2, &p));
-        assert_eq!(hits[0].ending_positions(), vec![3, 8]);
+    fn plane_driver_rejects_a_wrong_text_count() {
+        use crate::telemetry::NullSink;
+        let pats = [
+            Pattern::parse("AB").unwrap(),
+            Pattern::parse("BA").unwrap(),
+            Pattern::parse("XA").unwrap(),
+        ];
+        let t = letters("ABAB");
+        let mut d = PlaneDriver::new(&pats).unwrap();
+        for n in [2, 4] {
+            let texts: Vec<&[Symbol]> = (0..n).map(|_| t.as_slice()).collect();
+            let want = Error::LaneCountMismatch {
+                lanes: n,
+                expected: 3,
+            };
+            assert_eq!(d.run(&texts), Err(want.clone()));
+            assert_eq!(d.run_with_sink(&texts, &NullSink), Err(want));
+        }
     }
 }

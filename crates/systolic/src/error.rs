@@ -41,14 +41,27 @@ pub enum Error {
         /// Index of the condemned segment (chip) in the chain.
         segment: usize,
     },
-    /// A bit-plane batch was offered more lanes than its planes carry —
-    /// 64 per machine word ([`crate::batch::LANES`]), `W × 64` for a
-    /// width-`W` superplane batch ([`crate::superplane`]).
+    /// A bit-plane batch was offered more lanes than its planes carry:
+    /// `W × 64` for a width-`W` superplane batch
+    /// ([`crate::superplane::match_lanes_wide`]), 64 per word
+    /// ([`crate::batch::LANES`]) for a [`crate::batch::PlaneDriver`].
+    /// A driver that was built and then run with a different number
+    /// of lanes reports [`Error::LaneCountMismatch`] instead.
     TooManyLanes {
         /// Number of lanes requested.
         lanes: usize,
         /// Lanes the batch actually carries.
         capacity: usize,
+    },
+    /// A plane driver ([`crate::batch::PlaneDriver`],
+    /// [`crate::superplane::SuperplaneDriver`]) was run with more or
+    /// fewer texts than the lanes it was built with; it takes exactly
+    /// one text per lane.
+    LaneCountMismatch {
+        /// Number of texts supplied.
+        lanes: usize,
+        /// Lanes the driver was built with.
+        expected: usize,
     },
     /// A plane-driver batch mixed pattern lengths; the shared `λ` bit
     /// of the pattern stream can only mark one end position, so every
@@ -92,6 +105,10 @@ impl fmt::Display for Error {
                 f,
                 "{lanes} lanes exceed the {capacity} lanes of one bit-plane batch"
             ),
+            Error::LaneCountMismatch { lanes, expected } => write!(
+                f,
+                "{lanes} texts given to a plane driver built for {expected} lanes"
+            ),
             Error::RaggedLanePatterns => write!(
                 f,
                 "plane-driver lanes must all carry patterns of one length"
@@ -129,6 +146,10 @@ mod tests {
             Error::TooManyLanes {
                 lanes: 65,
                 capacity: 64,
+            },
+            Error::LaneCountMismatch {
+                lanes: 3,
+                expected: 5,
             },
             Error::RaggedLanePatterns,
             Error::WorkerPanicked { worker: 2 },

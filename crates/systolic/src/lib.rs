@@ -52,15 +52,17 @@
 //!   in which characters are compared one bit per beat, high-order bits
 //!   first, and comparison results trickle down a column of one-bit
 //!   comparators.
-//! * [`batch`] — the bit-plane batched engine: because the per-cell
-//!   state of the boolean matcher is one bit, 64 independent text
-//!   streams pack into the bit positions of a `u64` and advance together
-//!   with branch-free word operations — both through the unmodified
-//!   [`Driver`](engine::Driver) (via the [`LaneBoolean`](batch::LaneBoolean)
-//!   semantics) and through a stripped-down throughput engine.
-//! * [`superplane`] — the same engine widened to `[u64; W]` planes
-//!   (256 lanes at `W = 4`, 512 at `W = 8`), with runtime-dispatched
-//!   AVX2/AVX-512 kernel specialisations and a beat-accurate
+//! * [`batch`] — bit-plane batching: because the per-cell state of the
+//!   boolean matcher is one bit, 64 independent text streams pack into
+//!   the bit positions of a `u64` and advance together with branch-free
+//!   word operations through the unmodified [`Driver`](engine::Driver)
+//!   (via the [`LaneBoolean`](batch::LaneBoolean) semantics); also the
+//!   [`CompiledPattern`](batch::CompiledPattern) every batch kernel
+//!   consumes.
+//! * [`superplane`] — the throughput engine over `[u64; W]` planes
+//!   (64 lanes at `W = 1`, 256 at `W = 4`, 512 at `W = 8`): one
+//!   lane-packed batch kernel with runtime-dispatched AVX2/AVX-512
+//!   specialisations, and a beat-accurate
 //!   [`SuperplaneDriver`](superplane::SuperplaneDriver) telemetry twin.
 //! * [`schedule`] — the closed-form injection/meeting algebra of
 //!   §3.2.1, machine-checked against the simulator.
@@ -119,7 +121,7 @@ pub use error::Error;
 
 /// Convenient re-exports of the items most users need.
 pub mod prelude {
-    pub use crate::batch::{BatchMatcher, CompiledPattern, PlaneDriver};
+    pub use crate::batch::{CompiledPattern, PlaneDriver};
     pub use crate::bitserial::BitSerialMatcher;
     pub use crate::engine::{Driver, MatchBits};
     pub use crate::error::Error;

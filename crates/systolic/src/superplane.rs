@@ -8,9 +8,14 @@
 //! plane operation of the recurrence `t ← t ∧ (x ∨ d)` becomes `W`
 //! independent word operations — exactly the shape compilers
 //! auto-vectorise into 256-bit (`W = 4`) or 512-bit (`W = 8`) SIMD
-//! registers. `W = 1` is, definitionally, the existing `u64` engine:
-//! [`crate::batch`] calls the same `eq_superplane`/`step_superplanes`
-//! kernel with `W = 1`.
+//! registers. `W = 1` is the same kernel one word wide: 64 lanes.
+//!
+//! Every batch is lane-packed. [`match_lanes_wide`] takes one
+//! `(pattern, text)` job per lane, and consecutive lanes that share a
+//! compiled pattern are set up as one *run* — the planes of a run are
+//! ORed in through a lane-range mask, so a batch of one repeated
+//! pattern ([`SuperMatcher`]) sets up in O(k·W) and a batch of
+//! distinct patterns pays O(k) per lane.
 //!
 //! Three layers live here:
 //!
@@ -32,12 +37,12 @@
 //!   [`Driver`], with `run_with_sink` emitting occupancy-masked
 //!   popcounts summed across all `W` words.
 //!
-//! Why the transpose is strip-mined: profiling the `u64` engine shows
-//! the per-position text transpose (one branchy bit-scatter per lane
-//! per character) dominating the branch-free step. The wide runner
-//! instead processes text in blocks of 8 positions, gathering 8 bytes
-//! per lane with one load, extracting each alphabet bit across the
-//! block with a multiply-pack, and rotating 8×8 bit tiles with the
+//! Why the transpose is strip-mined: a per-position text transpose
+//! (one branchy bit-scatter per lane per character, as in figure E31's
+//! `u64` reference loop) dominates the branch-free step. The wide
+//! runner instead processes text in blocks of 8 positions, gathering 8
+//! bytes per lane with one load, extracting each alphabet bit across
+//! the block with a multiply-pack, and rotating 8×8 bit tiles with the
 //! classic XOR-delta transpose — amortising the transpose to a few
 //! word operations per character so the vectorised step actually shows
 //! up in the end-to-end rate (the ≥ 2× claim checked by figure E31).
@@ -60,7 +65,7 @@
 // features present. All data paths are safe code.
 #![allow(unsafe_code)]
 
-use crate::batch::CompiledPattern;
+use crate::batch::{check_lane_count, CompiledPattern};
 use crate::engine::{BeatExit, Driver, MatchBits};
 use crate::error::Error;
 use crate::semantics::MeetSemantics;
@@ -69,7 +74,7 @@ use crate::telemetry::{ClockPhase, TraceEvent, TraceSink};
 use std::sync::OnceLock;
 
 /// A superplane: `W` machine words holding one state bit for each of
-/// `W × 64` lanes. `Superplane<1>` is the plain `u64` plane of
+/// `W × 64` lanes. `Superplane<1>` is one `u64` plane, as in
 /// [`crate::batch`].
 pub type Superplane<const W: usize> = [u64; W];
 
@@ -219,8 +224,7 @@ pub(crate) fn step_superplanes<const W: usize>(
 
 /// Per-lane control superplanes for one batch of up to `W × 64` lanes:
 /// the merged compiled patterns plus the `λ` planes marking each lane's
-/// pattern end. The width-generic twin of the `u64` lane planes in
-/// [`crate::batch`], which is this structure at `W = 1`.
+/// pattern end.
 #[derive(Debug, Clone)]
 pub(crate) struct SuperPlanes<const W: usize> {
     /// Longest pattern across the lanes (`k+1` positions).
@@ -238,41 +242,14 @@ pub(crate) struct SuperPlanes<const W: usize> {
 }
 
 impl<const W: usize> SuperPlanes<W> {
-    /// All lanes share one pattern: planes are the broadcast compilation
-    /// splat across `W` words, so per-batch setup is O(k·W) regardless
-    /// of lane count.
-    pub(crate) fn uniform(compiled: &CompiledPattern) -> Self {
-        let k1 = compiled.len();
-        let mut end = vec![[0u64; W]; k1];
-        end[k1 - 1] = [!0u64; W];
-        SuperPlanes {
-            kmax: k1,
-            bits: compiled.pattern().alphabet().bits(),
-            wild: compiled.wild.iter().map(|&p| [p; W]).collect(),
-            pbits: compiled
-                .bits
-                .iter()
-                .map(|planes| {
-                    let mut sp = [[0u64; W]; MAX_BITS];
-                    for (b, &plane) in planes.iter().enumerate() {
-                        sp[b] = [plane; W];
-                    }
-                    sp
-                })
-                .collect(),
-            end,
-            end_positions: vec![k1 - 1],
-        }
-    }
-
-    /// Each lane carries its own pattern (lengths may differ).
-    pub(crate) fn merge(compiled: &[&CompiledPattern]) -> Result<Self, Error> {
-        if compiled.len() > lanes_of(W) {
-            return Err(Error::TooManyLanes {
-                lanes: compiled.len(),
-                capacity: lanes_of(W),
-            });
-        }
+    /// Lane `l` carries `compiled[l]` (lengths may differ). Consecutive
+    /// lanes sharing one compiled pattern (by address) form a *run*,
+    /// and each run ORs its broadcast planes through a lane-range mask
+    /// into only the words it spans — so a batch of one repeated
+    /// pattern costs O(k·W) to set up whatever its lane count, and a
+    /// run of one lane costs O(k).
+    pub(crate) fn merge(compiled: &[&CompiledPattern]) -> Self {
+        debug_assert!(compiled.len() <= lanes_of(W));
         let kmax = compiled.iter().map(|c| c.len()).max().unwrap_or(0);
         let bits = compiled
             .iter()
@@ -287,33 +264,51 @@ impl<const W: usize> SuperPlanes<W> {
             end: vec![[0u64; W]; kmax],
             end_positions: Vec::new(),
         };
-        for (l, c) in compiled.iter().enumerate() {
-            let (word, bit) = (l / 64, (l % 64) as u32);
-            let lane = 1u64 << bit;
-            for m in 0..c.len() {
-                if c.wild[m] != 0 {
-                    planes.wild[m][word] |= lane;
-                }
-                for b in 0..MAX_BITS {
-                    if c.bits[m][b] != 0 {
-                        planes.pbits[m][b][word] |= lane;
-                    }
-                }
-            }
-            planes.end[c.len() - 1][word] |= lane;
+        let mut l0 = 0;
+        while let Some(&c) = compiled.get(l0) {
+            let run = compiled[l0..]
+                .iter()
+                .take_while(|&&d| std::ptr::eq(d, c))
+                .count();
+            planes.or_run(c, l0, l0 + run);
+            l0 += run;
         }
         for (m, e) in planes.end.iter().enumerate() {
             if e.iter().any(|&w| w != 0) {
                 planes.end_positions.push(m);
             }
         }
-        Ok(planes)
+        planes
+    }
+
+    /// ORs `c`'s broadcast planes into lanes `l0..l1` (non-empty),
+    /// touching only the words that range spans and the bit planes of
+    /// `c`'s alphabet (the rest are zero).
+    fn or_run(&mut self, c: &CompiledPattern, l0: usize, l1: usize) {
+        let bits = c.pattern().alphabet().bits() as usize;
+        let words = l0 / 64..l1.div_ceil(64);
+        let mut mask = [0u64; W];
+        for w in words.clone() {
+            let lo = l0.saturating_sub(64 * w);
+            let hi = (l1 - 64 * w).min(64);
+            mask[w] = (!0u64 >> (64 - (hi - lo))) << lo;
+        }
+        for m in 0..c.len() {
+            for w in words.clone() {
+                self.wild[m][w] |= c.wild[m] & mask[w];
+                for (plane, &bit) in self.pbits[m].iter_mut().zip(&c.bits[m]).take(bits) {
+                    plane[w] |= bit & mask[w];
+                }
+            }
+        }
+        for w in words {
+            self.end[c.len() - 1][w] |= mask[w];
+        }
     }
 
     /// Runs the wide engine over per-lane texts through the dispatched
     /// kernel (see [`simd_level`]).
     pub(crate) fn run(&self, texts: &[&[Symbol]]) -> Vec<Vec<bool>> {
-        debug_assert!(texts.len() <= lanes_of(W));
         match simd_level() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: simd_level() returns Avx512 only after
@@ -384,6 +379,13 @@ fn run_wide_generic<const W: usize>(
     texts: &[&[Symbol]],
 ) -> Vec<Vec<bool>> {
     let lanes = texts.len();
+    // Callers pass 1..=W·64 lanes. Stating it here, inside the
+    // dispatched function, lets the compiler drop the per-word bounds
+    // checks in the gather and scatter loops below.
+    assert!(
+        (1..=lanes_of(W)).contains(&lanes),
+        "{lanes} lanes in a W={W} batch"
+    );
     let tmax = texts.iter().map(|t| t.len()).max().unwrap_or(0);
     let mut state = vec![[0u64; W]; planes.kmax];
     let mut out: Vec<Vec<bool>> = texts.iter().map(|t| vec![false; t.len()]).collect();
@@ -524,40 +526,11 @@ fn run_wide_generic<const W: usize>(
 // Public wide matchers.
 // ---------------------------------------------------------------------
 
-/// Matches one compiled pattern against up to `W × 64` texts in a
-/// single superplane batch. Width-generic twin of
-/// [`crate::batch::match_uniform`] (which is the `W = 1` engine).
-///
-/// # Errors
-///
-/// [`Error::TooManyLanes`] if more than `W × 64` texts are supplied.
-pub fn match_uniform_wide<const W: usize>(
-    compiled: &CompiledPattern,
-    texts: &[&[Symbol]],
-) -> Result<Vec<MatchBits>, Error> {
-    const { assert!(W >= 1 && W <= MAX_WIDTH) };
-    if texts.len() > lanes_of(W) {
-        return Err(Error::TooManyLanes {
-            lanes: texts.len(),
-            capacity: lanes_of(W),
-        });
-    }
-    if texts.is_empty() {
-        return Ok(Vec::new());
-    }
-    let planes = SuperPlanes::<W>::uniform(compiled);
-    let k = compiled.pattern().k();
-    Ok(planes
-        .run(texts)
-        .into_iter()
-        .map(|bits| MatchBits::new(bits, k))
-        .collect())
-}
-
 /// Matches up to `W × 64` independent `(pattern, text)` jobs in one
 /// superplane batch; every lane may carry a different pattern of a
-/// different length. Width-generic twin of
-/// [`crate::batch::match_lanes`].
+/// different length. This is the one batch kernel: a batch of one
+/// pattern passes the same `&CompiledPattern` in every lane, and runs
+/// of such lanes set up in O(k·W) (see [`SuperMatcher`]).
 ///
 /// # Errors
 ///
@@ -577,7 +550,7 @@ pub fn match_lanes_wide<const W: usize>(
     }
     let compiled: Vec<&CompiledPattern> = jobs.iter().map(|(c, _)| *c).collect();
     let texts: Vec<&[Symbol]> = jobs.iter().map(|(_, t)| *t).collect();
-    let planes = SuperPlanes::<W>::merge(&compiled)?;
+    let planes = SuperPlanes::<W>::merge(&compiled);
     Ok(planes
         .run(&texts)
         .into_iter()
@@ -588,9 +561,9 @@ pub fn match_lanes_wide<const W: usize>(
 
 /// The superplane throughput engine for one pattern: any number of
 /// independent text streams, processed `W × 64` per batch through the
-/// runtime-dispatched kernel. `SuperMatcher<1>` behaves exactly like
-/// [`BatchMatcher`](crate::batch::BatchMatcher); `W = 8` is the 512-lane
-/// engine figure E31 benchmarks.
+/// runtime-dispatched kernel. `SuperMatcher<1>` is the 64-lane,
+/// one-word engine; `W = 8` is the 512-lane engine figure E31
+/// benchmarks.
 #[derive(Debug, Clone)]
 pub struct SuperMatcher<const W: usize> {
     compiled: CompiledPattern,
@@ -636,9 +609,11 @@ impl<const W: usize> SuperMatcher<W> {
     /// Currently infallible; the `Result` mirrors the scalar matcher's
     /// API.
     pub fn match_streams(&self, texts: &[&[Symbol]]) -> Result<Vec<MatchBits>, Error> {
+        let jobs: Vec<(&CompiledPattern, &[Symbol])> =
+            texts.iter().map(|&t| (&self.compiled, t)).collect();
         let mut out = Vec::with_capacity(texts.len());
-        for chunk in texts.chunks(lanes_of(W)) {
-            out.extend(match_uniform_wide::<W>(&self.compiled, chunk)?);
+        for chunk in jobs.chunks(lanes_of(W)) {
+            out.extend(match_lanes_wide::<W>(chunk)?);
         }
         Ok(out)
     }
@@ -817,15 +792,10 @@ impl<const W: usize> SuperplaneDriver<W> {
     ///
     /// # Errors
     ///
-    /// [`Error::TooManyLanes`] if `texts.len()` differs from the lane
-    /// count the driver was built with.
+    /// [`Error::LaneCountMismatch`] unless there is exactly one text per
+    /// lane the driver was built with.
     pub fn run(&mut self, texts: &[&[Symbol]]) -> Result<Vec<MatchBits>, Error> {
-        if texts.len() != self.lanes {
-            return Err(Error::TooManyLanes {
-                lanes: texts.len(),
-                capacity: self.lanes,
-            });
-        }
+        check_lane_count(texts.len(), self.lanes)?;
         let stream = self.transpose(texts);
         let planes = self.driver.run(&stream);
         Ok(self.collect(texts, |i| planes[i].0))
@@ -848,12 +818,7 @@ impl<const W: usize> SuperplaneDriver<W> {
         texts: &[&[Symbol]],
         upsets: &[(usize, usize)],
     ) -> Result<Vec<MatchBits>, Error> {
-        if texts.len() != self.lanes {
-            return Err(Error::TooManyLanes {
-                lanes: texts.len(),
-                capacity: self.lanes,
-            });
-        }
+        check_lane_count(texts.len(), self.lanes)?;
         let stream = self.transpose(texts);
         let mut planes: Vec<Superplane<W>> =
             self.driver.run(&stream).into_iter().map(|p| p.0).collect();
@@ -885,12 +850,7 @@ impl<const W: usize> SuperplaneDriver<W> {
         texts: &[&[Symbol]],
         sink: &K,
     ) -> Result<Vec<MatchBits>, Error> {
-        if texts.len() != self.lanes {
-            return Err(Error::TooManyLanes {
-                lanes: texts.len(),
-                capacity: self.lanes,
-            });
-        }
+        check_lane_count(texts.len(), self.lanes)?;
         let stream = self.transpose(texts);
         self.driver.reset();
         // Per-position occupancy: lanes whose text still covers
@@ -1028,12 +988,124 @@ impl<const W: usize> SuperplaneDriver<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{match_lanes, match_uniform, BatchMatcher};
+    use crate::batch::LANES;
     use crate::spec::match_spec;
     use crate::symbol::text_from_letters;
 
     fn letters(s: &str) -> Vec<Symbol> {
         text_from_letters(s).unwrap()
+    }
+
+    /// One lane-packed batch with `c` in every lane.
+    fn repeated<'a>(
+        c: &'a CompiledPattern,
+        texts: &[&'a [Symbol]],
+    ) -> Vec<(&'a CompiledPattern, &'a [Symbol])> {
+        texts.iter().map(|&t| (c, t)).collect()
+    }
+
+    #[test]
+    fn figure_3_1_in_every_lane() {
+        let m = SuperMatcher::<1>::new(&Pattern::parse("AXC").unwrap());
+        let t = letters("ABCAACCAB");
+        let texts: Vec<&[Symbol]> = (0..LANES + 7).map(|_| t.as_slice()).collect();
+        let hits = m.match_streams(&texts).unwrap();
+        assert_eq!(hits.len(), LANES + 7);
+        for h in hits {
+            assert_eq!(h.ending_positions(), vec![2, 5, 6]);
+        }
+    }
+
+    #[test]
+    fn uniform_batch_matches_spec_on_distinct_texts() {
+        let p = Pattern::parse("ABXA").unwrap();
+        let m = SuperMatcher::<1>::new(&p);
+        let texts = [
+            letters("ABCABBAACBA"),
+            letters("ABBA"),
+            letters(""),
+            letters("A"),
+            letters("ABCAABBAABCAABBA"),
+        ];
+        let lanes: Vec<&[Symbol]> = texts.iter().map(|t| t.as_slice()).collect();
+        let hits = m.match_streams(&lanes).unwrap();
+        for (h, t) in hits.iter().zip(&texts) {
+            assert_eq!(h.bits(), match_spec(t, &p), "text {t:?}");
+        }
+    }
+
+    #[test]
+    fn literal_never_matches_a_symbol_outside_the_pattern_alphabet() {
+        // Pattern "AB" compiles to a 2-bit alphabet; E (100) and F
+        // (101) alias to A (00) and B (01) on the low planes. The
+        // kernel must widen the comparison for such positions rather
+        // than report "EF" as "AB" — regression for the dynamic-width
+        // fix in the W = 1 kernel.
+        let p = Pattern::parse("AB").unwrap();
+        let compiled = CompiledPattern::compile(&p);
+        let wide = letters("DEFGDEFGABDEFG");
+        let narrow = letters("ABAB");
+        let texts: Vec<&[Symbol]> = vec![&narrow, &wide];
+        let hits = match_lanes_wide::<1>(&repeated(&compiled, &texts)).unwrap();
+        assert_eq!(hits[0].bits(), match_spec(&narrow, &p));
+        assert_eq!(hits[1].bits(), match_spec(&wide, &p));
+        assert_eq!(hits[1].ending_positions(), vec![9]);
+        // Wild cards still match out-of-alphabet symbols.
+        let w = Pattern::parse("XB").unwrap();
+        let cw = CompiledPattern::compile(&w);
+        let hits = match_lanes_wide::<1>(&repeated(&cw, &[&wide])).unwrap();
+        assert_eq!(hits[0].bits(), match_spec(&wide, &w));
+    }
+
+    #[test]
+    fn mixed_lanes_with_ragged_pattern_lengths() {
+        let pats = [
+            Pattern::parse("A").unwrap(),
+            Pattern::parse("AXC").unwrap(),
+            Pattern::parse("BBBBB").unwrap(),
+            Pattern::parse("XX").unwrap(),
+        ];
+        let compiled: Vec<CompiledPattern> = pats.iter().map(CompiledPattern::compile).collect();
+        let text = letters("ABCAACCABBBBBAB");
+        let jobs: Vec<(&CompiledPattern, &[Symbol])> =
+            compiled.iter().map(|c| (c, text.as_slice())).collect();
+        let hits = match_lanes_wide::<1>(&jobs).unwrap();
+        for (h, p) in hits.iter().zip(&pats) {
+            assert_eq!(h.bits(), match_spec(&text, p), "pattern {p}");
+        }
+    }
+
+    #[test]
+    fn lane_limits_are_enforced() {
+        let p = Pattern::parse("AB").unwrap();
+        let c = CompiledPattern::compile(&p);
+        let t = letters("AB");
+        let too_many: Vec<&[Symbol]> = (0..LANES + 1).map(|_| t.as_slice()).collect();
+        assert!(matches!(
+            match_lanes_wide::<1>(&repeated(&c, &too_many)),
+            Err(Error::TooManyLanes {
+                lanes: 65,
+                capacity: 64
+            })
+        ));
+        assert!(SuperMatcher::<1>::from_compiled(c)
+            .match_streams(&[])
+            .unwrap()
+            .is_empty());
+        assert!(match_lanes_wide::<1>(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn eight_bit_alphabet_lanes() {
+        use crate::symbol::Alphabet;
+        let p = Pattern::from_bytes(b"ab*a", Some(b'*'), Alphabet::EIGHT_BIT).unwrap();
+        let m = SuperMatcher::<1>::new(&p);
+        let t1: Vec<Symbol> = b"abba abca".iter().map(|&b| Symbol::new(b)).collect();
+        let t2: Vec<Symbol> = b"xyz".iter().map(|&b| Symbol::new(b)).collect();
+        let hits = m.match_streams(&[&t1, &t2]).unwrap();
+        assert_eq!(hits[0].bits(), match_spec(&t1, &p));
+        assert_eq!(hits[1].bits(), match_spec(&t2, &p));
+        assert_eq!(hits[0].ending_positions(), vec![3, 8]);
     }
 
     #[test]
@@ -1078,7 +1150,7 @@ mod tests {
         // run_wide_generic. Mixing in-alphabet and wide lanes in the
         // same tile exercises the per-group widening.
         let p = Pattern::parse("AB").unwrap();
-        let compiled = crate::batch::CompiledPattern::compile(&p);
+        let compiled = CompiledPattern::compile(&p);
         let wide = letters("DEFGDEFGABDEFG");
         let narrow = letters("ABAB");
         let lanes: Vec<&[Symbol]> = (0..lanes_of(4) - 7)
@@ -1090,18 +1162,18 @@ mod tests {
                 }
             })
             .collect();
-        let hits = match_uniform_wide::<4>(&compiled, &lanes).unwrap();
+        let hits = match_lanes_wide::<4>(&repeated(&compiled, &lanes)).unwrap();
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.bits(), match_spec(lanes[i], &p), "lane {i}");
         }
-        let hits = match_uniform_wide::<8>(&compiled, &lanes).unwrap();
+        let hits = match_lanes_wide::<8>(&repeated(&compiled, &lanes)).unwrap();
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.bits(), match_spec(lanes[i], &p), "lane {i}");
         }
     }
 
     #[test]
-    fn wide_uniform_agrees_with_u64_engine_and_spec_on_ragged_texts() {
+    fn uniform_widths_agree_with_each_other_and_spec_on_ragged_texts() {
         let p = Pattern::parse("ABXA").unwrap();
         let texts: Vec<Vec<Symbol>> = [
             "ABCABBAACBA",
@@ -1122,7 +1194,7 @@ mod tests {
             .take(3 * 64 + 17)
             .map(|t| t.as_slice())
             .collect();
-        let narrow = BatchMatcher::new(&p).match_streams(&lanes).unwrap();
+        let narrow = SuperMatcher::<1>::new(&p).match_streams(&lanes).unwrap();
         let wide4 = SuperMatcher::<4>::new(&p).match_streams(&lanes).unwrap();
         let wide8 = SuperMatcher::<8>::new(&p).match_streams(&lanes).unwrap();
         for (((n, w4), w8), t) in narrow.iter().zip(&wide4).zip(&wide8).zip(lanes.iter()) {
@@ -1133,7 +1205,7 @@ mod tests {
     }
 
     #[test]
-    fn wide_mixed_lanes_agree_with_u64_engine() {
+    fn wide_mixed_lanes_agree_with_w1() {
         let pats = [
             Pattern::parse("A").unwrap(),
             Pattern::parse("AXC").unwrap(),
@@ -1150,7 +1222,7 @@ mod tests {
             .collect();
         let wide = match_lanes_wide::<2>(&jobs).unwrap();
         for (chunk, hits) in jobs.chunks(64).zip(wide.chunks(64)) {
-            let narrow = match_lanes(chunk).unwrap();
+            let narrow = match_lanes_wide::<1>(chunk).unwrap();
             assert_eq!(narrow, hits);
         }
         for ((c, t), h) in jobs.iter().zip(&wide) {
@@ -1165,27 +1237,32 @@ mod tests {
         let t = letters("AB");
         let too_many: Vec<&[Symbol]> = (0..lanes_of(2) + 1).map(|_| t.as_slice()).collect();
         assert!(matches!(
-            match_uniform_wide::<2>(&c, &too_many),
+            match_lanes_wide::<2>(&repeated(&c, &too_many)),
             Err(Error::TooManyLanes {
                 lanes: 129,
                 capacity: 128
             })
         ));
-        assert!(match_uniform_wide::<2>(&c, &[]).unwrap().is_empty());
         assert!(match_lanes_wide::<2>(&[]).unwrap().is_empty());
     }
 
     #[test]
-    fn wide_matches_narrow_uniform_exactly_at_w1() {
+    fn one_run_equals_one_run_per_lane_at_w1() {
+        // One shared compilation merges as a single run; a fresh
+        // compilation per lane (value-equal, distinct addresses) merges
+        // as 64 one-lane runs. The planes, and so the results, agree.
         let p = Pattern::parse("CXXA").unwrap();
         let texts: Vec<Vec<Symbol>> = (0..64)
             .map(|i| letters(&"CABACCAABCA".repeat(1 + i % 3)))
             .collect();
         let lanes: Vec<&[Symbol]> = texts.iter().map(|t| t.as_slice()).collect();
         let c = CompiledPattern::compile(&p);
+        let each: Vec<CompiledPattern> = lanes.iter().map(|_| c.clone()).collect();
+        let per_lane: Vec<(&CompiledPattern, &[Symbol])> =
+            each.iter().zip(&lanes).map(|(c, &t)| (c, t)).collect();
         assert_eq!(
-            match_uniform(&c, &lanes).unwrap(),
-            match_uniform_wide::<1>(&c, &lanes).unwrap()
+            match_lanes_wide::<1>(&repeated(&c, &lanes)).unwrap(),
+            match_lanes_wide::<1>(&per_lane).unwrap()
         );
     }
 
@@ -1249,6 +1326,24 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::TextInjected { .. }))
             .count();
         assert_eq!(injected, 9); // tmax text positions
+    }
+
+    #[test]
+    fn superplane_driver_rejects_a_wrong_text_count() {
+        use crate::telemetry::NullSink;
+        let pats: Vec<Pattern> = (0..70).map(|_| Pattern::parse("AXC").unwrap()).collect();
+        let t = letters("ABCAACCAB");
+        let mut d = SuperplaneDriver::<2>::new(&pats).unwrap();
+        for n in [69, 71] {
+            let texts: Vec<&[Symbol]> = (0..n).map(|_| t.as_slice()).collect();
+            let want = Error::LaneCountMismatch {
+                lanes: n,
+                expected: 70,
+            };
+            assert_eq!(d.run(&texts), Err(want.clone()));
+            assert_eq!(d.run_with_upsets(&texts, &[]), Err(want.clone()));
+            assert_eq!(d.run_with_sink(&texts, &NullSink), Err(want));
+        }
     }
 
     #[test]

@@ -105,6 +105,59 @@ fn wide_lane_workload() -> impl Strategy<Value = (u32, Vec<Option<u8>>, Vec<Vec<
     })
 }
 
+/// How one segment of a run-merge batch shares its compiled pattern.
+#[derive(Debug, Clone, Copy)]
+enum Share {
+    /// Every lane borrows one compilation: a single run.
+    Run,
+    /// Every lane gets its own, value-equal compilation: one run each.
+    ValueEqual,
+}
+
+/// A run-merge batch: an alphabet width; `lead` single lanes (one-lane
+/// runs) of one pattern, then a run of `span` lanes of another, placed
+/// so that it often straddles a 64-lane word boundary (lanes 60..70,
+/// say); then more segments, some of a single lane; and a pool of
+/// ragged texts, cycled over the lanes, that mixes in out-of-alphabet
+/// symbols.
+type RunJobs = (
+    u32,
+    (Vec<Option<u8>>, usize),
+    (Vec<Option<u8>>, usize),
+    Vec<(Share, Vec<Option<u8>>, usize)>,
+    Vec<Vec<u8>>,
+);
+
+fn run_workload() -> impl Strategy<Value = RunJobs> {
+    (1u32..=4).prop_flat_map(|bits| {
+        let max = (1u16 << bits) as u8 - 1;
+        let pattern = || {
+            let pat_sym = prop_oneof![
+                3 => (0..=max).prop_map(Some),
+                1 => Just(None), // wild card
+            ];
+            proptest::collection::vec(pat_sym, 1..=9)
+        };
+        let share = prop_oneof![Just(Share::Run), Just(Share::ValueEqual)];
+        let text_sym = prop_oneof![6 => 0..=max, 1 => any::<u8>()];
+        (
+            Just(bits),
+            (pattern(), 0usize..64),
+            (pattern(), 2usize..=80),
+            proptest::collection::vec((share, pattern(), 1usize..=40), 0..=6),
+            proptest::collection::vec(proptest::collection::vec(text_sym, 0..=24), 1..=40),
+        )
+    })
+}
+
+/// Runs `jobs` through the lane-packed kernel at width `W`, one
+/// `W × 64`-lane batch at a time.
+fn lanes_at<const W: usize>(jobs: &[(&CompiledPattern, &[Symbol])]) -> Vec<MatchBits> {
+    jobs.chunks(64 * W)
+        .flat_map(|chunk| pm_systolic::superplane::match_lanes_wide::<W>(chunk).unwrap())
+        .collect()
+}
+
 fn build(bits: u32, pat: &[Option<u8>]) -> Pattern {
     let alphabet = Alphabet::new(bits).unwrap();
     let syms: Vec<PatSym> = pat
@@ -198,7 +251,7 @@ proptest! {
             .map(|t| t.iter().map(|&b| Symbol::new(b)).collect())
             .collect();
         let refs: Vec<&[Symbol]> = lanes.iter().map(|t| t.as_slice()).collect();
-        let got = BatchMatcher::new(&pattern).match_streams(&refs).unwrap();
+        let got = SuperMatcher::<1>::new(&pattern).match_streams(&refs).unwrap();
         prop_assert_eq!(got.len(), lanes.len());
         for (t, hits) in lanes.iter().zip(&got) {
             prop_assert_eq!(hits.bits(), match_spec(t, &pattern));
@@ -217,7 +270,7 @@ proptest! {
             .collect();
         let lanes: Vec<(&CompiledPattern, &[Symbol])> =
             compiled.iter().map(|(c, t)| (c, t.as_slice())).collect();
-        let got = pm_systolic::batch::match_lanes(&lanes).unwrap();
+        let got = pm_systolic::superplane::match_lanes_wide::<1>(&lanes).unwrap();
         prop_assert_eq!(got.len(), compiled.len());
         for ((c, t), hits) in compiled.iter().zip(&got) {
             prop_assert_eq!(hits.bits(), match_spec(t, c.pattern()));
@@ -241,7 +294,7 @@ proptest! {
     }
 
     #[test]
-    fn superplane_uniform_equals_u64_engine_and_spec(
+    fn superplane_uniform_widths_agree_with_spec(
         (bits, pat, texts) in wide_lane_workload()
     ) {
         let pattern = build(bits, &pat);
@@ -250,21 +303,21 @@ proptest! {
             .map(|t| t.iter().map(|&b| Symbol::new(b)).collect())
             .collect();
         let refs: Vec<&[Symbol]> = lanes.iter().map(|t| t.as_slice()).collect();
-        let narrow = BatchMatcher::new(&pattern).match_streams(&refs).unwrap();
+        let narrow = SuperMatcher::<1>::new(&pattern).match_streams(&refs).unwrap();
         let w4 = SuperMatcher::<4>::new(&pattern).match_streams(&refs).unwrap();
         let w8 = SuperMatcher::<8>::new(&pattern).match_streams(&refs).unwrap();
         prop_assert_eq!(w4.len(), lanes.len());
         prop_assert_eq!(w8.len(), lanes.len());
         for (((t, n), h4), h8) in lanes.iter().zip(&narrow).zip(&w4).zip(&w8) {
             let spec = match_spec(t, &pattern);
-            prop_assert_eq!(n.bits(), spec.clone(), "u64 engine vs spec");
+            prop_assert_eq!(n.bits(), spec.clone(), "W=1 superplane vs spec");
             prop_assert_eq!(h4.bits(), spec.clone(), "W=4 superplane vs spec");
             prop_assert_eq!(h8.bits(), spec, "W=8 superplane vs spec");
         }
     }
 
     #[test]
-    fn superplane_mixed_lanes_equal_u64_engine_and_spec(
+    fn superplane_mixed_lane_widths_agree_with_spec(
         (bits, jobs) in mixed_lane_workload()
     ) {
         let compiled: Vec<(CompiledPattern, Vec<Symbol>)> = jobs
@@ -277,17 +330,61 @@ proptest! {
             .collect();
         let lanes: Vec<(&CompiledPattern, &[Symbol])> =
             compiled.iter().map(|(c, t)| (c, t.as_slice())).collect();
-        let narrow: Vec<MatchBits> = lanes
-            .chunks(pm_systolic::batch::LANES)
-            .map(|chunk| pm_systolic::batch::match_lanes(chunk).unwrap())
-            .collect::<Vec<_>>()
-            .concat();
-        let wide = pm_systolic::superplane::match_lanes_wide::<4>(&lanes).unwrap();
-        prop_assert_eq!(wide.len(), compiled.len());
-        for (((c, t), n), h) in compiled.iter().zip(&narrow).zip(&wide) {
+        let narrow = lanes_at::<1>(&lanes);
+        let w4 = lanes_at::<4>(&lanes);
+        let w8 = lanes_at::<8>(&lanes);
+        prop_assert_eq!(w4.len(), compiled.len());
+        prop_assert_eq!(w8.len(), compiled.len());
+        for ((((c, t), n), h4), h8) in compiled.iter().zip(&narrow).zip(&w4).zip(&w8) {
             let spec = match_spec(t, c.pattern());
-            prop_assert_eq!(n.bits(), spec.clone(), "u64 engine vs spec");
-            prop_assert_eq!(h.bits(), spec, "W=4 superplane vs spec");
+            prop_assert_eq!(n.bits(), spec.clone(), "W=1 superplane vs spec");
+            prop_assert_eq!(h4.bits(), spec.clone(), "W=4 superplane vs spec");
+            prop_assert_eq!(h8.bits(), spec, "W=8 superplane vs spec");
+        }
+    }
+
+    #[test]
+    fn run_merged_planes_equal_spec_at_every_width(
+        (bits, (lead_pat, lead), (span_pat, span), segments, pool) in run_workload()
+    ) {
+        // Storage first, then each lane's index into it: lanes of one
+        // Run borrow one compilation, every other lane its own.
+        let mut store: Vec<CompiledPattern> = Vec::new();
+        let mut lane_of: Vec<usize> = Vec::new();
+        let mut push = |pat: &[Option<u8>], count: usize, share: Share| {
+            let compiled = CompiledPattern::compile(&build(bits, pat));
+            match share {
+                Share::Run => {
+                    store.push(compiled);
+                    lane_of.extend(std::iter::repeat_n(store.len() - 1, count));
+                }
+                Share::ValueEqual => {
+                    for _ in 0..count {
+                        store.push(compiled.clone());
+                        lane_of.push(store.len() - 1);
+                    }
+                }
+            }
+        };
+        push(&lead_pat, lead, Share::ValueEqual);
+        push(&span_pat, span, Share::Run);
+        for (share, pat, count) in &segments {
+            push(pat, *count, *share);
+        }
+        let texts: Vec<Vec<Symbol>> = pool
+            .iter()
+            .map(|t| t.iter().map(|&b| Symbol::new(b)).collect())
+            .collect();
+        let jobs: Vec<(&CompiledPattern, &[Symbol])> = lane_of
+            .iter()
+            .enumerate()
+            .map(|(l, &ix)| (&store[ix], texts[l % texts.len()].as_slice()))
+            .collect();
+        for (w, hits) in [(1, lanes_at::<1>(&jobs)), (4, lanes_at::<4>(&jobs)), (8, lanes_at::<8>(&jobs))] {
+            prop_assert_eq!(hits.len(), jobs.len());
+            for (l, ((c, t), h)) in jobs.iter().zip(&hits).enumerate() {
+                prop_assert_eq!(h.bits(), match_spec(t, c.pattern()), "W={} lane {}", w, l);
+            }
         }
     }
 

@@ -4,7 +4,7 @@
 //! golden-testing discipline the single-stream engines follow.
 
 use systolic_pm::chip::throughput::{Job, ThroughputEngine};
-use systolic_pm::systolic::batch::{BatchMatcher, LANES};
+use systolic_pm::systolic::batch::LANES;
 use systolic_pm::systolic::prelude::*;
 
 /// A deterministic mixed workload: three patterns (one with wild
@@ -85,7 +85,9 @@ fn batch_matcher_agrees_across_the_word_boundary() {
     let jobs = jobs();
     let pattern = &jobs[0].pattern;
     let texts: Vec<&[Symbol]> = jobs.iter().map(|j| j.text.as_slice()).collect();
-    let hits = BatchMatcher::new(pattern).match_streams(&texts).unwrap();
+    let hits = SuperMatcher::<1>::new(pattern)
+        .match_streams(&texts)
+        .unwrap();
     for (job, h) in jobs.iter().zip(&hits) {
         assert_eq!(h.bits(), match_spec(&job.text, pattern));
     }
