@@ -17,8 +17,8 @@
 //!   compiled pattern dictionaries, sessions clone per-stream matchers
 //!   from them, and every `FEED` chunk leases batch-slot bytes from a
 //!   global [`SlotPool`](pm_chip::shard::SlotPool).
-//! - [`server`] — acceptor plus worker threads; [`MatchServer`] is
-//!   the handle.
+//! - [`server`] — acceptor plus worker threads, each parked in one
+//!   `poll(2)` readiness wait; [`MatchServer`] is the handle.
 //! - [`client`] — a blocking [`MatchClient`] honouring `SERVER_BUSY`
 //!   retry hints.
 //! - [`config`] — [`ServeConfig`]: caps, budgets and the
@@ -54,7 +54,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// Deny rather than forbid: the one sanctioned exception is
+// `server::readiness`, the foreign `poll(2)` call the acceptor and the
+// workers park in. Its `#[allow]` is scoped to that function, and its
+// `// SAFETY:` comment is machine-checked (clippy's
+// `undocumented_unsafe_blocks`). Every other line of the crate,
+// protocol parsing included, is safe code.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -1,13 +1,30 @@
 //! The TCP front door: acceptor plus thread-per-core workers.
 //!
-//! `std::net` only (the workspace is offline): the listener and every
-//! accepted socket run nonblocking, and each worker thread multiplexes
-//! its share of connections with a read → decode → handle → flush loop
-//! — the same discipline as the scheduler's work loop, applied to
-//! sockets. Thousands of sessions ride on far fewer connections (the
-//! protocol multiplexes sessions within a connection), so a handful of
-//! workers saturates the matcher long before the poll loop is the
-//! bottleneck; the paper's §5 argument, host-side.
+//! `std::net` only (the workspace is offline). The listener and every
+//! accepted socket run nonblocking, and every thread parks in one
+//! readiness wait — `poll(2)` over its sockets plus a *wake fd* — so it
+//! runs exactly when a byte can move, a socket is handed over, an idle
+//! deadline falls due or shutdown is signalled: like the array's cells,
+//! it acts on the beat its data arrives, never on a timer. Each
+//! wake-up of a worker is one read → decode → handle → flush pass over
+//! the connections it owns — the same discipline as the scheduler's
+//! work loop, applied to sockets. Thousands of sessions ride on far
+//! fewer connections (the protocol multiplexes sessions within a
+//! connection), so a handful of workers saturates the matcher long
+//! before the poll set is the bottleneck; the paper's §5 argument,
+//! host-side.
+//!
+//! A wake fd is the read end of a `UnixStream::pair()`. The acceptor
+//! writes one byte to a worker's after sending it a socket, and
+//! [`MatchServer::shutdown`] writes to every one after setting `stop`.
+//! Each thread drains its wake fd *before* it checks its channel and
+//! `stop`, so a wake-up posted after the drain stays unread and ends
+//! the next wait at once: none is lost. A worker waits for `POLLIN` on
+//! every connection and for `POLLOUT` only on those with a backlogged
+//! outbox; its timeout is the nearest idle-watchdog deadline, or
+//! infinite with the watchdog off. `poll` is declared through
+//! `extern "C"` (std already links libc on Linux), and calling it in
+//! `readiness` is the crate's only `unsafe`.
 //!
 //! Lifecycle: [`MatchServer::start`] binds and spawns, `local_addr`
 //! tells tests the ephemeral port, [`MatchServer::shutdown`] stops the
@@ -21,25 +38,34 @@ use crate::session::{Conn, Shared};
 use pm_chip::telemetry::MetricsRegistry;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long the acceptor and idle workers nap between polls.
-const IDLE_NAP: Duration = Duration::from_micros(200);
-
 /// Read buffer per poll per connection.
 const READ_BUF: usize = 64 << 10;
 
-/// A running front door. Dropping without [`shutdown`](Self::shutdown)
-/// detaches the threads (tests should shut down explicitly).
+/// How long the acceptor waits (on its wake fd alone) after an
+/// `accept` error other than `WouldBlock`, such as `EMFILE`: the
+/// listener stays readable, so waiting on it would spin.
+const ACCEPT_RETRY: Duration = Duration::from_millis(1);
+
+/// A running front door. Dropping it without
+/// [`shutdown`](Self::shutdown) closes the wake fds, so the threads
+/// still stop, but nobody joins them (tests should shut down
+/// explicitly).
 #[derive(Debug)]
 pub struct MatchServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     stop: Arc<AtomicBool>,
+    /// Write ends of the acceptor's and every worker's wake fd.
+    wakers: Vec<UnixStream>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -62,7 +88,7 @@ impl MatchServer {
     ///
     /// # Errors
     ///
-    /// Any socket error from binding.
+    /// Any socket error from binding or from creating the wake fds.
     pub fn start(config: ServeConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(config.addr)?;
         listener.set_nonblocking(true)?;
@@ -72,48 +98,38 @@ impl MatchServer {
         let stop = Arc::new(AtomicBool::new(false));
 
         let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers_n);
+        let mut wakers = Vec::with_capacity(workers_n + 1);
+        let mut worker_wakers = Vec::with_capacity(workers_n);
         let mut workers = Vec::with_capacity(workers_n);
         for w in 0..workers_n {
             let (tx, rx) = channel::<TcpStream>();
+            let (waker, wake) = wake_pair()?;
             senders.push(tx);
+            worker_wakers.push(waker.try_clone()?);
+            wakers.push(waker);
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("pm-serve-worker-{w}"))
-                    .spawn(move || worker_loop(rx, shared, stop))
+                    .spawn(move || worker_loop(rx, wake, shared, stop))
                     .expect("spawn worker"),
             );
         }
 
+        let (waker, wake) = wake_pair()?;
+        wakers.push(waker);
         let stop_acceptor = Arc::clone(&stop);
         let acceptor = std::thread::Builder::new()
             .name("pm-serve-acceptor".into())
-            .spawn(move || {
-                let mut next = 0usize;
-                while !stop_acceptor.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            if stream.set_nonblocking(true).is_ok()
-                                && senders[next % senders.len()].send(stream).is_err()
-                            {
-                                return; // workers gone: shutting down
-                            }
-                            next = next.wrapping_add(1);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(IDLE_NAP);
-                        }
-                        Err(_) => std::thread::sleep(IDLE_NAP),
-                    }
-                }
-            })
+            .spawn(move || accept_loop(listener, wake, senders, worker_wakers, stop_acceptor))
             .expect("spawn acceptor");
 
         Ok(MatchServer {
             addr,
             shared,
             stop,
+            wakers,
             acceptor: Some(acceptor),
             workers,
         })
@@ -136,7 +152,12 @@ impl MatchServer {
 
     /// Stops accepting, drains the workers and joins every thread.
     pub fn shutdown(mut self) {
+        // Release pairs with the Acquire load each thread makes after
+        // draining the wake-up posted below.
         self.stop.store(true, Ordering::Release);
+        for waker in &self.wakers {
+            post_wake(waker);
+        }
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
@@ -146,16 +167,92 @@ impl MatchServer {
     }
 }
 
+/// A fresh wake fd: `(write end, read end)`, both nonblocking.
+fn wake_pair() -> io::Result<(UnixStream, UnixStream)> {
+    let (waker, wake) = UnixStream::pair()?;
+    waker.set_nonblocking(true)?;
+    wake.set_nonblocking(true)?;
+    Ok((waker, wake))
+}
+
+/// Posts one wake-up. `WouldBlock` means the buffer already holds
+/// unread wake-ups, and any other error means the reader is gone, so
+/// the result carries nothing to act on.
+fn post_wake(mut waker: &UnixStream) {
+    let _ = waker.write(&[1]);
+}
+
+/// Consumes every pending wake-up. Returns `false` once all write ends
+/// are closed — the [`MatchServer`] was dropped without a shutdown —
+/// which the thread takes as its signal to stop.
+fn drain_wakes(mut wake: &UnixStream) -> bool {
+    let mut buf = [0u8; 64];
+    loop {
+        match wake.read(&mut buf) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return true, // WouldBlock: drained
+        }
+    }
+}
+
+/// The acceptor: deal accepted sockets round-robin to the workers,
+/// waking the receiving one, then wait on the listener and the wake fd.
+fn accept_loop(
+    listener: TcpListener,
+    wake: UnixStream,
+    senders: Vec<Sender<TcpStream>>,
+    worker_wakers: Vec<UnixStream>,
+    stop: Arc<AtomicBool>,
+) {
+    let mut fds = [PollFd::new(&wake, POLLIN), PollFd::new(&listener, POLLIN)];
+    let mut next = 0usize;
+    while drain_wakes(&wake) && !stop.load(Ordering::Acquire) {
+        let mut watched = fds.len();
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    let w = next % senders.len();
+                    next = next.wrapping_add(1);
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    if senders[w].send(stream).is_err() {
+                        return; // workers gone: shutting down
+                    }
+                    post_wake(&worker_wakers[w]);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    watched = 1; // the wake fd alone, for ACCEPT_RETRY
+                    break;
+                }
+            }
+        }
+        readiness(&mut fds[..watched], (watched == 1).then_some(ACCEPT_RETRY));
+    }
+}
+
 /// One worker: adopt incoming sockets, then multiplex reads, protocol
-/// handling and writes across every connection it owns.
-fn worker_loop(rx: Receiver<TcpStream>, shared: Arc<Shared>, stop: Arc<AtomicBool>) {
+/// handling and writes across every connection it owns, parking in
+/// [`readiness`] between passes.
+fn worker_loop(
+    rx: Receiver<TcpStream>,
+    wake: UnixStream,
+    shared: Arc<Shared>,
+    stop: Arc<AtomicBool>,
+) {
     let idle_timeout = match shared.config.idle_timeout_ms {
         0 => None,
         ms => Some(Duration::from_millis(ms)),
     };
     let mut wires: Vec<Wire> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut buf = vec![0u8; READ_BUF];
-    loop {
+    // Drain before `try_recv` and `stop`: see the module docs.
+    while drain_wakes(&wake) {
         // Adopt new connections.
         loop {
             match rx.try_recv() {
@@ -180,30 +277,87 @@ fn worker_loop(rx: Receiver<TcpStream>, shared: Arc<Shared>, stop: Arc<AtomicBoo
             return; // drop wires: Conn::drop releases their sessions
         }
 
-        let mut progressed = false;
+        let now = Instant::now();
+        let mut deadline: Option<Instant> = None;
         for wire in &mut wires {
-            progressed |= wire.poll(&mut buf);
-            if let Some(timeout) = idle_timeout {
-                if !wire.closing && wire.last_activity.elapsed() > timeout {
+            wire.poll(&mut buf);
+            if let (Some(timeout), false) = (idle_timeout, wire.closing) {
+                let due = wire.last_activity + timeout;
+                if due <= now {
                     // Stall watchdog: the peer has gone quiet.
                     wire.closing = true;
+                } else {
+                    deadline = Some(deadline.map_or(due, |d| d.min(due)));
                 }
             }
         }
         wires.retain(|w| !(w.closing && w.outbox.is_empty()));
-        if !progressed {
-            std::thread::sleep(IDLE_NAP);
+
+        fds.clear();
+        fds.push(PollFd::new(&wake, POLLIN));
+        fds.extend(wires.iter().map(|w| {
+            let events = if w.outbox.is_empty() {
+                POLLIN
+            } else {
+                POLLIN | POLLOUT
+            };
+            PollFd::new(&w.stream, events)
+        }));
+        readiness(
+            &mut fds,
+            deadline.map(|d| d.saturating_duration_since(Instant::now())),
+        );
+    }
+}
+
+/// `POLLIN` from `<poll.h>`: data (or a hangup) to read.
+const POLLIN: c_short = 0x001;
+/// `POLLOUT` from `<poll.h>`: room to write.
+const POLLOUT: c_short = 0x004;
+
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+impl PollFd {
+    fn new(fd: &impl AsRawFd, events: c_short) -> Self {
+        PollFd {
+            fd: fd.as_raw_fd(),
+            events,
+            revents: 0,
         }
     }
 }
 
+/// Blocks until some entry of `fds` is ready for its `events` (or has
+/// hung up or failed), or until `timeout` — rounded up to whole
+/// milliseconds, `None` for ever — has passed. A failed call (`EINTR`)
+/// returns early too: every caller re-checks all its sources after a
+/// wake-up, so a spurious one costs a single pass.
+#[allow(unsafe_code)]
+fn readiness(fds: &mut [PollFd], timeout: Option<Duration>) {
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+    let ms = timeout.map_or(-1, |t| {
+        c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+    });
+    // SAFETY: `PollFd` is `#[repr(C)]` with the fields of `struct
+    // pollfd` in order and at their C types, and the pointer and length
+    // come from a live, exclusively borrowed slice, so `poll` reads and
+    // writes (only `revents`) inside it and keeps no pointer after it
+    // returns. A closed or invalid fd is reported in `revents`, not UB.
+    unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+}
+
 impl Wire {
     /// One multiplexer turn: read what's there, handle complete
-    /// frames, flush what the socket will take. Returns whether any
-    /// byte moved (the worker sleeps only when nothing does).
-    fn poll(&mut self, buf: &mut [u8]) -> bool {
-        let mut progressed = false;
-
+    /// frames, flush what the socket will take.
+    fn poll(&mut self, buf: &mut [u8]) {
         // Read until the socket runs dry (or errors/hangs up).
         loop {
             match self.stream.read(buf) {
@@ -213,7 +367,6 @@ impl Wire {
                     break;
                 }
                 Ok(n) => {
-                    progressed = true;
                     self.last_activity = Instant::now();
                     self.decoder.push(&buf[..n]);
                 }
@@ -263,7 +416,6 @@ impl Wire {
                     break;
                 }
                 Ok(n) => {
-                    progressed = true;
                     self.outbox.drain(..n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -275,7 +427,6 @@ impl Wire {
                 }
             }
         }
-        progressed
     }
 }
 
@@ -338,6 +489,123 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(server.open_sessions(), 0, "idle session never reaped");
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_parked_workers() {
+        let server = MatchServer::start(ServeConfig {
+            idle_timeout_ms: 0, // no watchdog deadline: workers wait forever
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut client = MatchClient::connect(server.local_addr()).unwrap();
+        // One round trip proves a worker adopted the socket; it is
+        // parked on it now.
+        let _session = client.open_session().unwrap();
+        let (done_tx, done_rx) = channel();
+        let stopper = std::thread::spawn(move || {
+            server.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "shutdown left a thread parked"
+        );
+        stopper.join().unwrap();
+    }
+
+    #[test]
+    fn backlogged_outbox_drains_on_pollout() {
+        use crate::protocol::{read_frame, write_frame, PROTOCOL_VERSION};
+        const FEEDS: usize = 96;
+        const CHUNK: usize = 16 << 10;
+        // About 9 response bytes per text byte: far more than the
+        // socket buffers hold while the client is not reading, so the
+        // worker's outbox backs up and only POLLOUT can drain it.
+        let patterns: [&[u8]; 2] = [b"a", b"ab"];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let text: Vec<u8> = (0..FEEDS * CHUNK)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                if state & 1 == 0 {
+                    b'a'
+                } else {
+                    b'b'
+                }
+            })
+            .collect();
+        let mut oracle = Vec::new();
+        for end in 0..text.len() {
+            for (id, p) in patterns.iter().enumerate() {
+                if end + 1 >= p.len() && text[end + 1 - p.len()..=end] == **p {
+                    oracle.push(Match {
+                        pattern: id as u32,
+                        end: end as u64,
+                    });
+                }
+            }
+        }
+
+        let server = MatchServer::start(ServeConfig::default()).unwrap();
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        // A lost POLLOUT wake-up would stall the drain: fail, not hang.
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut request = |frame: Frame| {
+            write_frame(&mut raw, &frame).unwrap();
+            read_frame(&mut raw).unwrap()
+        };
+        let hello = request(Frame::Hello {
+            version: PROTOCOL_VERSION,
+        });
+        assert!(matches!(hello, Frame::HelloOk { .. }), "{hello:?}");
+        for (id, p) in patterns.iter().enumerate() {
+            let added = request(Frame::AddPattern {
+                wild: None,
+                bytes: p.to_vec(),
+            });
+            assert_eq!(added, Frame::PatternAdded { id: id as u32 });
+        }
+        let Frame::SessionOpened { session } = request(Frame::OpenSession) else {
+            panic!("OPEN_SESSION refused");
+        };
+
+        // Pipeline every FEED before reading a single response.
+        let mut pipelined = Vec::new();
+        for chunk in text.chunks(CHUNK) {
+            Frame::Feed {
+                session,
+                bytes: chunk.to_vec(),
+            }
+            .encode(&mut pipelined);
+        }
+        raw.write_all(&pipelined).unwrap();
+
+        let mut events = Vec::new();
+        for i in 1..=FEEDS {
+            loop {
+                match read_frame(&mut raw).unwrap() {
+                    Frame::MatchEvents {
+                        session: s,
+                        events: batch,
+                    } if s == session => {
+                        events.extend(batch);
+                    }
+                    Frame::FeedOk {
+                        session: s,
+                        consumed,
+                    } if s == session => {
+                        assert_eq!(consumed, (i * CHUNK) as u64, "FEED_OK out of order");
+                        break;
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert_eq!(events.len(), oracle.len());
+        assert!(events == oracle, "events differ from the oracle");
         server.shutdown();
     }
 }

@@ -295,9 +295,8 @@ impl Conn {
         };
         s.busy_attempts = 0;
         // EIGHT_BIT alphabet: every byte is a valid symbol, so the
-        // conversion cannot fail.
-        let symbols: Vec<Symbol> = bytes.iter().map(|&b| Symbol::new(b)).collect();
-        let events = s.matcher.feed(&symbols);
+        // bytes are matched in place.
+        let events = s.matcher.feed(Symbol::slice_from_bytes(bytes));
         drop(lease); // chunk matched: bytes return to the pool
         s.chars += bytes.len() as u64;
         if !events.is_empty() {

@@ -91,11 +91,12 @@
 //! # }
 //! ```
 
-// Deny rather than forbid: the one sanctioned exception is
-// `superplane`, which opts back in locally to call its
-// `#[target_feature]` kernel specialisations after
-// `is_x86_feature_detected!` has proven the features present. Every
-// data path in the crate remains safe code.
+// Deny rather than forbid. The sanctioned exceptions: `superplane` and
+// `resident` opt back in locally to call their `#[target_feature]`
+// kernel specialisations after `is_x86_feature_detected!` has proven
+// the features present, and `Symbol::slice_from_bytes` views bytes as
+// the `#[repr(transparent)]` symbols they encode. Every other data
+// path in the crate remains safe code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -117,6 +117,17 @@ impl Symbol {
         Symbol(value)
     }
 
+    /// Views raw bytes as symbols without copying; each byte is read as
+    /// [`Symbol::new`] would read it.
+    #[allow(unsafe_code)]
+    pub fn slice_from_bytes(bytes: &[u8]) -> &[Symbol] {
+        // SAFETY: `Symbol` is `#[repr(transparent)]` over `u8`, so it has
+        // the size, alignment and validity of `u8` (every byte is a valid
+        // `Symbol`); the pointer and length come from `bytes`, and the
+        // result borrows it for the same lifetime.
+        unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<Symbol>(), bytes.len()) }
+    }
+
     /// The raw bit encoding of the symbol.
     pub fn value(self) -> u8 {
         self.0
@@ -380,6 +391,16 @@ mod tests {
             a.symbol(4),
             Err(Error::SymbolOutOfRange { byte: 4, bits: 2 })
         );
+    }
+
+    #[test]
+    fn slice_from_bytes_matches_symbol_new_on_every_byte() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let symbols = Symbol::slice_from_bytes(&bytes);
+        assert_eq!(symbols.len(), bytes.len());
+        for (&b, &s) in bytes.iter().zip(symbols) {
+            assert_eq!(s, Symbol::new(b));
+        }
     }
 
     #[test]
