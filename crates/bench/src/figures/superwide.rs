@@ -116,15 +116,19 @@ impl U64Reference {
         texts.chunks(64).flat_map(|chunk| self.run(chunk)).collect()
     }
 
-    /// One word batch of up to 64 lanes (lengths may differ).
+    /// One word batch of up to 64 lanes (lengths may differ). Results
+    /// are built as match ends from the set bits of each result plane,
+    /// the same sparse form the superplane kernel emits, so E31's
+    /// ratio compares plane width alone.
     fn run(&self, texts: &[&[Symbol]]) -> Vec<MatchBits> {
         let tmax = texts.iter().map(|t| t.len()).max().unwrap_or(0);
         let mut state = vec![0u64; self.wild.len()];
-        let mut out: Vec<Vec<bool>> = texts.iter().map(|t| vec![false; t.len()]).collect();
+        let mut ends: Vec<Vec<usize>> = vec![Vec::new(); texts.len()];
         for i in 0..tmax {
             // Transpose this text position into bit planes. Exhausted
-            // lanes contribute zero planes; their state keeps stepping
-            // harmlessly because their outputs are no longer recorded.
+            // (and unused) lanes contribute zero planes; their state
+            // keeps stepping and can raise hits past their text, which
+            // the length check below drops.
             let mut txt_bits = [0u64; 8];
             let mut vor = 0u8;
             for (l, t) in texts.iter().enumerate() {
@@ -143,15 +147,18 @@ impl U64Reference {
             // above the pattern's alphabet, so a literal never aliases
             // onto an out-of-alphabet symbol.
             let eff_bits = self.bits.max(8 - vor.leading_zeros());
-            let r = self.step(eff_bits, &mut state, &txt_bits);
-            for (l, o) in out.iter_mut().enumerate() {
-                if i < o.len() {
-                    o[i] = (r >> l) & 1 == 1;
+            let mut r = self.step(eff_bits, &mut state, &txt_bits);
+            while r != 0 {
+                let l = r.trailing_zeros() as usize;
+                if texts.get(l).is_some_and(|t| i < t.len()) {
+                    ends[l].push(i);
                 }
+                r &= r - 1;
             }
         }
-        out.into_iter()
-            .map(|bits| MatchBits::new(bits, self.k))
+        ends.into_iter()
+            .zip(texts)
+            .map(|(e, t)| MatchBits::from_ends(e, t.len(), self.k))
             .collect()
     }
 

@@ -446,7 +446,7 @@ impl Router {
             }
         }
 
-        // Move, don't clone: each output holds a bit per text position.
+        // Move, don't clone: each output owns its match-end list.
         let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
         for (ids, report) in assignment.iter().zip(&mut shard_reports) {
             for (&global, out) in ids.iter().zip(std::mem::take(&mut report.outputs)) {

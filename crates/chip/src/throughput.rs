@@ -298,8 +298,8 @@ impl PatternCache {
 /// [`ThroughputEngine`].
 ///
 /// Workers consult it only after missing their private
-/// [`PatternCache`], take the write lock only to publish a freshly
-/// compiled pattern, and never hold any lock while matching — the old
+/// [`PatternCache`], take the write lock only to compile and publish a
+/// pattern the index lacks, and never hold any lock while matching — the old
 /// global `Mutex<PatternCache>` serialised every lookup of every
 /// worker through one point. Eviction is FIFO by publication order
 /// (recency lives in the per-worker caches; the index only has to
@@ -336,14 +336,15 @@ impl PatternIndex {
             .cloned()
     }
 
-    /// Publishes a compiled pattern under the write lock, evicting the
-    /// oldest publication at capacity. Concurrent publishers of the
-    /// same pattern are harmless: the first insert wins and later ones
-    /// are no-ops.
-    pub fn publish(&self, pattern: &Pattern, compiled: Arc<CompiledPattern>) {
+    /// Returns the indexed compilation of `pattern` and whether the
+    /// lookup was a hit, compiling and publishing it on a miss (FIFO
+    /// eviction at capacity). The compile runs under the write lock, so
+    /// workers that miss one pattern at the same time compile it once:
+    /// the first publishes it and the rest hit.
+    pub fn get_or_compile(&self, pattern: &Pattern) -> (Arc<CompiledPattern>, bool) {
         let mut inner = self.inner.write().expect("index poisoned");
-        if inner.map.contains_key(pattern) {
-            return;
+        if let Some(compiled) = inner.map.get(pattern) {
+            return (Arc::clone(compiled), true);
         }
         while inner.map.len() >= self.capacity {
             match inner.fifo.pop_front() {
@@ -353,8 +354,10 @@ impl PatternIndex {
                 None => break,
             }
         }
-        inner.map.insert(pattern.clone(), compiled);
+        let compiled = Arc::new(CompiledPattern::compile(pattern));
+        inner.map.insert(pattern.clone(), Arc::clone(&compiled));
         inner.fifo.push_back(pattern.clone());
+        (compiled, false)
     }
 
     /// Number of patterns currently indexed.
@@ -904,8 +907,8 @@ impl ThroughputEngine {
             } else {
                 // Commit: fold the worker's buffered outputs and its
                 // stats into the run's ground truth. (The enabled()
-                // guard matters: `hits.count()` walks every output
-                // bit, a price only a listening sink should charge.)
+                // guard skips a loop over every output that only a
+                // listening sink needs.)
                 if self.sink.enabled() {
                     for (idx, out) in &outcome.outs {
                         self.sink.record(TraceEvent::JobCompleted {
@@ -1219,8 +1222,7 @@ impl ThroughputEngine {
                         let Ok(hits) = run_lanes(rung, &batch) else {
                             continue;
                         };
-                        let mut lanes: Vec<Vec<bool>> =
-                            hits.iter().map(|h| h.bits().to_vec()).collect();
+                        let mut lanes: Vec<Vec<bool>> = hits.iter().map(|h| h.bits()).collect();
                         // An armed plan can fail the rung itself,
                         // modelling damage wider than one worker.
                         if let Some(plan) = self.chaos.as_ref() {
@@ -1295,23 +1297,25 @@ fn lookup_pattern(
     counters: &ThroughputCounters,
     sink: &SinkHandle,
 ) -> (Arc<CompiledPattern>, bool) {
-    if let Some(compiled) = local.get(pattern) {
+    let (compiled, hit) = match local.get(pattern) {
+        Some(compiled) => (compiled, true),
+        None => {
+            // Read lock first: a hit must not queue behind a compile.
+            let (compiled, hit) = match index.get(pattern) {
+                Some(compiled) => (compiled, true),
+                None => index.get_or_compile(pattern),
+            };
+            local.insert(pattern, Arc::clone(&compiled));
+            (compiled, hit)
+        }
+    };
+    if hit {
         counters.cache_hits.add(1);
-        sink.record(TraceEvent::CacheLookup { hit: true });
-        return (compiled, true);
+    } else {
+        counters.cache_misses.add(1);
     }
-    if let Some(compiled) = index.get(pattern) {
-        local.insert(pattern, Arc::clone(&compiled));
-        counters.cache_hits.add(1);
-        sink.record(TraceEvent::CacheLookup { hit: true });
-        return (compiled, true);
-    }
-    let compiled = Arc::new(CompiledPattern::compile(pattern));
-    index.publish(pattern, Arc::clone(&compiled));
-    local.insert(pattern, Arc::clone(&compiled));
-    counters.cache_misses.add(1);
-    sink.record(TraceEvent::CacheLookup { hit: false });
-    (compiled, false)
+    sink.record(TraceEvent::CacheLookup { hit });
+    (compiled, hit)
 }
 
 /// Runs one planned batch's kernel at `width`, returning the per-lane
@@ -1402,7 +1406,7 @@ fn corrupt_hits(
     ks: impl IntoIterator<Item = usize>,
     cache_hit: bool,
 ) {
-    let mut lanes: Vec<Vec<bool>> = hits.iter().map(|h| h.bits().to_vec()).collect();
+    let mut lanes: Vec<Vec<bool>> = hits.iter().map(|h| h.bits()).collect();
     if corrupt_bits(fault.kind, fault.salt ^ stir, &mut lanes, cache_hit) {
         for ((hit, bits), k) in hits.iter_mut().zip(lanes).zip(ks) {
             *hit = MatchBits::new(bits, k);
@@ -1671,11 +1675,11 @@ mod tests {
         let a = Pattern::parse("A").unwrap();
         let b = Pattern::parse("B").unwrap();
         let c = Pattern::parse("C").unwrap();
-        index.publish(&a, Arc::new(CompiledPattern::compile(&a)));
-        index.publish(&b, Arc::new(CompiledPattern::compile(&b)));
-        index.publish(&a, Arc::new(CompiledPattern::compile(&a))); // no-op
+        assert!(!index.get_or_compile(&a).1);
+        assert!(!index.get_or_compile(&b).1);
+        assert!(index.get_or_compile(&a).1, "republication is a hit");
         assert_eq!(index.len(), 2);
-        index.publish(&c, Arc::new(CompiledPattern::compile(&c))); // evicts a
+        assert!(!index.get_or_compile(&c).1); // evicts a
         assert_eq!(index.len(), 2);
         assert!(index.get(&a).is_none(), "a was the oldest publication");
         assert!(index.get(&b).is_some());
@@ -1934,7 +1938,7 @@ mod tests {
             let report = engine.run_refs(&jobs).unwrap();
             for (out, job) in report.outputs.iter().zip(&jobs) {
                 prop_assert_eq!(out.id, job.id);
-                prop_assert_eq!(out.hits.bits().to_vec(), match_spec(job.text, job.pattern));
+                prop_assert_eq!(out.hits.bits(), match_spec(job.text, job.pattern));
             }
             prop_assert_eq!(report.totals.batches, plan.len() as u64);
         }

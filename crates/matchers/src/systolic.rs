@@ -19,7 +19,7 @@ impl PatternMatcher for SystolicAlgorithm {
 
     fn find(&self, text: &[Symbol], pattern: &Pattern) -> Result<Vec<bool>, MatchError> {
         let mut m = SystolicMatcher::new(pattern).expect("constructed patterns are never empty");
-        Ok(m.match_symbols(text).bits().to_vec())
+        Ok(m.match_symbols(text).bits())
     }
 }
 

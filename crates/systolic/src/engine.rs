@@ -284,26 +284,61 @@ impl<S: MeetSemantics> Driver<S> {
 
 /// The result-bit stream of the boolean matcher, aligned to text
 /// positions: `bit(i)` is `r_i`.
+///
+/// Held sparse: the ascending positions where a match ends inside a
+/// text of `len` positions. Matches are rare next to text positions,
+/// so the lane-packed kernel emits this form directly and `count`,
+/// `any` and `ending_positions` never walk the text. The dense form
+/// ([`bits`](Self::bits)) is materialised on demand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatchBits {
-    bits: Vec<bool>,
+    ends: Vec<usize>,
+    len: usize,
     k: usize,
 }
 
 impl MatchBits {
-    /// Wraps a result vector; `k` is the index of the last pattern char.
+    /// Wraps a dense result vector; `k` is the index of the last
+    /// pattern char.
     pub fn new(bits: Vec<bool>, k: usize) -> Self {
-        MatchBits { bits, k }
+        let ends = (0..bits.len()).filter(|&i| bits[i]).collect();
+        MatchBits::from_ends(ends, bits.len(), k)
     }
 
-    /// The raw result bits, one per text position.
-    pub fn bits(&self) -> &[bool] {
-        &self.bits
+    /// Wraps match ends inside a text of `len` positions; `ends` must
+    /// be strictly ascending and below `len`.
+    ///
+    /// ```
+    /// use pm_systolic::engine::MatchBits;
+    /// let m = MatchBits::from_ends(vec![2, 3], 4, 1);
+    /// assert_eq!(m, MatchBits::new(vec![false, false, true, true], 1));
+    /// ```
+    pub fn from_ends(ends: Vec<usize>, len: usize, k: usize) -> Self {
+        debug_assert!(
+            ends.windows(2).all(|w| w[0] < w[1]),
+            "match ends must be strictly ascending"
+        );
+        debug_assert!(
+            ends.last().is_none_or(|&e| e < len),
+            "match ends must lie inside the text"
+        );
+        MatchBits { ends, len, k }
+    }
+
+    /// The result bits, one per text position, materialised: O(len).
+    /// Meant for differential checks against the dense spec and for
+    /// fault injection, not for the hot path.
+    pub fn bits(&self) -> Vec<bool> {
+        let mut bits = vec![false; self.len];
+        for &e in &self.ends {
+            bits[e] = true;
+        }
+        bits
     }
 
     /// `r_i` for a single position (false out of range).
     pub fn bit(&self, i: usize) -> bool {
-        self.bits.get(i).copied().unwrap_or(false)
+        self.ends.binary_search(&i).is_ok()
     }
 
     /// Text positions where a match ends, in increasing order.
@@ -314,30 +349,22 @@ impl MatchBits {
     /// assert_eq!(m.ending_positions(), vec![2, 3]);
     /// ```
     pub fn ending_positions(&self) -> Vec<usize> {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| i)
-            .collect()
+        self.ends.clone()
     }
 
     /// Text positions where a match *starts* (`end − k`).
     pub fn starting_positions(&self) -> Vec<usize> {
-        self.ending_positions()
-            .iter()
-            .map(|&e| e - self.k)
-            .collect()
+        self.ends.iter().map(|&e| e - self.k).collect()
     }
 
     /// Number of matches found.
     pub fn count(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
+        self.ends.len()
     }
 
     /// Whether any match was found.
     pub fn any(&self) -> bool {
-        self.bits.iter().any(|&b| b)
+        !self.ends.is_empty()
     }
 }
 
@@ -532,5 +559,66 @@ mod tests {
         assert!(m.bit(1));
         assert!(!m.bit(99));
         assert_eq!(m.bits().len(), 4);
+    }
+
+    #[test]
+    fn match_bits_dense_and_sparse_forms_round_trip() {
+        let dense = vec![true, false, false, true, true, false, true];
+        let m = MatchBits::new(dense.clone(), 2);
+        let s = MatchBits::from_ends(vec![0, 3, 4, 6], dense.len(), 2);
+        assert_eq!(m, s);
+        assert_eq!(s.bits(), dense);
+        assert_eq!(MatchBits::new(s.bits(), 2), s);
+        assert_eq!(
+            MatchBits::from_ends(m.ending_positions(), m.bits().len(), 2),
+            m
+        );
+        // The text length is part of the value: trailing misses count.
+        assert_ne!(
+            MatchBits::from_ends(vec![0], 1, 0),
+            MatchBits::from_ends(vec![0], 2, 0)
+        );
+        let empty = MatchBits::new(Vec::new(), 0);
+        assert_eq!(empty, MatchBits::from_ends(Vec::new(), 0, 0));
+        assert!(empty.bits().is_empty());
+    }
+
+    #[test]
+    fn match_bits_bit_at_the_edges() {
+        let m = MatchBits::from_ends(vec![0, 5], 6, 0);
+        assert!(m.bit(0));
+        assert!(m.bit(5), "last position");
+        assert!(!m.bit(4));
+        assert!(!m.bit(6), "one past the end");
+        assert!(!m.bit(usize::MAX));
+        let none = MatchBits::from_ends(Vec::new(), 6, 0);
+        assert!(!none.bit(0) && !none.bit(5));
+    }
+
+    #[test]
+    fn match_bits_counts_and_starts() {
+        let m = MatchBits::from_ends(vec![3, 7, 8], 9, 3);
+        assert_eq!(m.count(), 3);
+        assert!(m.any());
+        assert_eq!(m.starting_positions(), vec![0, 4, 5]);
+        assert_eq!(m.ending_positions(), vec![3, 7, 8]);
+        let none = MatchBits::new(vec![false; 9], 3);
+        assert_eq!(none.count(), 0);
+        assert!(!none.any());
+        assert!(none.starting_positions().is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "inside the text")]
+    fn match_bits_from_ends_rejects_an_end_past_the_text() {
+        let _ = MatchBits::from_ends(vec![1, 4], 4, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn match_bits_from_ends_rejects_unsorted_ends() {
+        let _ = MatchBits::from_ends(vec![2, 1], 4, 0);
     }
 }

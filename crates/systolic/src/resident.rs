@@ -188,18 +188,18 @@ impl<const W: usize> ResidentGroup<W> {
         hits
     }
 
-    /// As [`scan`](Self::scan), but expanded to one [`MatchBits`] per
-    /// resident lane (the dense per-pattern result-bit form the rest of
-    /// the workspace uses) — convenient for differential tests, not for
-    /// sparse dictionary streams.
+    /// As [`scan`](Self::scan), but split into one [`MatchBits`] per
+    /// resident lane — the per-pattern form the batch engines return,
+    /// for differential tests against them.
     pub fn match_text(&self, text: &[Symbol]) -> Vec<MatchBits> {
-        let mut bits: Vec<Vec<bool>> = (0..self.lanes).map(|_| vec![false; text.len()]).collect();
+        let mut ends: Vec<Vec<usize>> = vec![Vec::new(); self.lanes];
+        // `scan` reports in text order, so each lane's ends ascend.
         for (end, lane) in self.scan(text) {
-            bits[lane][end] = true;
+            ends[lane].push(end);
         }
-        bits.into_iter()
+        ends.into_iter()
             .zip(&self.ks)
-            .map(|(b, &k)| MatchBits::new(b, k))
+            .map(|(e, &k)| MatchBits::from_ends(e, text.len(), k))
             .collect()
     }
 }

@@ -307,8 +307,9 @@ impl<const W: usize> SuperPlanes<W> {
     }
 
     /// Runs the wide engine over per-lane texts through the dispatched
-    /// kernel (see [`simd_level`]).
-    pub(crate) fn run(&self, texts: &[&[Symbol]]) -> Vec<Vec<bool>> {
+    /// kernel (see [`simd_level`]), returning each lane's ascending
+    /// match ends.
+    pub(crate) fn run(&self, texts: &[&[Symbol]]) -> Vec<Vec<usize>> {
         match simd_level() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: simd_level() returns Avx512 only after
@@ -327,7 +328,7 @@ impl<const W: usize> SuperPlanes<W> {
 unsafe fn run_wide_avx2<const W: usize>(
     planes: &SuperPlanes<W>,
     texts: &[&[Symbol]],
-) -> Vec<Vec<bool>> {
+) -> Vec<Vec<usize>> {
     run_wide_generic(planes, texts)
 }
 
@@ -339,7 +340,7 @@ unsafe fn run_wide_avx2<const W: usize>(
 unsafe fn run_wide_avx512<const W: usize>(
     planes: &SuperPlanes<W>,
     texts: &[&[Symbol]],
-) -> Vec<Vec<bool>> {
+) -> Vec<Vec<usize>> {
     run_wide_generic(planes, texts)
 }
 
@@ -377,7 +378,7 @@ fn transpose8x8(mut x: u64) -> u64 {
 fn run_wide_generic<const W: usize>(
     planes: &SuperPlanes<W>,
     texts: &[&[Symbol]],
-) -> Vec<Vec<bool>> {
+) -> Vec<Vec<usize>> {
     let lanes = texts.len();
     // Callers pass 1..=W·64 lanes. Stating it here, inside the
     // dispatched function, lets the compiler drop the per-word bounds
@@ -388,7 +389,7 @@ fn run_wide_generic<const W: usize>(
     );
     let tmax = texts.iter().map(|t| t.len()).max().unwrap_or(0);
     let mut state = vec![[0u64; W]; planes.kmax];
-    let mut out: Vec<Vec<bool>> = texts.iter().map(|t| vec![false; t.len()]).collect();
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(); lanes];
     let groups = lanes.div_ceil(BLOCK);
     // One tile of text planes (BLOCK positions) and result planes.
     let mut txt = [[[0u64; W]; MAX_BITS]; BLOCK];
@@ -482,9 +483,12 @@ fn run_wide_generic<const W: usize>(
             );
         }
         dirty = tile_bits;
-        // Scatter: transpose the result tile back and expand each
-        // lane's 8 result bits to bool bytes with one multiply — the
-        // adjacent byte stores merge into a single word store.
+        // Scatter: matches are rare, so skip every 8-lane group whose
+        // result byte is zero across the tile; transpose the rest back
+        // and push one end per set bit. Exhausted lanes step on zero
+        // planes, which read as value-0 symbols that a pattern of `A`s
+        // and wild cards accepts, so ends at or past a lane's text
+        // length are phantom hits and are dropped.
         for group in 0..groups {
             let word = group / 8;
             let shift = 8 * (group % 8) as u32;
@@ -492,28 +496,24 @@ fn run_wide_generic<const W: usize>(
             for (j, r) in res.iter().enumerate().take(blk) {
                 tile |= ((r[word] >> shift) & 0xff) << (8 * j);
             }
+            if tile == 0 {
+                continue;
+            }
             tile = transpose8x8(tile);
             for u in 0..BLOCK {
                 let l = group * BLOCK + u;
                 if l >= lanes {
                     break;
                 }
-                let o = &mut out[l];
-                if i0 >= o.len() {
-                    continue;
-                }
-                let row = (tile >> (8 * u)) & 0xff;
-                if i0 + BLOCK <= o.len() {
-                    let y = row.wrapping_mul(LSB_BYTES) & 0x8040_2010_0804_0201;
-                    let z = ((y.wrapping_add(0x7f7f_7f7f_7f7f_7f7f)) & 0x8080_8080_8080_8080) >> 7;
-                    let dst = &mut o[i0..i0 + BLOCK];
-                    for (j, &v) in z.to_le_bytes().iter().enumerate() {
-                        dst[j] = v != 0;
+                let len = texts[l].len();
+                let mut row = (tile >> (8 * u)) & 0xff;
+                while row != 0 {
+                    let end = i0 + row.trailing_zeros() as usize;
+                    if end >= len {
+                        break;
                     }
-                } else {
-                    for (j, slot) in o[i0..].iter_mut().enumerate() {
-                        *slot = (row >> j) & 1 == 1;
-                    }
+                    out[l].push(end);
+                    row &= row - 1;
                 }
             }
         }
@@ -554,8 +554,8 @@ pub fn match_lanes_wide<const W: usize>(
     Ok(planes
         .run(&texts)
         .into_iter()
-        .zip(&compiled)
-        .map(|(bits, c)| MatchBits::new(bits, c.pattern().k()))
+        .zip(jobs)
+        .map(|(ends, (c, t))| MatchBits::from_ends(ends, t.len(), c.pattern().k()))
         .collect())
 }
 
@@ -1371,7 +1371,7 @@ mod tests {
                 let diffs = got
                     .bits()
                     .iter()
-                    .zip(want.bits())
+                    .zip(&want.bits())
                     .filter(|(a, b)| a != b)
                     .count();
                 assert_eq!(diffs, 1);
@@ -1385,5 +1385,84 @@ mod tests {
             d.run_with_upsets(&lanes, &[(999, 0), (0, 99)]).unwrap(),
             clean
         );
+    }
+
+    /// Spec match ends for one lane.
+    fn spec_ends(text: &[Symbol], p: &Pattern) -> Vec<usize> {
+        MatchBits::new(match_spec(text, p), p.k()).ending_positions()
+    }
+
+    /// Ragged lanes against an all-`A` pattern: past a short lane's
+    /// end the kernel steps on zero planes, i.e. on value-0 symbols,
+    /// so the padded tail "matches" `AAA` in the kernel. Those phantom
+    /// ends lie at or past the lane's length and must never surface.
+    fn ragged_tails_raise_no_phantom_hits_at<const W: usize>() {
+        let p = Pattern::parse("AAA").unwrap();
+        let c = CompiledPattern::compile(&p);
+        let texts: Vec<Vec<Symbol>> = [
+            "",
+            "A",
+            "BA",
+            "BBAA",
+            "AAAB",
+            "CAAAA",
+            "BBBBBBBBBBBBBBBBBBBA",
+        ]
+        .iter()
+        .map(|s| letters(s))
+        .collect();
+        let lanes: Vec<&[Symbol]> = texts.iter().map(Vec::as_slice).collect();
+        let hits = match_lanes_wide::<W>(&repeated(&c, &lanes)).unwrap();
+        for (l, (h, t)) in hits.iter().zip(&lanes).enumerate() {
+            assert_eq!(h.ending_positions(), spec_ends(t, &p), "W={W} lane {l}");
+            assert_eq!(h.bits(), match_spec(t, &p), "W={W} lane {l}");
+        }
+    }
+
+    #[test]
+    fn ragged_tails_raise_no_phantom_hits() {
+        ragged_tails_raise_no_phantom_hits_at::<1>();
+        ragged_tails_raise_no_phantom_hits_at::<4>();
+        ragged_tails_raise_no_phantom_hits_at::<8>();
+    }
+
+    /// Every lane of a full batch, lengths ragged around the 8-position
+    /// tile, with the longest lane (the last) matching only at its
+    /// final position — inside the last, partial tile — and a lone
+    /// match in a short lane's partial tile too.
+    fn last_partial_tile_hit_at<const W: usize>() {
+        let p = Pattern::parse("AXC").unwrap();
+        let c = CompiledPattern::compile(&p);
+        let n = lanes_of(W);
+        let texts: Vec<Vec<Symbol>> = (0..n)
+            .map(|l| {
+                let len = if l == n - 1 {
+                    4 * BLOCK + 5
+                } else {
+                    3 + l % 13
+                };
+                let mut t = letters(&"B".repeat(len));
+                if l == n - 1 || l % 5 == 0 {
+                    let end = len - 1;
+                    t[end - 2] = letters("A")[0];
+                    t[end] = letters("C")[0];
+                }
+                t
+            })
+            .collect();
+        let lanes: Vec<&[Symbol]> = texts.iter().map(Vec::as_slice).collect();
+        let hits = match_lanes_wide::<W>(&repeated(&c, &lanes)).unwrap();
+        let last = hits.last().unwrap();
+        assert_eq!(last.ending_positions(), vec![4 * BLOCK + 4], "W={W}");
+        for (l, (h, t)) in hits.iter().zip(&lanes).enumerate() {
+            assert_eq!(h.ending_positions(), spec_ends(t, &p), "W={W} lane {l}");
+        }
+    }
+
+    #[test]
+    fn a_hit_in_the_last_partial_tile_is_reported() {
+        last_partial_tile_hit_at::<1>();
+        last_partial_tile_hit_at::<4>();
+        last_partial_tile_hit_at::<8>();
     }
 }
