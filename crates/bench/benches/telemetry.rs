@@ -2,7 +2,7 @@
 //!
 //! Two comparisons, matching the two sink architectures:
 //!
-//! * beat-accurate `PlaneDriver`: `run` (the untouched baseline) vs.
+//! * beat-accurate `SuperplaneDriver::<1>`: `run` (the untouched baseline) vs.
 //!   `run_with_sink(&NullSink)` (the traced twin monomorphised over a
 //!   disabled sink) — the zero-cost-when-disabled claim;
 //! * scheduler: a null `SinkHandle` vs. a live `MetricsRegistry` — the
@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use pm_bench::workloads;
 use pm_chip::telemetry::MetricsRegistry;
 use pm_chip::throughput::{Job, ThroughputEngine};
-use pm_systolic::batch::PlaneDriver;
+use pm_systolic::superplane::SuperplaneDriver;
 use pm_systolic::symbol::{Alphabet, Pattern, Symbol};
 use pm_systolic::telemetry::{NullSink, SinkHandle};
 use std::sync::Arc;
@@ -32,11 +32,11 @@ fn bench_plane_driver_null_sink(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(total));
     group.bench_function("baseline_run", |b| {
-        let mut d = PlaneDriver::new(&patterns).expect("ok");
+        let mut d = SuperplaneDriver::<1>::new(&patterns).expect("ok");
         b.iter(|| d.run(&lanes).expect("ok"))
     });
     group.bench_function("null_sink", |b| {
-        let mut d = PlaneDriver::new(&patterns).expect("ok");
+        let mut d = SuperplaneDriver::<1>::new(&patterns).expect("ok");
         b.iter(|| d.run_with_sink(&lanes, &NullSink).expect("ok"))
     });
     group.finish();

@@ -17,7 +17,10 @@
 //!    stream) stays below 5 % of batch wall-clock at 64 workers. The
 //!    fraction is same-run cost over same-run wall-clock, so it is
 //!    hardware-independent; `bench_gate` holds the JSON snapshot to
-//!    the 0.05 ceiling absolutely.
+//!    the 0.05 ceiling absolutely. One pass lasts tens of
+//!    milliseconds, so one descheduled planner thread can swing it:
+//!    the figure streams the corpus `PASSES` times and gates the
+//!    median pass.
 //!
 //! The figure writes `BENCH_ingest.json` (override the path with
 //! `PM_INGEST_JSON`) carrying `planner_overhead_frac` and
@@ -31,7 +34,8 @@ use pm_matchers::aho_corasick::{AhoCorasick, DictMatch};
 use pm_systolic::superplane::simd_level;
 use pm_systolic::symbol::{Alphabet, Pattern, Symbol};
 use std::fmt::Write;
-use std::time::Instant;
+use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Corpus size on disk. Large enough that engine work dominates the
 /// per-window routing cost it is compared against.
@@ -49,6 +53,35 @@ const WORKERS_PER_SHARD: usize = 16;
 /// fills a whole `u64` lane word instead of wasting 63 of its 64 bit
 /// planes on one long stream.
 const SUBLANES: usize = 64;
+/// Streamed passes over the same corpus; the gated overhead is their
+/// median.
+const PASSES: usize = 9;
+
+/// What one streamed pass over the corpus saw and spent.
+#[derive(Default)]
+struct Pass {
+    /// Events kept after both keep-disciplines, sorted.
+    events: Vec<DictMatch>,
+    windows: u64,
+    jobs: u64,
+    chars: u64,
+    plan_micros: u64,
+    route_micros: u64,
+    wall_micros: u64,
+    steals: u64,
+    elapsed: Duration,
+}
+
+impl Pass {
+    /// Planning (router + shard planners) over batch wall-clock.
+    fn overhead(&self) -> f64 {
+        if self.wall_micros == 0 {
+            0.0
+        } else {
+            self.plan_micros as f64 / self.wall_micros as f64
+        }
+    }
+}
 
 /// Cuts `slice` into up to `lanes` sub-slices overlapping by
 /// `overlap` symbols, as `(sub, min_end, offset)` triples — the
@@ -119,84 +152,36 @@ pub fn ingest_to(json_path: &str) -> String {
         (events, t.elapsed())
     };
 
-    // Streamed path: file → pages → overlap windows → routed jobs.
-    let router = Router::new(RouterConfig {
-        shards: SHARDS,
-        workers_per_shard: WORKERS_PER_SHARD,
-        ..RouterConfig::default()
-    });
-    let source = PagedCorpus::open(&corpus_path, PAGE_BYTES).expect("corpus just written");
-    let mut chunker = OverlapChunker::new(source, kmax);
-    let mut streamed: Vec<DictMatch> = Vec::new();
-    let mut windows = 0u64;
-    let mut jobs_total = 0u64;
-    let mut chars_total = 0u64;
-    let mut plan_micros = 0u64;
-    let mut route_micros = 0u64;
-    let mut wall_micros = 0u64;
-    let mut steals = 0u64;
-    let started = Instant::now();
-    while let Some(view) = chunker.next_window().expect("in-memory tmpfs read") {
-        windows += 1;
-        let mut refs: Vec<JobRef<'_>> = Vec::new();
-        let mut meta: Vec<(usize, usize, usize)> = Vec::new();
-        for (slice, min_end, base) in view.regions() {
-            for (sub, sub_min, off) in lane_cuts(slice, SUBLANES, kmax - 1) {
-                // Combine both keep-disciplines: the window's (skip
-                // ends the previous window reported) and the cut's
-                // (skip ends the previous cut reported).
-                let keep_from = sub_min.max(min_end.saturating_sub(off));
-                for (id, pattern) in patterns.iter().enumerate() {
-                    refs.push(JobRef {
-                        id: refs.len() as u64,
-                        pattern,
-                        text: sub,
-                    });
-                    meta.push((id, keep_from, base + off));
-                }
-            }
-        }
-        let report = router.run_refs(&refs).expect("no fault plan armed");
-        jobs_total += refs.len() as u64;
-        chars_total += report.total_chars();
-        plan_micros += report.plan_micros();
-        route_micros += report.route_micros;
-        wall_micros += report.wall_micros;
-        steals += report.steals();
-        for (job, &(pattern, min_end, base)) in report.outputs.iter().zip(&meta) {
-            for end in job.hits.ending_positions() {
-                if end >= min_end {
-                    streamed.push(DictMatch {
-                        pattern,
-                        end: base + end,
-                    });
-                }
-            }
-        }
-    }
-    let elapsed = started.elapsed();
+    // Streamed path: file → pages → overlap windows → routed jobs, on
+    // a fresh router each pass.
+    let mut passes: Vec<Pass> = (0..PASSES)
+        .map(|_| streamed_pass(&corpus_path, &patterns, kmax))
+        .collect();
     std::fs::remove_file(&corpus_path).ok();
 
-    streamed.sort_unstable();
-    let exact = streamed == offline.0;
-    let overhead = if wall_micros == 0 {
-        0.0
-    } else {
-        plan_micros as f64 / wall_micros as f64
-    };
-    let rate = chars_total as f64 / elapsed.as_secs_f64();
-    let corpus_rate = CORPUS_BYTES as f64 / elapsed.as_secs_f64();
+    let exact = passes.iter().all(|p| p.events == offline.0);
+    let per_pass: Vec<String> = passes
+        .iter()
+        .map(|p| format!("{:.2} %", p.overhead() * 100.0))
+        .collect();
+    // The gate, the report and the advisory rates all come from the
+    // median pass.
+    passes.sort_by(|a, b| a.overhead().total_cmp(&b.overhead()));
+    let m = &passes[PASSES / 2];
+    let overhead = m.overhead();
+    let rate = m.chars as f64 / m.elapsed.as_secs_f64();
+    let corpus_rate = CORPUS_BYTES as f64 / m.elapsed.as_secs_f64();
 
     writeln!(
         out,
-        "\n  streamed windows: {windows} ({jobs_total} routed jobs, \
-         {chars_total} chars scanned, {steals} batch steals)"
+        "\n  streamed windows: {} ({} routed jobs, {} chars scanned, {} batch steals)",
+        m.windows, m.jobs, m.chars, m.steals
     )
     .unwrap();
     writeln!(
         out,
         "  events: {} streamed, {} offline (AC oracle scanned in {:.1} ms)",
-        streamed.len(),
+        m.events.len(),
         offline.0.len(),
         offline.1.as_secs_f64() * 1e3
     )
@@ -210,11 +195,15 @@ pub fn ingest_to(json_path: &str) -> String {
     .unwrap();
     writeln!(
         out,
-        "\n  planner overhead: {plan_micros} µs planning ({route_micros} µs \
-         routing) over {wall_micros} µs of batch wall-clock = {:.2} % \
-         (< 5 % holds: {})",
+        "\n  planner overhead: {} µs planning ({} µs routing) over {} µs of \
+         batch wall-clock = {:.2} % (< 5 % holds: {}), median of {PASSES} \
+         passes; per pass: {}",
+        m.plan_micros,
+        m.route_micros,
+        m.wall_micros,
         overhead * 100.0,
-        overhead < 0.05
+        overhead < 0.05,
+        per_pass.join(", ")
     )
     .unwrap();
 
@@ -247,6 +236,61 @@ pub fn ingest_to(json_path: &str) -> String {
 
     writeln!(out, "\n  equal offline oracle: {exact}").unwrap();
     out
+}
+
+/// Streams the corpus file once through a fresh router: pages →
+/// overlap windows → lane cuts → one routed batch per window.
+fn streamed_pass(corpus_path: &Path, patterns: &[Pattern], kmax: usize) -> Pass {
+    let router = Router::new(RouterConfig {
+        shards: SHARDS,
+        workers_per_shard: WORKERS_PER_SHARD,
+        ..RouterConfig::default()
+    });
+    let source = PagedCorpus::open(corpus_path, PAGE_BYTES).expect("corpus just written");
+    let mut chunker = OverlapChunker::new(source, kmax);
+    let mut pass = Pass::default();
+    let started = Instant::now();
+    while let Some(view) = chunker.next_window().expect("in-memory tmpfs read") {
+        pass.windows += 1;
+        let mut refs: Vec<JobRef<'_>> = Vec::new();
+        let mut meta: Vec<(usize, usize, usize)> = Vec::new();
+        for (slice, min_end, base) in view.regions() {
+            for (sub, sub_min, off) in lane_cuts(slice, SUBLANES, kmax - 1) {
+                // Combine both keep-disciplines: the window's (skip
+                // ends the previous window reported) and the cut's
+                // (skip ends the previous cut reported).
+                let keep_from = sub_min.max(min_end.saturating_sub(off));
+                for (id, pattern) in patterns.iter().enumerate() {
+                    refs.push(JobRef {
+                        id: refs.len() as u64,
+                        pattern,
+                        text: sub,
+                    });
+                    meta.push((id, keep_from, base + off));
+                }
+            }
+        }
+        let report = router.run_refs(&refs).expect("no fault plan armed");
+        pass.jobs += refs.len() as u64;
+        pass.chars += report.total_chars();
+        pass.plan_micros += report.plan_micros();
+        pass.route_micros += report.route_micros;
+        pass.wall_micros += report.wall_micros;
+        pass.steals += report.steals();
+        for (job, &(pattern, min_end, base)) in report.outputs.iter().zip(&meta) {
+            for end in job.hits.ending_positions() {
+                if end >= min_end {
+                    pass.events.push(DictMatch {
+                        pattern,
+                        end: base + end,
+                    });
+                }
+            }
+        }
+    }
+    pass.elapsed = started.elapsed();
+    pass.events.sort_unstable();
+    pass
 }
 
 #[cfg(test)]

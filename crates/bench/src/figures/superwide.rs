@@ -333,7 +333,7 @@ pub fn superwide_to(json_path: &str) -> String {
     }
 
     // NullSink A/B on the beat-accurate superplane driver, same
-    // discipline as E30's PlaneDriver A/B.
+    // discipline as E30's one-word A/B.
     let ab_pattern = workloads::random_pattern(alphabet, PATTERN_LEN, 10, 32);
     let ab_patterns: Vec<Pattern> = (0..AB_LANES).map(|_| ab_pattern.clone()).collect();
     let ab_texts: Vec<Vec<Symbol>> = (0..AB_LANES)

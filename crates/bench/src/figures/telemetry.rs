@@ -8,15 +8,15 @@
 //! promises that design makes: folded counters are *exact* (they equal
 //! the ground truth the engines return, not an estimate), and a
 //! disabled sink costs nothing (the `NullSink` A/B on the beat-accurate
-//! `PlaneDriver`). It also writes the `BENCH_telemetry.json` snapshot
+//! `SuperplaneDriver::<1>`). It also writes the `BENCH_telemetry.json` snapshot
 //! the CI bench-regression gate compares against its committed
 //! baseline.
 
 use crate::workloads;
 use pm_chip::telemetry::MetricsRegistry;
 use pm_chip::throughput::{Job, ThroughputEngine};
-use pm_systolic::batch::PlaneDriver;
 use pm_systolic::spec::match_spec;
+use pm_systolic::superplane::SuperplaneDriver;
 use pm_systolic::symbol::{Alphabet, Pattern, Symbol};
 use pm_systolic::telemetry::{NullSink, SinkHandle};
 use std::fmt::Write;
@@ -188,8 +188,8 @@ pub fn telemetry() -> String {
     )
     .unwrap();
 
-    // NullSink A/B on the beat-accurate path: `run` is the untouched
-    // PR 2 baseline; `run_with_sink(&NullSink)` is the traced twin
+    // NullSink A/B on the beat-accurate path: `run` is the
+    // un-instrumented baseline; `run_with_sink(&NullSink)` is the traced twin
     // monomorphised over a sink that is constantly disabled.
     let ab_pattern = workloads::random_pattern(alphabet, PATTERN_LEN, 10, 31);
     let ab_patterns: Vec<Pattern> = (0..AB_LANES).map(|_| ab_pattern.clone()).collect();
@@ -197,7 +197,7 @@ pub fn telemetry() -> String {
         .map(|i| workloads::random_text(alphabet, AB_LEN, 3100 + i as u64))
         .collect();
     let lanes: Vec<&[Symbol]> = ab_texts.iter().map(|t| t.as_slice()).collect();
-    let mut driver = PlaneDriver::new(&ab_patterns).expect("uniform pattern lengths");
+    let mut driver = SuperplaneDriver::<1>::new(&ab_patterns).expect("uniform pattern lengths");
 
     let mut base = Duration::MAX;
     let mut nulled = Duration::MAX;
@@ -216,7 +216,7 @@ pub fn telemetry() -> String {
         (nulled.as_secs_f64() - base.as_secs_f64()).max(0.0) / base.as_secs_f64().max(1e-12);
     writeln!(
         out,
-        "\n  NullSink A/B (beat-accurate PlaneDriver, {AB_LANES} lanes × {AB_LEN} chars, \
+        "\n  NullSink A/B (beat-accurate SuperplaneDriver::<1>, {AB_LANES} lanes × {AB_LEN} chars, \
          min of {AB_REPS}):"
     )
     .unwrap();

@@ -1,28 +1,27 @@
-//! Lightweight shared counters for the throughput engine.
+//! Run totals, rates and shared counters for the throughput engine.
 //!
 //! The paper quotes one headline number — 4.0 Mchar/s — and the
-//! reproduction's scheduler needs to report its own equivalents without
-//! perturbing the hot path it is measuring. [`Counter`] is a relaxed
-//! atomic that worker threads bump freely; [`ThroughputCounters`]
-//! groups the ones the scheduler maintains and folds them into a
-//! [`CounterSnapshot`] of derived rates (chars/sec, lane occupancy,
-//! cache hit rate) at reporting time.
-//!
-//! Relaxed ordering is sufficient: counters are statistics, not
-//! synchronisation. The scheduler joins its workers before reading, so
-//! every increment is visible by the time a snapshot is taken.
+//! reproduction's scheduler reports its own equivalents. Each worker
+//! counts its work in plain integers and hands them back at the join;
+//! the coordinator sums them into a [`CounterSnapshot`], which derives
+//! the rates (chars/sec, lane occupancy, cache hit rate) at reporting
+//! time. [`Counter`] is a relaxed atomic for counts that outlive one
+//! run and are read from several threads; [`RateWindow`] windows one
+//! such count into a current rate.
 //!
 //! ```
-//! use pm_chip::counters::ThroughputCounters;
+//! use pm_chip::counters::CounterSnapshot;
 //! use std::time::Duration;
 //!
-//! let c = ThroughputCounters::new();
-//! c.chars.add(500_000);
-//! c.lane_slots_used.add(96);
-//! c.lane_slots_total.add(128);
-//! c.cache_hits.add(3);
-//! c.cache_misses.add(1);
-//! let snap = c.snapshot(Duration::from_millis(125));
+//! let snap = CounterSnapshot {
+//!     chars: 500_000,
+//!     lane_slots_used: 96,
+//!     lane_slots_total: 128,
+//!     cache_hits: 3,
+//!     cache_misses: 1,
+//!     elapsed: Duration::from_millis(125),
+//!     ..CounterSnapshot::default()
+//! };
 //! assert_eq!(snap.chars_per_sec() as u64, 4_000_000); // the paper's rate
 //! assert_eq!(snap.lane_occupancy(), 0.75);
 //! assert_eq!(snap.cache_hit_rate(), 0.75);
@@ -35,6 +34,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A monotonically increasing event counter shared between threads.
+/// Relaxed ordering is sufficient: counters are statistics, not
+/// synchronisation.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -55,53 +56,9 @@ impl Counter {
     }
 }
 
-/// The counters the throughput scheduler maintains while running.
-#[derive(Debug, Default)]
-pub struct ThroughputCounters {
-    /// Text characters pushed through an engine (all lanes, all jobs).
-    pub chars: Counter,
-    /// Jobs completed.
-    pub jobs: Counter,
-    /// Word batches executed.
-    pub batches: Counter,
-    /// Lane slots actually carrying a stream, summed over batches.
-    pub lane_slots_used: Counter,
-    /// Lane slots available (64 × batches).
-    pub lane_slots_total: Counter,
-    /// Compiled-pattern cache hits.
-    pub cache_hits: Counter,
-    /// Compiled-pattern cache misses (compilations performed).
-    pub cache_misses: Counter,
-    /// Batches a worker stole from a sibling's deque.
-    pub steals: Counter,
-}
-
-impl ThroughputCounters {
-    /// Fresh, all-zero counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds the current counts and a wall-clock duration into derived
-    /// rates.
-    pub fn snapshot(&self, elapsed: Duration) -> CounterSnapshot {
-        CounterSnapshot {
-            chars: self.chars.get(),
-            jobs: self.jobs.get(),
-            batches: self.batches.get(),
-            lane_slots_used: self.lane_slots_used.get(),
-            lane_slots_total: self.lane_slots_total.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            steals: self.steals.get(),
-            elapsed,
-        }
-    }
-}
-
-/// A point-in-time reading of [`ThroughputCounters`] with the derived
-/// rates the EXPERIMENTS table reports.
-#[derive(Debug, Clone, PartialEq)]
+/// One run's totals with the derived rates the EXPERIMENTS table
+/// reports.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CounterSnapshot {
     /// Text characters processed.
     pub chars: u64,
@@ -182,8 +139,8 @@ impl fmt::Display for CounterSnapshot {
 /// and reports the rate across the span it retains.
 ///
 /// Feed it the same monotonic counter it is windowing — typically
-/// `window.sample(counters.chars.get())` on whatever reporting cadence
-/// the caller already has.
+/// `window.sample(counter.get())` on whatever reporting cadence the
+/// caller already has.
 ///
 /// ```
 /// use pm_chip::counters::RateWindow;
@@ -261,22 +218,22 @@ mod tests {
 
     #[test]
     fn counters_accumulate_across_threads() {
-        let c = ThroughputCounters::new();
+        let c = Counter::new();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..1000 {
-                        c.chars.add(2);
+                        c.add(2);
                     }
                 });
             }
         });
-        assert_eq!(c.chars.get(), 8000);
+        assert_eq!(c.get(), 8000);
     }
 
     #[test]
     fn empty_snapshot_has_no_rates() {
-        let snap = ThroughputCounters::new().snapshot(Duration::ZERO);
+        let snap = CounterSnapshot::default();
         assert_eq!(snap.chars_per_sec(), 0.0);
         assert_eq!(snap.lane_occupancy(), 0.0);
         assert_eq!(snap.cache_hit_rate(), 0.0);
@@ -317,13 +274,16 @@ mod tests {
 
     #[test]
     fn display_mentions_rate_and_occupancy() {
-        let c = ThroughputCounters::new();
-        c.jobs.add(2);
-        c.chars.add(1_000_000);
-        c.batches.add(1);
-        c.lane_slots_used.add(32);
-        c.lane_slots_total.add(64);
-        let text = c.snapshot(Duration::from_secs(1)).to_string();
+        let snap = CounterSnapshot {
+            jobs: 2,
+            chars: 1_000_000,
+            batches: 1,
+            lane_slots_used: 32,
+            lane_slots_total: 64,
+            elapsed: Duration::from_secs(1),
+            ..CounterSnapshot::default()
+        };
+        let text = snap.to_string();
         assert!(text.contains("1.00 Mchar/s"), "{text}");
         assert!(text.contains("50 % lane occupancy"), "{text}");
     }

@@ -65,7 +65,7 @@
 //! # }
 //! ```
 
-use crate::counters::{Counter, CounterSnapshot, RateWindow, ThroughputCounters};
+use crate::counters::{Counter, CounterSnapshot, RateWindow};
 use crate::faults::{corrupt_bits, mix, FaultPlan, PlaneFault, StickyFault, XorShift64};
 use crate::host::RetryPolicy;
 use pm_matchers::software_fallback;
@@ -857,7 +857,6 @@ impl ThroughputEngine {
             level: simd,
         });
 
-        let counters = ThroughputCounters::new();
         let plan_timer = Instant::now();
         let plan = plan_batches(jobs, width.lanes(), self.workers);
         let plan_micros = plan_timer.elapsed().as_micros() as u64;
@@ -867,9 +866,8 @@ impl ThroughputEngine {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..self.workers)
                     .map(|w| {
-                        let (counters, plan, queue) = (&counters, &plan, &queue);
-                        scope
-                            .spawn(move || self.work(w, jobs, plan, queue, counters, width, policy))
+                        let (plan, queue) = (&plan, &queue);
+                        scope.spawn(move || self.work(w, jobs, plan, queue, width, policy))
                     })
                     .collect();
                 // Join every handle before inspecting any outcome, so a
@@ -894,8 +892,14 @@ impl ThroughputEngine {
         let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
         let mut report = ResilienceReport::default();
         let mut worker_stats = Vec::with_capacity(self.workers);
+        let mut totals = CounterSnapshot::default();
         for (w, outcome) in outcomes.into_iter().enumerate() {
             let outcome = outcome?;
+            // Lookups and steals happened whether or not the worker's
+            // buffer commits; its work counts were voided with it.
+            totals.cache_hits += outcome.cache_hits;
+            totals.cache_misses += outcome.cache_misses;
+            totals.steals += outcome.steals;
             report.faults_injected += outcome.faults_injected;
             report.scrub_mismatches += outcome.scrub_mismatches;
             if let Some(label) = outcome.condemned {
@@ -919,11 +923,7 @@ impl ThroughputEngine {
                         });
                     }
                 }
-                counters.jobs.add(outcome.stats.jobs);
-                counters.chars.add(outcome.stats.chars);
-                counters.batches.add(outcome.stats.batches);
-                counters.lane_slots_used.add(outcome.stats.lanes_used);
-                counters.lane_slots_total.add(outcome.stats.lane_slots);
+                add_work(&mut totals, &outcome.stats);
                 for (idx, out) in outcome.outs {
                     outputs[idx] = Some(out);
                 }
@@ -938,16 +938,16 @@ impl ThroughputEngine {
             let unresolved: Vec<usize> =
                 (0..jobs.len()).filter(|&i| outputs[i].is_none()).collect();
             report.recovered_jobs = unresolved.len() as u64;
-            let deepest = self.recover(
+            let (deepest, recovered) = self.recover(
                 jobs,
                 &unresolved,
                 &mut outputs,
                 rungs,
                 rung0,
                 policy,
-                &counters,
                 &mut report,
             );
+            add_work(&mut totals, &recovered);
 
             // Ladder bookkeeping: a demoted run parks the engine on the
             // deepest rung recovery needed; a clean run counts toward
@@ -981,7 +981,7 @@ impl ThroughputEngine {
             .into_iter()
             .map(|o| o.expect("every job is committed or recovered"))
             .collect();
-        let totals = counters.snapshot(started.elapsed());
+        totals.elapsed = started.elapsed();
         self.lifetime_chars.add(totals.chars);
         self.rate.sample(self.lifetime_chars.get());
         Ok(ThroughputReport {
@@ -1015,7 +1015,6 @@ impl ThroughputEngine {
         jobs: &[JobRef<'_>],
         plan: &[Vec<usize>],
         queue: &WorkQueue,
-        counters: &ThroughputCounters,
         width: SuperWidth,
         policy: Option<ResiliencePolicy>,
     ) -> Result<WorkerOutcome, Error> {
@@ -1030,11 +1029,12 @@ impl ThroughputEngine {
         let mut batch_no = 0u64;
         let mut faults_injected = 0u64;
         let mut scrub_mismatches = 0u64;
+        let (mut cache_hits, mut cache_misses, mut steals) = (0u64, 0u64, 0u64);
         let mut condemned: Option<&'static str> = None;
 
         while let Some((b, stolen_from)) = queue.next(worker) {
             if let Some(victim) = stolen_from {
-                counters.steals.add(1);
+                steals += 1;
                 sink.record(TraceEvent::BatchStolen {
                     worker: worker as u32,
                     victim: victim as u32,
@@ -1052,15 +1052,11 @@ impl ThroughputEngine {
             let timer = (policy.is_some() || sink.enabled()).then(Instant::now);
             let active = sticky.filter(|f| batch_no >= f.onset);
             let mut execute = || -> Result<Vec<MatchBits>, Error> {
-                let (mut hits, cache_hit) = execute_members(
-                    &plan[b],
-                    jobs,
-                    &mut local,
-                    &self.index,
-                    counters,
-                    sink,
-                    width,
-                )?;
+                let (hits, looked) =
+                    execute_members(&plan[b], jobs, &mut local, &self.index, sink, width);
+                cache_hits += looked.hits;
+                cache_misses += looked.misses;
+                let mut hits = hits?;
                 if let Some(f) = active {
                     sink.record(TraceEvent::FaultInjected {
                         worker: worker as u32,
@@ -1074,7 +1070,7 @@ impl ThroughputEngine {
                         members,
                         jobs,
                         &mut hits,
-                        cache_hit,
+                        looked.hits > 0,
                     );
                 }
                 Ok(hits)
@@ -1155,6 +1151,9 @@ impl ThroughputEngine {
             condemned,
             faults_injected,
             scrub_mismatches,
+            cache_hits,
+            cache_misses,
+            steals,
         })
     }
 
@@ -1163,7 +1162,8 @@ impl ThroughputEngine {
     /// against the scalar spec, descend on failure, land on the
     /// software fallback when hardware rungs are exhausted. Returns the
     /// deepest hardware rung index recovery used (`rung0` when nothing
-    /// needed recovery; `rungs.len()` when the fallback was needed).
+    /// needed recovery; `rungs.len()` when the fallback was needed) and
+    /// the work the recovered chunks committed.
     #[allow(clippy::too_many_arguments)]
     fn recover(
         &self,
@@ -1173,11 +1173,11 @@ impl ThroughputEngine {
         rungs: &'static [SuperWidth],
         rung0: usize,
         policy: ResiliencePolicy,
-        counters: &ThroughputCounters,
         report: &mut ResilienceReport,
-    ) -> usize {
+    ) -> (usize, WorkerStats) {
+        let mut booked = WorkerStats::idle(usize::MAX);
         if unresolved.is_empty() {
-            return rung0;
+            return (rung0, booked);
         }
         let mut deepest = rung0;
         let mut cache = PatternCache::new(self.cache_capacity.max(unresolved.len()));
@@ -1237,7 +1237,13 @@ impl ThroughputEngine {
                         }
                         if lanes == truth {
                             commit_recovered(
-                                chunk, lanes, jobs, outputs, counters, &self.sink, rung,
+                                chunk,
+                                lanes,
+                                jobs,
+                                outputs,
+                                &mut booked,
+                                &self.sink,
+                                rung,
                             );
                             committed = true;
                             deepest = deepest.max(ri);
@@ -1275,7 +1281,7 @@ impl ThroughputEngine {
                         lanes,
                         jobs,
                         outputs,
-                        counters,
+                        &mut booked,
                         &self.sink,
                         rungs[rungs.len() - 1],
                     );
@@ -1283,7 +1289,7 @@ impl ThroughputEngine {
                 chunk_no += 1;
             }
         }
-        deepest
+        (deepest, booked)
     }
 }
 /// Two-tier pattern lookup: private cache, then shared index (copying
@@ -1294,7 +1300,6 @@ fn lookup_pattern(
     pattern: &Pattern,
     local: &mut PatternCache,
     index: &PatternIndex,
-    counters: &ThroughputCounters,
     sink: &SinkHandle,
 ) -> (Arc<CompiledPattern>, bool) {
     let (compiled, hit) = match local.get(pattern) {
@@ -1309,33 +1314,34 @@ fn lookup_pattern(
             (compiled, hit)
         }
     };
-    if hit {
-        counters.cache_hits.add(1);
-    } else {
-        counters.cache_misses.add(1);
-    }
     sink.record(TraceEvent::CacheLookup { hit });
     (compiled, hit)
 }
 
+/// Compiled-pattern lookups one batch made.
+#[derive(Debug, Default, Clone, Copy)]
+struct Lookups {
+    hits: u64,
+    misses: u64,
+}
+
 /// Runs one planned batch's kernel at `width`, returning the per-lane
-/// results plus whether any pattern lookup hit the cache.
+/// results plus the pattern lookups made before the kernel ran (so they
+/// count even when the kernel fails).
 ///
 /// The planner keeps each pattern group's members contiguous, so one
 /// lookup per run of equal patterns books one lookup per
 /// (batch, pattern), and the run's lanes share one compilation — which
 /// the kernel sets up once for the whole run.
-#[allow(clippy::too_many_arguments)]
 fn execute_members(
     members: &[usize],
     jobs: &[JobRef<'_>],
     local: &mut PatternCache,
     index: &PatternIndex,
-    counters: &ThroughputCounters,
     sink: &SinkHandle,
     width: SuperWidth,
-) -> Result<(Vec<MatchBits>, bool), Error> {
-    let mut any_hit = false;
+) -> (Result<Vec<MatchBits>, Error>, Lookups) {
+    let mut looked = Lookups::default();
     let mut compiled: Vec<Arc<CompiledPattern>> = Vec::with_capacity(members.len());
     for (lane, &i) in members.iter().enumerate() {
         let pattern = jobs[i].pattern;
@@ -1346,8 +1352,9 @@ fn execute_members(
         let c = if repeat {
             Arc::clone(&compiled[lane - 1])
         } else {
-            let (c, hit) = lookup_pattern(pattern, local, index, counters, sink);
-            any_hit |= hit;
+            let (c, hit) = lookup_pattern(pattern, local, index, sink);
+            looked.hits += u64::from(hit);
+            looked.misses += u64::from(!hit);
             c
         };
         compiled.push(c);
@@ -1357,7 +1364,7 @@ fn execute_members(
         .zip(&compiled)
         .map(|(&i, c)| (c.as_ref(), jobs[i].text))
         .collect();
-    Ok((run_lanes(width, &lanes)?, any_hit))
+    (run_lanes(width, &lanes), looked)
 }
 
 /// The lane-packed kernel at a given width.
@@ -1416,13 +1423,17 @@ fn corrupt_hits(
 
 /// What one worker hands back: its stats, its *pending* outputs tagged
 /// with their global job index, and what (if anything) condemned it.
-/// The coordinator commits the outputs only for un-condemned workers.
+/// The coordinator commits the outputs and stats only for un-condemned
+/// workers; the cache lookups and steals count for every worker.
 struct WorkerOutcome {
     stats: WorkerStats,
     outs: Vec<(usize, JobOutput)>,
     condemned: Option<&'static str>,
     faults_injected: u64,
     scrub_mismatches: u64,
+    cache_hits: u64,
+    cache_misses: u64,
+    steals: u64,
 }
 
 impl WorkerOutcome {
@@ -1434,14 +1445,17 @@ impl WorkerOutcome {
             condemned: Some(label),
             faults_injected: 0,
             scrub_mismatches: 0,
+            cache_hits: 0,
+            cache_misses: 0,
+            steals: 0,
         }
     }
 }
 
 /// Books one executed batch into the worker's *pending* state: local
 /// stats and buffered outputs plus the `BatchExecuted` trace (the
-/// execution really happened) — but no shared counters and no
-/// `JobCompleted`, which belong to the commit.
+/// execution really happened) — but no `JobCompleted`, which belongs
+/// to the commit.
 #[allow(clippy::too_many_arguments)]
 fn book_pending(
     members: &[usize],
@@ -1484,14 +1498,14 @@ fn book_pending(
 }
 
 /// Commits one recovery chunk: spec-verified (or software-exact) lanes
-/// become outputs, booked into the shared counters under the
+/// become outputs, booked into `booked` and traced under the
 /// coordinator's pseudo-worker id `u32::MAX`.
 fn commit_recovered(
     chunk: &[usize],
     lanes: Vec<Vec<bool>>,
     jobs: &[JobRef<'_>],
     outputs: &mut [Option<JobOutput>],
-    counters: &ThroughputCounters,
+    booked: &mut WorkerStats,
     sink: &SinkHandle,
     width: SuperWidth,
 ) {
@@ -1510,11 +1524,20 @@ fn commit_recovered(
         }
         outputs[i] = Some(JobOutput { id: job.id, hits });
     }
-    counters.jobs.add(chunk.len() as u64);
-    counters.chars.add(chars);
-    counters.batches.add(1);
-    counters.lane_slots_used.add(chunk.len() as u64);
-    counters.lane_slots_total.add(width.lanes() as u64);
+    booked.jobs += chunk.len() as u64;
+    booked.chars += chars;
+    booked.batches += 1;
+    booked.lanes_used += chunk.len() as u64;
+    booked.lane_slots += width.lanes() as u64;
+}
+
+/// Adds one committed booking's work to the run totals.
+fn add_work(totals: &mut CounterSnapshot, stats: &WorkerStats) {
+    totals.jobs += stats.jobs;
+    totals.chars += stats.chars;
+    totals.batches += stats.batches;
+    totals.lane_slots_used += stats.lanes_used;
+    totals.lane_slots_total += stats.lane_slots;
 }
 
 /// Runs a deterministic known-answer workload through the worker's own
@@ -1794,19 +1817,17 @@ mod tests {
             })
             .collect();
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
-        let counters = ThroughputCounters::new();
-        let (hits, _) = execute_members(
+        let (hits, looked) = execute_members(
             &(0..2 * N).collect::<Vec<_>>(),
             &refs,
             &mut PatternCache::new(8),
             &PatternIndex::new(8),
-            &counters,
             &SinkHandle::null(),
             SuperWidth::W8,
-        )
-        .unwrap();
+        );
+        let hits = hits.unwrap();
         // 2 patterns × N lanes: one lookup per pattern, not per lane.
-        assert_eq!(counters.cache_hits.get() + counters.cache_misses.get(), 2);
+        assert_eq!(looked.hits + looked.misses, 2);
         for (hit, job) in hits.iter().zip(&jobs) {
             assert_eq!(hit.bits(), match_spec(&job.text, &job.pattern));
         }
@@ -1819,18 +1840,16 @@ mod tests {
                 text: &text,
             })
             .collect();
-        let counters = ThroughputCounters::new();
-        let (hits, _) = execute_members(
+        let (hits, looked) = execute_members(
             &(0..8).collect::<Vec<_>>(),
             &one,
             &mut PatternCache::new(8),
             &PatternIndex::new(8),
-            &counters,
             &SinkHandle::null(),
             SuperWidth::W8,
-        )
-        .unwrap();
-        assert_eq!(counters.cache_hits.get() + counters.cache_misses.get(), 1);
+        );
+        let hits = hits.unwrap();
+        assert_eq!(looked.hits + looked.misses, 1);
         for hit in &hits {
             assert_eq!(hit.bits(), match_spec(&text, &p));
         }
@@ -2227,6 +2246,13 @@ mod tests {
         assert_eq!(snap.jobs_completed, jobs.len() as u64);
         let truth_matches: u64 = report.outputs.iter().map(|o| o.hits.count() as u64).sum();
         assert_eq!(snap.matches, truth_matches);
+        // Every worker was quarantined, yet its cache lookups and
+        // steals still count toward the run totals.
+        assert_eq!(res.quarantined.len(), 2);
+        assert!(snap.cache_hits + snap.cache_misses > 0);
+        assert_eq!(report.totals.cache_hits, snap.cache_hits);
+        assert_eq!(report.totals.cache_misses, snap.cache_misses);
+        assert_eq!(report.totals.steals, snap.batch_steals);
     }
 
     #[test]

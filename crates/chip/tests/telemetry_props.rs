@@ -6,7 +6,6 @@
 
 use pm_chip::telemetry::MetricsRegistry;
 use pm_chip::throughput::{Job, ThroughputEngine};
-use pm_systolic::batch::PlaneDriver;
 use pm_systolic::prelude::*;
 use pm_systolic::telemetry::SinkHandle;
 use proptest::prelude::*;
@@ -24,7 +23,7 @@ fn build(pat: &[Option<u8>]) -> Pattern {
 }
 
 /// A shared-length pattern plus 1..=64 equal-length texts — the
-/// beat-accurate [`PlaneDriver`] workload. Lane counts deliberately
+/// beat-accurate [`SuperplaneDriver`] workload. Lane counts deliberately
 /// cover the ragged range, not just full words.
 fn plane_workload() -> impl Strategy<Value = (Vec<Option<u8>>, Vec<Vec<u8>>)> {
     let pat_sym = prop_oneof![
@@ -84,7 +83,7 @@ proptest! {
             .collect();
         let lanes: Vec<&[Symbol]> = symbol_texts.iter().map(|t| t.as_slice()).collect();
 
-        let mut driver = PlaneDriver::new(&patterns).unwrap();
+        let mut driver = SuperplaneDriver::<1>::new(&patterns).unwrap();
         let metrics = MetricsRegistry::new();
         let hits = driver.run_with_sink(&lanes, &metrics).unwrap();
 

@@ -43,8 +43,9 @@ pub enum Error {
     },
     /// A bit-plane batch was offered more lanes than its planes carry:
     /// `W × 64` for a width-`W` superplane batch
-    /// ([`crate::superplane::match_lanes_wide`]), 64 per word
-    /// ([`crate::batch::LANES`]) for a [`crate::batch::PlaneDriver`].
+    /// ([`crate::superplane::match_lanes_wide`]) or a width-`W`
+    /// [`crate::superplane::SuperplaneDriver`], 64 per word
+    /// ([`crate::batch::LANES`]).
     /// A driver that was built and then run with a different number
     /// of lanes reports [`Error::LaneCountMismatch`] instead.
     TooManyLanes {
@@ -53,10 +54,9 @@ pub enum Error {
         /// Lanes the batch actually carries.
         capacity: usize,
     },
-    /// A plane driver ([`crate::batch::PlaneDriver`],
-    /// [`crate::superplane::SuperplaneDriver`]) was run with more or
-    /// fewer texts than the lanes it was built with; it takes exactly
-    /// one text per lane.
+    /// A plane driver ([`crate::superplane::SuperplaneDriver`]) was run
+    /// with more or fewer texts than the lanes it was built with; it
+    /// takes exactly one text per lane.
     LaneCountMismatch {
         /// Number of texts supplied.
         lanes: usize,
@@ -65,8 +65,8 @@ pub enum Error {
     },
     /// A plane-driver batch mixed pattern lengths; the shared `λ` bit
     /// of the pattern stream can only mark one end position, so every
-    /// lane of a [`crate::batch::PlaneDriver`] must carry a pattern of
-    /// the same length.
+    /// lane of a [`crate::superplane::SuperplaneDriver`] must carry a
+    /// pattern of the same length.
     RaggedLanePatterns,
     /// A scheduler worker thread panicked mid-batch. Raised by
     /// `pm-chip`'s throughput engine *after* every worker thread has

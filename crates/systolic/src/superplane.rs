@@ -2,8 +2,8 @@
 //!
 //! The paper's replication argument (§2: "the algorithm is the chip")
 //! says throughput comes from laying the same tiny comparator down many
-//! times. [`crate::batch`] already replicated the boolean cell 64× into
-//! the bit positions of a `u64`; this module replicates the *word*: a
+//! times. [`crate::batch`] describes the boolean cell replicated 64×
+//! into the bit positions of a `u64`; this module replicates the *word*: a
 //! [`Superplane<W>`] is `[u64; W]`, carrying `W × 64` lanes, and every
 //! plane operation of the recurrence `t ← t ∧ (x ∨ d)` becomes `W`
 //! independent word operations — exactly the shape compilers
@@ -31,11 +31,11 @@
 //!   the `PM_SIMD` environment variable (`portable`, `avx2`,
 //!   `avx512`; the override can only narrow, never exceed, what the
 //!   CPU supports);
-//! * the **beat-accurate twin** [`SuperplaneDriver`], the
-//!   [`PlaneDriver`](crate::batch::PlaneDriver) generalisation whose
+//! * the **beat-accurate twin** [`SuperplaneDriver`], whose
 //!   accumulator is a `[u64; W]` plane flowing through the unmodified
 //!   [`Driver`], with `run_with_sink` emitting occupancy-masked
-//!   popcounts summed across all `W` words.
+//!   popcounts summed across all `W` words. At `W = 1` it is the
+//!   64-lane beat-accurate array.
 //!
 //! Why the transpose is strip-mined: a per-position text transpose
 //! (one branchy bit-scatter per lane per character, as in figure E31's
@@ -65,7 +65,7 @@
 // features present. All data paths are safe code.
 #![allow(unsafe_code)]
 
-use crate::batch::{check_lane_count, CompiledPattern};
+use crate::batch::CompiledPattern;
 use crate::engine::{BeatExit, Driver, MatchBits};
 use crate::error::Error;
 use crate::semantics::MeetSemantics;
@@ -657,9 +657,7 @@ impl<const W: usize> Default for SuperOut<W> {
 /// [`MeetSemantics`] instance whose accumulator is a `W`-word
 /// superplane: the unmodified systolic [`Driver`] advances `W × 64`
 /// boolean matches per beat. All lanes share the pattern *length* (one
-/// `λ` bit serves every lane); contents may differ per lane. The
-/// 64-lane [`LaneBoolean`](crate::batch::LaneBoolean) is this semantics
-/// at `W = 1`.
+/// `λ` bit serves every lane); contents may differ per lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperBoolean<const W: usize> {
     /// Alphabet width in bits (the number of comparator planes).
@@ -738,13 +736,24 @@ pub fn pack_patterns_wide<const W: usize>(patterns: &[Pattern]) -> Result<Vec<Su
     Ok(items)
 }
 
+/// A plane driver takes exactly one text per lane it was built with.
+fn check_lane_count(texts: usize, lanes: usize) -> Result<(), Error> {
+    if texts == lanes {
+        Ok(())
+    } else {
+        Err(Error::LaneCountMismatch {
+            lanes: texts,
+            expected: lanes,
+        })
+    }
+}
+
 /// The beat-accurate superplane matcher: `[u64; W]` planes flowing
 /// through the existing [`Driver`] with [`SuperBoolean`] semantics.
 /// One beat of this driver is one beat of the scalar array — in all
-/// `W × 64` lanes simultaneously. This is the telemetry twin of
-/// [`PlaneDriver`](crate::batch::PlaneDriver):
-/// [`run_with_sink`](Self::run_with_sink) emits the same beat-level
-/// events with occupancy-masked popcounts summed over the `W` words.
+/// `W × 64` lanes simultaneously. [`run_with_sink`](Self::run_with_sink)
+/// emits beat-level events with occupancy-masked popcounts summed over
+/// the `W` words.
 #[derive(Debug, Clone)]
 pub struct SuperplaneDriver<const W: usize> {
     driver: Driver<SuperBoolean<W>>,
@@ -786,7 +795,7 @@ impl<const W: usize> SuperplaneDriver<W> {
     /// results are discarded) and returns one [`MatchBits`] per lane.
     ///
     /// This is the un-instrumented path, preserved verbatim so the
-    /// telemetry A/B in `pm-bench` (E31) has a true baseline;
+    /// telemetry A/B in `pm-bench` (E30) has a true baseline;
     /// [`run_with_sink`](Self::run_with_sink) is the traced twin and is
     /// tested bit-identical to it.
     ///
@@ -1267,8 +1276,7 @@ mod tests {
     }
 
     #[test]
-    fn superplane_driver_equals_plane_driver_and_spec() {
-        use crate::batch::PlaneDriver;
+    fn superplane_driver_w2_equals_w1_and_spec() {
         let pats: Vec<Pattern> = ["AXC", "BBC", "XXX", "CAB", "ACA"]
             .iter()
             .cycle()
@@ -1282,8 +1290,8 @@ mod tests {
         for ((h, p), t) in got.iter().zip(&pats).zip(&texts) {
             assert_eq!(h.bits(), match_spec(t, p), "pattern {p}");
         }
-        // The first 64 lanes are exactly a PlaneDriver batch.
-        let mut narrow = PlaneDriver::new(&pats[..64]).unwrap();
+        // The first 64 lanes are exactly a one-word batch.
+        let mut narrow = SuperplaneDriver::<1>::new(&pats[..64]).unwrap();
         let narrow_hits = narrow.run(&lanes[..64]).unwrap();
         assert_eq!(&got[..64], &narrow_hits[..]);
     }
@@ -1342,6 +1350,110 @@ mod tests {
             };
             assert_eq!(d.run(&texts), Err(want.clone()));
             assert_eq!(d.run_with_upsets(&texts, &[]), Err(want.clone()));
+            assert_eq!(d.run_with_sink(&texts, &NullSink), Err(want));
+        }
+    }
+
+    #[test]
+    fn w1_driver_equals_spec_per_lane() {
+        let pats = [
+            Pattern::parse("AXC").unwrap(),
+            Pattern::parse("BBC").unwrap(),
+            Pattern::parse("XXX").unwrap(),
+            Pattern::parse("CAB").unwrap(),
+        ];
+        let texts = [
+            letters("ABCAACCAB"),
+            letters("BBCBBC"),
+            letters("AB"),
+            letters("CABCABCAB"),
+        ];
+        let mut d = SuperplaneDriver::<1>::new(&pats).unwrap();
+        let lanes: Vec<&[Symbol]> = texts.iter().map(|t| t.as_slice()).collect();
+        let hits = d.run(&lanes).unwrap();
+        for ((h, p), t) in hits.iter().zip(&pats).zip(&texts) {
+            assert_eq!(h.bits(), match_spec(t, p), "pattern {p}");
+        }
+    }
+
+    #[test]
+    fn w1_driver_traced_run_is_bit_identical() {
+        use crate::telemetry::{MemorySink, NullSink, TraceEvent};
+        let pats = [
+            Pattern::parse("AXC").unwrap(),
+            Pattern::parse("BBC").unwrap(),
+            Pattern::parse("CAB").unwrap(),
+        ];
+        let texts = [letters("ABCAACCAB"), letters("BBC"), letters("CABCABCAB")];
+        let lanes: Vec<&[Symbol]> = texts.iter().map(|t| t.as_slice()).collect();
+        let mut d = SuperplaneDriver::<1>::new(&pats).unwrap();
+        let plain = d.run(&lanes).unwrap();
+        let silent = d.run_with_sink(&lanes, &NullSink).unwrap();
+        let sink = MemorySink::new();
+        let traced = d.run_with_sink(&lanes, &sink).unwrap();
+        assert_eq!(plain, silent);
+        assert_eq!(plain, traced);
+        for ((h, p), t) in plain.iter().zip(&pats).zip(&texts) {
+            assert_eq!(h.bits(), match_spec(t, p), "pattern {p}");
+        }
+        // Two clock phases per beat; beats = 2·tmax feed + 2·slack drain.
+        let events = sink.events();
+        let clocks = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Clock { .. }))
+            .count();
+        let slack = 3 + 2 * 3 + 4; // total_cells + 2·pattern_len + 4
+        assert_eq!(clocks, 2 * (2 * 9 + 2 * slack));
+        let injected = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::TextInjected { .. }))
+            .count();
+        assert_eq!(injected, 9); // one per text position (tmax)
+                                 // Comparator fires carry the ground-truth lane popcount.
+        let fired: u32 = events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::ComparatorFire { lanes, .. } => Some(*lanes),
+                _ => None,
+            })
+            .sum();
+        let truth: u32 = plain.iter().map(|h| h.count() as u32).sum();
+        assert_eq!(fired, truth);
+    }
+
+    #[test]
+    fn w1_driver_rejects_ragged_patterns() {
+        let pats = [
+            Pattern::parse("AB").unwrap(),
+            Pattern::parse("ABC").unwrap(),
+        ];
+        assert!(matches!(
+            SuperplaneDriver::<1>::new(&pats),
+            Err(Error::RaggedLanePatterns)
+        ));
+        assert!(matches!(
+            SuperplaneDriver::<1>::new(&[]),
+            Err(Error::EmptyPattern)
+        ));
+    }
+
+    #[test]
+    fn w1_driver_rejects_a_wrong_text_count() {
+        use crate::telemetry::NullSink;
+        let pats = [
+            Pattern::parse("AB").unwrap(),
+            Pattern::parse("BA").unwrap(),
+            Pattern::parse("XA").unwrap(),
+        ];
+        let t = letters("ABAB");
+        let mut d = SuperplaneDriver::<1>::new(&pats).unwrap();
+        for n in [2, 4] {
+            let texts: Vec<&[Symbol]> = (0..n).map(|_| t.as_slice()).collect();
+            let want = Error::LaneCountMismatch {
+                lanes: n,
+                expected: 3,
+            };
+            assert_eq!(d.run(&texts), Err(want.clone()));
             assert_eq!(d.run_with_sink(&texts, &NullSink), Err(want));
         }
     }

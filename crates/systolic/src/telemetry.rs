@@ -13,7 +13,7 @@
 //! variants. Two disciplines keep the disabled path free:
 //!
 //! * **Monomorphised paths** (e.g.
-//!   [`PlaneDriver::run_with_sink`](crate::batch::PlaneDriver::run_with_sink))
+//!   [`SuperplaneDriver::run_with_sink`](crate::superplane::SuperplaneDriver::run_with_sink))
 //!   take `&S where S: TraceSink`. With [`NullSink`] the
 //!   `enabled() == false` constant folds and every emission compiles
 //!   away — the A/B measurement in `pm-bench`'s E30 figure holds this

@@ -65,7 +65,7 @@ fn mixed_lane_workload() -> impl Strategy<Value = LaneJobs> {
 }
 
 /// Strategy: equal-length per-lane patterns (the beat-accurate
-/// [`PlaneDriver`] shares one λ position across lanes) and texts.
+/// [`SuperplaneDriver`] shares one λ position across lanes) and texts.
 fn plane_workload() -> impl Strategy<Value = LaneJobs> {
     (1u32..=4, 1usize..=6).prop_flat_map(|(bits, len)| {
         let max = (1u16 << bits) as u8 - 1;
@@ -286,7 +286,7 @@ proptest! {
             .map(|(_, t)| t.iter().map(|&b| Symbol::new(b)).collect())
             .collect();
         let refs: Vec<&[Symbol]> = lanes.iter().map(|t| t.as_slice()).collect();
-        let mut driver = PlaneDriver::new(&patterns).unwrap();
+        let mut driver = SuperplaneDriver::<1>::new(&patterns).unwrap();
         let got = driver.run(&refs).unwrap();
         for ((pattern, t), hits) in patterns.iter().zip(&lanes).zip(&got) {
             prop_assert_eq!(hits.bits(), match_spec(t, pattern));
@@ -389,7 +389,7 @@ proptest! {
     }
 
     #[test]
-    fn superplane_driver_equals_plane_driver_per_lane((bits, jobs) in plane_workload()) {
+    fn superplane_driver_w1_equals_w2_and_spec((bits, jobs) in plane_workload()) {
         let patterns: Vec<Pattern> =
             jobs.iter().map(|(pat, _)| build(bits, pat)).collect();
         let lanes: Vec<Vec<Symbol>> = jobs
@@ -397,7 +397,10 @@ proptest! {
             .map(|(_, t)| t.iter().map(|&b| Symbol::new(b)).collect())
             .collect();
         let refs: Vec<&[Symbol]> = lanes.iter().map(|t| t.as_slice()).collect();
-        let narrow = PlaneDriver::new(&patterns).unwrap().run(&refs).unwrap();
+        let narrow = SuperplaneDriver::<1>::new(&patterns)
+            .unwrap()
+            .run(&refs)
+            .unwrap();
         let wide = SuperplaneDriver::<2>::new(&patterns)
             .unwrap()
             .run(&refs)
@@ -406,8 +409,8 @@ proptest! {
             patterns.iter().zip(&lanes).zip(&narrow).zip(&wide)
         {
             let spec = match_spec(t, pattern);
-            prop_assert_eq!(n.bits(), spec.clone(), "PlaneDriver vs spec");
-            prop_assert_eq!(h.bits(), spec, "SuperplaneDriver vs spec");
+            prop_assert_eq!(n.bits(), spec.clone(), "W1 driver vs spec");
+            prop_assert_eq!(h.bits(), spec, "W2 driver vs spec");
         }
     }
 
