@@ -35,9 +35,10 @@ const WORKERS: usize = 4;
 /// Scheduler repetitions; the best-of-N rate is the regression-gate
 /// headline, which rejects most scheduler noise on shared CI boxes.
 const SCHED_REPS: usize = 3;
-/// Repetitions for the NullSink A/B; the minimum over repeats rejects
-/// scheduler noise on a shared box.
-const AB_REPS: usize = 9;
+/// Pairs of runs in the NullSink A/B. Each pair alternates which side
+/// runs first, and the figure reports the median per-pair overhead with
+/// its interquartile range, so one descheduled run moves neither.
+const AB_PAIRS: usize = 15;
 /// Lanes and characters for the A/B workload (the beat-accurate driver
 /// is the slow path; a modest size keeps the figure quick).
 const AB_LANES: usize = 64;
@@ -199,50 +200,58 @@ pub fn telemetry() -> String {
     let lanes: Vec<&[Symbol]> = ab_texts.iter().map(|t| t.as_slice()).collect();
     let mut driver = SuperplaneDriver::<1>::new(&ab_patterns).expect("uniform pattern lengths");
 
-    let mut base = Duration::MAX;
-    let mut nulled = Duration::MAX;
-    for _ in 0..AB_REPS {
-        let t = Instant::now();
-        let a = driver.run(&lanes).expect("lane count matches");
-        base = base.min(t.elapsed());
-        let t = Instant::now();
-        let b = driver
-            .run_with_sink(&lanes, &NullSink)
-            .expect("lane count matches");
-        nulled = nulled.min(t.elapsed());
-        assert_eq!(a, b, "traced twin must be bit-identical");
-    }
-    let overhead =
-        (nulled.as_secs_f64() - base.as_secs_f64()).max(0.0) / base.as_secs_f64().max(1e-12);
+    // Seconds per pair, `[baseline, traced]`; odd pairs run the traced
+    // twin first.
+    let pairs: Vec<[f64; 2]> = (0..AB_PAIRS)
+        .map(|pair| {
+            let (mut secs, mut bits) = ([0.0; 2], Vec::with_capacity(2));
+            for traced in [pair % 2 == 1, pair % 2 == 0] {
+                let t = Instant::now();
+                let run = if traced {
+                    driver.run_with_sink(&lanes, &NullSink)
+                } else {
+                    driver.run(&lanes)
+                };
+                bits.push(run.expect("lane count matches"));
+                secs[usize::from(traced)] = t.elapsed().as_secs_f64();
+            }
+            assert_eq!(bits[0], bits[1], "traced twin must be bit-identical");
+            secs
+        })
+        .collect();
+    let [q1, median, q3] = quartiles(pairs.iter().map(|[b, n]| (n - b) / b.max(1e-12)).collect());
+    let median_ms = |side: usize| quartiles(pairs.iter().map(|p| p[side] * 1e3).collect())[1];
+    let verdict = match (q3 - q1 > 0.01, median < 0.01) {
+        (true, _) => "unresolved",
+        (false, true) => "true",
+        (false, false) => "false",
+    };
     writeln!(
         out,
         "\n  NullSink A/B (beat-accurate SuperplaneDriver::<1>, {AB_LANES} lanes × {AB_LEN} chars, \
-         min of {AB_REPS}):"
+         {AB_PAIRS} alternating pairs, medians):"
     )
     .unwrap();
+    writeln!(out, "    baseline run       : {:>8.3} ms", median_ms(0)).unwrap();
+    writeln!(out, "    run_with_sink(Null): {:>8.3} ms", median_ms(1)).unwrap();
     writeln!(
         out,
-        "    baseline run       : {:>8.3} ms",
-        base.as_secs_f64() * 1e3
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    run_with_sink(Null): {:>8.3} ms",
-        nulled.as_secs_f64() * 1e3
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    disabled-sink overhead: {:.2} % (within 1 %: {})",
-        overhead * 100.0,
-        overhead < 0.01
+        "    disabled-sink overhead: {:.2} % (IQR {:.2} %; within 1 %: {verdict})",
+        median * 100.0,
+        (q3 - q1) * 100.0
     )
     .unwrap();
 
     writeln!(out, "\n  all outputs equal specification: {agree}").unwrap();
     writeln!(out, "  telemetry equals ground truth: {exact}").unwrap();
     out
+}
+
+/// Lower quartile, median and upper quartile of `v` (nearest rank).
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    let at = |q: usize| v[(v.len() - 1) * q / 4];
+    [at(1), at(2), at(3)]
 }
 
 #[cfg(test)]

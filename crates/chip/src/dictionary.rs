@@ -18,10 +18,9 @@
 //!    collapse onto one resident lane (their ids fan back out at event
 //!    time) and the depth-first walk emits survivors in prefix-adjacent
 //!    order;
-//! 2. **length buckets** — survivors are stable-sorted by length via
-//!    [`plan::bucket_by_len`](crate::plan::bucket_by_len), the same
-//!    bucketing the throughput planner applies to pooled batches, so one
-//!    long pattern can't inflate the `kmax` (and therefore the
+//! 2. **length buckets** — survivors are stable-sorted by length, as
+//!    the throughput planner sorts its pool of small pattern groups, so
+//!    one long pattern can't inflate the `kmax` (and therefore the
 //!    per-character cost) of every group it touches;
 //! 3. **superplane groups** — the bucketed order is cut into groups of
 //!    `width.lanes()` patterns, each compiled to a `ResidentGroup`
@@ -186,7 +185,9 @@ impl PatternDictionary {
                 (patterns[ids[0] as usize].clone(), ids)
             })
             .collect();
-        crate::plan::bucket_by_len(&mut survivors, |(p, _)| p.len());
+        // Stable, so equal-length survivors keep the trie walk's
+        // prefix-adjacent order.
+        survivors.sort_by_key(|(p, _)| p.len());
 
         // 3. The group cut is implicit: resident lane l lives in group
         //    l / width.lanes(). Stats summarise the plan.

@@ -41,8 +41,6 @@
 //!   and a borrowed [`ingest::TextSource`] abstraction so batch
 //!   drivers scan `&[Symbol]` slices instead of owned buffers, plus a
 //!   streaming chunker carrying only the `kmax − 1` overlap tail;
-//! * [`plan`] — the length-bucketing discipline shared by the batch,
-//!   dictionary and router planners;
 //! * [`telemetry`] — counters, fixed-bucket histograms and the
 //!   Prometheus/JSON exporters built over the
 //!   `pm_systolic::telemetry` trace-event taxonomy; the scheduler,
@@ -70,7 +68,6 @@ pub mod host;
 pub mod ingest;
 pub mod multipass;
 pub mod pins;
-pub mod plan;
 pub mod recovery;
 pub mod shard;
 pub mod telemetry;

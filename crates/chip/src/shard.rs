@@ -16,11 +16,14 @@
 //!   compiled planes, so they belong together), routes each group to
 //!   its *affinity shard* — a deterministic hash of the pattern, so
 //!   repeat traffic re-hits warm caches — spilling to the least-loaded
-//!   shard when affinity would overload one, runs every shard in
-//!   parallel, and merges the reports back into submission order.
+//!   shard when affinity would overload one, hands every shard its
+//!   groups, runs the shards in parallel, and merges the reports back
+//!   into submission order. A routed batch is grouped once: each
+//!   shard's planner cuts batches from the router's groups.
 //!
 //! Routing cost is accounted, not assumed: [`RouterReport`] carries
-//! `route_micros` plus every shard's `plan_micros`, and
+//! `route_micros` (which includes the one grouping pass) plus every
+//! shard's `plan_micros` (its cut), and
 //! [`RouterReport::planner_overhead_frac`] is the gated ratio the E36
 //! ingest benchmark holds below 5 % of batch wall-clock.
 //!
@@ -221,7 +224,6 @@ pub struct Shard {
     id: usize,
     engine: ThroughputEngine,
     pool: SlotPool,
-    queue_depth: AtomicU64,
 }
 
 impl Shard {
@@ -244,12 +246,6 @@ impl Shard {
     /// state, so admission layers may hold their own handle.
     pub fn pool(&self) -> &SlotPool {
         &self.pool
-    }
-
-    /// Jobs admitted to this shard by the in-progress (or most recent)
-    /// routing round; returns to 0 when the round completes.
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
     }
 }
 
@@ -290,12 +286,7 @@ impl Router {
                 let mut engine =
                     ThroughputEngine::with_sink(workers, config.cache_capacity, sink.clone());
                 engine.set_width(config.width);
-                Shard {
-                    id,
-                    engine,
-                    pool,
-                    queue_depth: AtomicU64::new(0),
-                }
+                Shard { id, engine, pool }
             })
             .collect();
         Router { shards, sink }
@@ -370,11 +361,7 @@ impl Router {
         let route_timer = Instant::now();
         let n = self.shards.len();
 
-        let mut groups = group_by_pattern(jobs, 0..jobs.len());
-        // Bucket groups by pattern length so each shard's own planner
-        // receives length-sorted groups — the shared discipline of
-        // `plan::bucket_by_len` applied one level up.
-        crate::plan::bucket_by_len(&mut groups, |(p, _)| p.len());
+        let groups = group_by_pattern(jobs, 0..jobs.len());
         let group_count = groups.len() as u64;
 
         let total_chars: usize = jobs.iter().map(|j| j.text.len()).sum();
@@ -382,7 +369,7 @@ impl Router {
         // would exceed it, then the group spills to the least loaded.
         let cap = total_chars / n + total_chars / (4 * n) + 1;
         let mut load = vec![0usize; n];
-        let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut assignment: Vec<Vec<(&Pattern, Vec<usize>)>> = vec![Vec::new(); n];
         let mut moves = 0u64;
         for (pattern, members) in groups {
             let group_chars: usize = members.iter().map(|&i| jobs[i].text.len()).sum();
@@ -397,7 +384,7 @@ impl Router {
                 preferred
             };
             load[target] += group_chars;
-            assignment[target].extend_from_slice(&members);
+            assignment[target].push((pattern, members));
         }
         let route_micros = route_timer.elapsed().as_micros() as u64;
 
@@ -408,35 +395,39 @@ impl Router {
             moves,
             micros: route_micros,
         });
+        // Each shard's jobs laid out group by group, with its groups as
+        // ranges of that layout: the shard plans without grouping again.
+        let mut handoff = Vec::with_capacity(n);
         for (shard, admitted) in self.shards.iter().zip(&assignment) {
-            let depth = admitted.len() as u64;
-            shard.queue_depth.store(depth, Ordering::Relaxed);
+            let (mut local, mut groups) = (Vec::new(), Vec::with_capacity(admitted.len()));
+            for (pattern, members) in admitted {
+                let from = local.len();
+                local.extend(members.iter().map(|&i| jobs[i]));
+                groups.push((*pattern, (from..local.len()).collect()));
+            }
+            let depth = local.len() as u64;
             self.sink.record(TraceEvent::ShardAdmitted {
                 shard: shard.id as u32,
                 jobs: depth,
                 depth,
             });
+            handoff.push((local, groups));
         }
 
-        let shard_jobs: Vec<Vec<JobRef<'_>>> = assignment
-            .iter()
-            .map(|ids| ids.iter().map(|&i| jobs[i]).collect())
-            .collect();
         let joined: Vec<std::thread::Result<Result<ThroughputReport, Error>>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .shards
                     .iter()
-                    .zip(&shard_jobs)
-                    .map(|(shard, sj)| scope.spawn(move || shard.engine.run_refs(sj)))
+                    .zip(handoff)
+                    .map(|(shard, (sj, groups))| {
+                        scope.spawn(move || shard.engine.run_groups(&sj, groups, Instant::now()))
+                    })
                     .collect();
                 // Join every shard before inspecting any outcome, so
                 // one failing shard never leaves siblings running.
                 handles.into_iter().map(|h| h.join()).collect()
             });
-        for shard in &self.shards {
-            shard.queue_depth.store(0, Ordering::Relaxed);
-        }
 
         let mut shard_reports = Vec::with_capacity(n);
         for (s, joined) in joined.into_iter().enumerate() {
@@ -448,8 +439,9 @@ impl Router {
 
         // Move, don't clone: each output owns its match-end list.
         let mut outputs: Vec<Option<JobOutput>> = vec![None; jobs.len()];
-        for (ids, report) in assignment.iter().zip(&mut shard_reports) {
-            for (&global, out) in ids.iter().zip(std::mem::take(&mut report.outputs)) {
+        for (groups, report) in assignment.iter().zip(&mut shard_reports) {
+            let globals = groups.iter().flat_map(|(_, members)| members);
+            for (&global, out) in globals.zip(std::mem::take(&mut report.outputs)) {
                 outputs[global] = Some(out);
             }
         }
@@ -572,26 +564,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn single_shard_router_equals_the_plain_engine() {
-        let jobs = job_mix();
-        let router = Router::new(RouterConfig {
-            shards: 1,
-            workers_per_shard: 3,
-            ..RouterConfig::default()
-        });
-        let engine = ThroughputEngine::new(3, 256);
-        let routed = router.run(&jobs).unwrap();
-        let plain = engine.run(&jobs).unwrap();
-        for (a, b) in routed.outputs.iter().zip(&plain.outputs) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.hits.bits(), b.hits.bits());
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn single_shard_router_equals_the_plain_engine(
+            groups in crate::throughput::tests::plan_workload(),
+            workers in 1usize..=7,
+            w in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            use crate::faults::{mix, XorShift64};
+            use pm_systolic::symbol::{Alphabet, PatSym};
+            use proptest::prelude::*;
+            let width = [SuperWidth::W1, SuperWidth::W4, SuperWidth::W8][w];
+            let lanes = width.lanes();
+            let mut rng = XorShift64::new(mix(seed + 1));
+            let texts: Vec<Vec<Symbol>> = (0..8)
+                .map(|_| {
+                    let len = rng.bounded(12) as usize;
+                    (0..len).map(|_| Symbol::new(rng.bounded(3) as u8)).collect()
+                })
+                .collect();
+            // Owned jobs, each carrying its own copy of its pattern (so
+            // equal patterns sit at distinct addresses), round-robin over
+            // groups of `n % 3 + 1` or `n` % of a batch's lanes.
+            let mut left: Vec<usize> = groups
+                .iter()
+                .map(|&(_, (tiny, n))| if tiny { n % 3 + 1 } else { (lanes * n / 100).max(1) })
+                .collect();
+            let mut jobs = Vec::new();
+            while left.iter().any(|&l| l > 0) {
+                for ((syms, _), l) in groups.iter().zip(&mut left) {
+                    if *l > 0 {
+                        *l -= 1;
+                        let syms = syms
+                            .iter()
+                            .map(|s| s.map_or(PatSym::Wild, |v| PatSym::Lit(Symbol::new(v))))
+                            .collect();
+                        let pattern = Pattern::new(syms, Alphabet::TWO_BIT).unwrap();
+                        let text = texts[jobs.len() % texts.len()].clone();
+                        jobs.push(Job::new(jobs.len() as u64, pattern, text));
+                    }
+                }
+            }
+
+            let router = Router::new(RouterConfig {
+                shards: 1,
+                workers_per_shard: workers,
+                width,
+                ..RouterConfig::default()
+            });
+            let mut engine = ThroughputEngine::new(workers, 256);
+            engine.set_width(width);
+            let routed = router.run(&jobs).unwrap();
+            let plain = engine.run(&jobs).unwrap();
+            prop_assert_eq!(routed.outputs.len(), plain.outputs.len());
+            for (a, b) in routed.outputs.iter().zip(&plain.outputs) {
+                prop_assert_eq!(a.id, b.id);
+                prop_assert_eq!(a.hits.bits(), b.hits.bits());
+            }
+            prop_assert_eq!(routed.affinity_moves, 0, "one shard has nowhere to move");
+            // The shard plans exactly the batches the plain engine does.
+            let (r, p) = (&routed.shard_reports[0].totals, &plain.totals);
+            prop_assert_eq!(r.batches, p.batches);
+            prop_assert_eq!(r.lane_slots_used, p.lane_slots_used);
+            prop_assert_eq!(r.lane_slots_total, p.lane_slots_total);
+            // A batch looks each run of one pattern up once, so equal
+            // lookup counts mean the same cuts through the same groups.
+            prop_assert_eq!(r.cache_hits + r.cache_misses, p.cache_hits + p.cache_misses);
         }
-        assert_eq!(routed.affinity_moves, 0, "one shard has nowhere to move");
     }
 
     #[test]
-    fn affinity_is_deterministic_and_depths_return_to_zero() {
+    fn affinity_is_deterministic() {
         let jobs = job_mix();
         let router = Router::new(RouterConfig {
             shards: 4,
@@ -603,9 +649,6 @@ mod tests {
         assert_eq!(a.affinity_moves, b.affinity_moves);
         assert_eq!(a.groups, b.groups);
         assert_eq!(a.groups, 5, "five distinct patterns");
-        for shard in router.shards() {
-            assert_eq!(shard.queue_depth(), 0, "shard {} still queued", shard.id());
-        }
     }
 
     #[test]

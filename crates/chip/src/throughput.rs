@@ -446,7 +446,9 @@ pub struct ThroughputReport {
     pub lanes_per_batch: usize,
     /// Wall-clock microseconds the global batch planner spent before
     /// any worker started — the scheduler-overhead half of the
-    /// router's `planner_overhead_frac` accounting.
+    /// router's `planner_overhead_frac` accounting. A direct run counts
+    /// grouping plus cutting here; a routed shard counts only its cut,
+    /// since the router grouped the jobs inside its `route_micros`.
     pub plan_micros: u64,
     /// What the fault-tolerant scheduler saw and did, when a
     /// [`ResiliencePolicy`] is installed (`None` without one).
@@ -536,9 +538,9 @@ fn ladder_rungs(width: SuperWidth) -> &'static [SuperWidth] {
 }
 
 /// Groups the job indices `picks` by pattern, preserving first-seen
-/// order — the shared first stage of the batch planner below, the
-/// recovery ladder and the [`Router`](crate::shard::Router)'s affinity
-/// planner.
+/// order. A run groups its jobs once: in [`ThroughputEngine::run_refs`],
+/// or in the [`Router`](crate::shard::Router), whose shards plan from
+/// its groups. The recovery ladder groups the jobs it re-runs.
 ///
 /// Jobs are keyed by their pattern's *address* first. The ingest and
 /// router paths hand over many jobs borrowing one `&Pattern`, and those
@@ -568,37 +570,42 @@ pub(crate) fn group_by_pattern<'a>(
     groups
 }
 
-/// Groups all jobs by pattern (first-seen order) and cuts the groups
-/// into width-sized batches so that every lane carries a stream. Each
-/// batch is a list of global job indices, one per lane, and every
-/// batch runs the same lane-packed kernel:
+/// Cuts pattern groups (members in first-seen order, as
+/// [`group_by_pattern`] yields them) into width-sized batches so that
+/// every lane carries a stream. Each batch is a list of job indices,
+/// one per lane, and every batch runs the same lane-packed kernel:
 ///
 /// * a group of at least `lanes / 2` jobs fills most of a batch on its
 ///   own and is cut into batches of that one pattern;
-/// * smaller groups share one pool, length-bucketed via
-///   [`plan::bucket_by_len`](crate::plan::bucket_by_len) — so one long
-///   pattern can't inflate the `kmax` of every batch it touches, and
-///   each group's members stay contiguous — and cut evenly into
-///   batches.
+/// * smaller groups share one pool, stable-sorted by pattern length —
+///   so one long pattern can't inflate the `kmax` of every batch it
+///   touches — and cut evenly into batches.
 ///
 /// The pool yields `ceil(pooled / lanes)` batches, but never fewer
 /// than `min(workers, pooled groups)`: packing must not leave a worker
 /// idle that one batch per group would have kept busy. (A pool of one
 /// group is therefore one batch.) Global planning is what lets
 /// same-pattern jobs share a batch regardless of submission order.
-fn plan_batches(jobs: &[JobRef<'_>], lanes: usize, workers: usize) -> Vec<Vec<usize>> {
+fn plan_batches(
+    groups: Vec<(&Pattern, Vec<usize>)>,
+    lanes: usize,
+    workers: usize,
+) -> Vec<Vec<usize>> {
     let mut plan = Vec::new();
-    let mut pool: Vec<Vec<usize>> = Vec::new();
-    for (_, members) in group_by_pattern(jobs, 0..jobs.len()) {
+    let mut pool = Vec::new();
+    for (pattern, members) in groups {
         if members.len() < lanes / 2 {
-            pool.push(members);
+            pool.push((pattern, members));
         } else {
             plan.extend(members.chunks(lanes).map(<[usize]>::to_vec));
         }
     }
     if !pool.is_empty() {
-        let mut pooled = pool.concat();
-        crate::plan::bucket_by_len(&mut pooled, |&i| jobs[i].pattern.len());
+        // Stable, so equal-length groups keep their first-seen order;
+        // each group's members stay contiguous, so a batch looks each
+        // pattern up once.
+        pool.sort_by_key(|(p, _)| p.len());
+        let pooled: Vec<usize> = pool.iter().flat_map(|(_, m)| m).copied().collect();
         let batches = pooled.len().div_ceil(lanes).max(workers.min(pool.len()));
         let (base, extra) = (pooled.len() / batches, pooled.len() % batches);
         let mut rest = pooled.as_slice();
@@ -840,6 +847,21 @@ impl ThroughputEngine {
     /// As [`run`](Self::run).
     pub fn run_refs(&self, jobs: &[JobRef<'_>]) -> Result<ThroughputReport, Error> {
         let started = Instant::now();
+        self.run_groups(jobs, group_by_pattern(jobs, 0..jobs.len()), started)
+    }
+
+    /// As [`run_refs`](Self::run_refs), over jobs already grouped by
+    /// pattern ([`group_by_pattern`]'s shape: every job in exactly one
+    /// group, members in first-seen order) — the entry point a
+    /// [`Router`](crate::shard::Router) shard runs, so a routed batch
+    /// is grouped once. The report's `plan_micros` and elapsed time
+    /// count from `started`.
+    pub(crate) fn run_groups(
+        &self,
+        jobs: &[JobRef<'_>],
+        groups: Vec<(&Pattern, Vec<usize>)>,
+        started: Instant,
+    ) -> Result<ThroughputReport, Error> {
         let policy = self.resilience;
         let rungs = ladder_rungs(self.width);
         // Only a policy rides the ladder; without one every run keeps
@@ -851,15 +873,13 @@ impl ThroughputEngine {
                 .min(rungs.len() - 1)
         });
         let width = rungs[rung0];
+        let plan = plan_batches(groups, width.lanes(), self.workers);
+        let plan_micros = started.elapsed().as_micros() as u64;
         let simd = simd_level();
         self.sink.record(TraceEvent::DispatchSelected {
             words: width.words() as u32,
             level: simd,
         });
-
-        let plan_timer = Instant::now();
-        let plan = plan_batches(jobs, width.lanes(), self.workers);
-        let plan_micros = plan_timer.elapsed().as_micros() as u64;
         let queue = WorkQueue::new(plan.len(), self.workers);
 
         let joined: Vec<std::thread::Result<Result<WorkerOutcome, Error>>> =
@@ -1597,7 +1617,7 @@ fn known_answer_test(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pm_systolic::spec::match_spec;
     use pm_systolic::symbol::text_from_letters;
@@ -1726,7 +1746,11 @@ mod tests {
             .map(|id| Job::new(id, p.clone(), text_from_letters("ABAB").unwrap()))
             .collect();
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
-        let plan = plan_batches(&refs, SuperWidth::W8.lanes(), 4);
+        let plan = plan_batches(
+            group_by_pattern(&refs, 0..refs.len()),
+            SuperWidth::W8.lanes(),
+            4,
+        );
         assert_eq!(plan.len(), 1);
         assert!(
             one_pattern(&refs, &plan[0]),
@@ -1749,7 +1773,7 @@ mod tests {
             .collect();
         jobs.push(Job::new(999, q.clone(), text_from_letters("BA").unwrap()));
         let refs: Vec<JobRef<'_>> = jobs.iter().map(Job::to_ref).collect();
-        let plan = plan_batches(&refs, lanes, 1);
+        let plan = plan_batches(group_by_pattern(&refs, 0..refs.len()), lanes, 1);
         // 65+2 same-pattern jobs → two one-pattern batches; the
         // singleton rides a pooled batch of its own.
         assert_eq!(plan.len(), 3);
@@ -1859,9 +1883,9 @@ mod tests {
     /// symbols) and a size spec `(tiny, n)` — `n % 3 + 1` jobs when
     /// tiny, else `n` percent of a batch's lanes, so groups fall on
     /// both sides of the `lanes / 2` cut at every width.
-    type PlanWorkload = Vec<(Vec<Option<u8>>, (bool, usize))>;
+    pub(crate) type PlanWorkload = Vec<(Vec<Option<u8>>, (bool, usize))>;
 
-    fn plan_workload() -> impl proptest::strategy::Strategy<Value = PlanWorkload> {
+    pub(crate) fn plan_workload() -> impl proptest::strategy::Strategy<Value = PlanWorkload> {
         use proptest::prelude::*;
         let sym = prop_oneof![4 => (0u8..=3).prop_map(Some), 1 => Just(None)];
         let pattern = prop::collection::vec(sym, 1..=6);
@@ -1920,7 +1944,7 @@ mod tests {
                 }
             }
 
-            let plan = plan_batches(&jobs, lanes, workers);
+            let plan = plan_batches(group_by_pattern(&jobs, 0..jobs.len()), lanes, workers);
             // Large groups' batches come first; every member of one
             // shares one pattern.
             let whole: usize = group_by_pattern(&jobs, 0..jobs.len())
