@@ -19,23 +19,23 @@
 //! 2. **exactness** — every width is bit-identical to the executable
 //!    spec on the same workload (no "fast but wrong" regressions);
 //! 3. **free telemetry** — the beat-accurate
-//!    [`SuperplaneDriver`]'s traced twin with a [`NullSink`] costs
-//!    ≈ 0 % against its un-instrumented baseline, same discipline as
-//!    E30.
+//!    `SuperplaneDriver::<8>`'s traced twin with a `NullSink` costs
+//!    ≈ 0 % against its un-instrumented baseline, measured by E30's
+//!    alternating-pairs A/B.
 //!
 //! The figure also writes `BENCH_superwide.json` (override the path
 //! with `PM_SUPERWIDE_JSON`) carrying `superplane_chars_per_sec` and
 //! `u64_chars_per_sec` for the CI bench-regression gate.
 
+use crate::figures::telemetry::null_sink_ab;
 use crate::workloads;
 use pm_systolic::engine::MatchBits;
 use pm_systolic::matcher::SystolicMatcher;
 use pm_systolic::spec::match_spec;
-use pm_systolic::superplane::{simd_level, SimdLevel, SuperMatcher, SuperplaneDriver};
+use pm_systolic::superplane::{simd_level, SimdLevel, SuperMatcher};
 use pm_systolic::symbol::{Alphabet, PatSym, Pattern, Symbol};
-use pm_systolic::telemetry::NullSink;
 use std::fmt::Write;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Streams: eight full 64-lane words — every width runs fully
 /// occupied (8 u64 batches, 2 width-4 superplanes, 1 width-8
@@ -59,8 +59,6 @@ const REPS: usize = 7;
 /// Lanes and characters for the SuperplaneDriver NullSink A/B.
 const AB_LANES: usize = 192;
 const AB_LEN: usize = 1_024;
-/// A/B repetitions; minimum over repeats rejects noise.
-const AB_REPS: usize = 7;
 
 /// The `u64` reference engine the superplanes are measured against:
 /// one pattern broadcast over the 64 lanes of a word, the text
@@ -332,55 +330,13 @@ pub fn superwide_to(json_path: &str) -> String {
         );
     }
 
-    // NullSink A/B on the beat-accurate superplane driver, same
-    // discipline as E30's one-word A/B.
+    // NullSink A/B on the beat-accurate superplane driver: E30's A/B
+    // at width 8.
     let ab_pattern = workloads::random_pattern(alphabet, PATTERN_LEN, 10, 32);
-    let ab_patterns: Vec<Pattern> = (0..AB_LANES).map(|_| ab_pattern.clone()).collect();
     let ab_texts: Vec<Vec<Symbol>> = (0..AB_LANES)
         .map(|i| workloads::random_text(alphabet, AB_LEN, 3200 + i as u64))
         .collect();
-    let ab_lanes: Vec<&[Symbol]> = ab_texts.iter().map(|t| t.as_slice()).collect();
-    let mut driver = SuperplaneDriver::<8>::new(&ab_patterns).expect("uniform pattern lengths");
-    let mut base = Duration::MAX;
-    let mut nulled = Duration::MAX;
-    for _ in 0..AB_REPS {
-        let t = Instant::now();
-        let a = driver.run(&ab_lanes).expect("lane count matches");
-        base = base.min(t.elapsed());
-        let t = Instant::now();
-        let b = driver
-            .run_with_sink(&ab_lanes, &NullSink)
-            .expect("lane count matches");
-        nulled = nulled.min(t.elapsed());
-        assert_eq!(a, b, "traced twin must be bit-identical");
-    }
-    let overhead =
-        (nulled.as_secs_f64() - base.as_secs_f64()).max(0.0) / base.as_secs_f64().max(1e-12);
-    writeln!(
-        out,
-        "\n  NullSink A/B (SuperplaneDriver<8>, {AB_LANES} lanes × {AB_LEN} chars, \
-         min of {AB_REPS}):"
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    baseline run       : {:>8.3} ms",
-        base.as_secs_f64() * 1e3
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    run_with_sink(Null): {:>8.3} ms",
-        nulled.as_secs_f64() * 1e3
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    disabled-sink overhead: {:.2} % (within 1 %: {})",
-        overhead * 100.0,
-        overhead < 0.01
-    )
-    .unwrap();
+    null_sink_ab::<8>(&mut out, &ab_pattern, &ab_texts);
 
     // JSON for the CI regression gate: the superplane headline plus the
     // u64 rate it is compared against.

@@ -94,8 +94,8 @@ pub mod prelude {
     pub use crate::shard::{Router, RouterConfig, RouterReport, Shard, SlotLease, SlotPool};
     pub use crate::telemetry::{Histogram, HistogramSnapshot, MetricsRegistry, TelemetrySnapshot};
     pub use crate::throughput::{
-        Job, JobOutput, JobRef, PatternCache, PatternIndex, ResiliencePolicy, ResilienceReport,
-        SuperWidth, ThroughputEngine, WorkerStats,
+        Job, JobOutput, JobRef, PatternIndex, ResiliencePolicy, ResilienceReport, SuperWidth,
+        ThroughputEngine, WorkerStats,
     };
     pub use crate::timing::{ClockModel, GateDelays};
     pub use crate::wafer::{Wafer, YieldPoint};

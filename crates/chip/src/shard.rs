@@ -8,7 +8,7 @@
 //! module splits the machine the way §3.4 splits the array:
 //!
 //! * a [`Shard`] is a self-contained slice of the lane budget — its
-//!   own worker pool, work-stealing deques, two-tier pattern cache,
+//!   own worker pool, work-stealing deques, compiled-pattern index,
 //!   resilience ladder and byte-budget [`SlotPool`]. A fault
 //!   quarantines *inside* its shard; the others keep their width.
 //! * the [`Router`] is the front of the memory system: it admits a
@@ -66,7 +66,9 @@ pub struct RouterConfig {
     pub shards: usize,
     /// Worker threads per shard; at least 1.
     pub workers_per_shard: usize,
-    /// Compiled-pattern cache capacity per shard worker.
+    /// Compiled-pattern capacity of each shard's one
+    /// [`PatternIndex`](crate::throughput::PatternIndex), which the
+    /// shard's workers share.
     pub cache_capacity: usize,
     /// Total in-flight byte budget, split across shard slot pools.
     pub budget_bytes: u64,

@@ -26,13 +26,12 @@
 //!   them ([`simd_level`]); the choice is announced once per run via
 //!   [`TraceEvent::DispatchSelected`] and echoed in the
 //!   [`ThroughputReport`];
-//! * pattern → control-bit-plane compilation is memoised twice over: a
-//!   private [`PatternCache`] per worker (no lock at all on the hot
-//!   path) backed by a shared read-mostly [`PatternIndex`] that
-//!   persists across runs, so the setup cost the paper's §3.3.1
-//!   analysis worries about ("loading this pattern") is paid once per
-//!   *distinct* pattern, not once per job — and never behind a global
-//!   mutex;
+//! * pattern → control-bit-plane compilation is memoised once, in a
+//!   shared read-mostly [`PatternIndex`] that persists across runs, so
+//!   the setup cost the paper's §3.3.1 analysis worries about
+//!   ("loading this pattern") is paid once per *distinct* pattern, not
+//!   once per job — and a hit takes only a read lock. A batch looks
+//!   each run of equal patterns up once;
 //! * every worker runs one loop and buffers its outputs; the
 //!   coordinator commits them once all threads have joined. An
 //!   installed [`ResiliencePolicy`] adds fault tolerance to that loop —
@@ -190,120 +189,28 @@ pub struct JobOutput {
     pub hits: MatchBits,
 }
 
-/// An LRU cache of compiled pattern control planes, keyed by pattern.
+/// The compiled-pattern memo: a read-mostly, `RwLock`-guarded map that
+/// every worker of a [`ThroughputEngine`] shares and that persists
+/// across its runs.
 ///
-/// Compilation walks the pattern and allocates its broadcast planes;
-/// a hot service sees the same handful of patterns over and over, so
-/// the cache turns per-job setup into per-*distinct*-pattern setup.
-/// Each scheduler worker owns one privately (no locking); the shared
-/// tier behind it is a [`PatternIndex`].
+/// Compilation walks the pattern and allocates its broadcast planes; a
+/// hot service sees the same handful of patterns over and over, so the
+/// index turns per-job setup into per-*distinct*-pattern setup. A hit
+/// takes only the read lock, a miss takes the write lock to compile and
+/// publish, and no lock is held while matching. Eviction is FIFO by
+/// publication order: the index only has to bound memory.
 ///
 /// ```
-/// use pm_chip::throughput::PatternCache;
+/// use pm_chip::throughput::PatternIndex;
 /// use pm_systolic::symbol::Pattern;
 ///
-/// let mut cache = PatternCache::new(2);
+/// let index = PatternIndex::new(2);
 /// let a = Pattern::parse("AB").unwrap();
-/// let (_, hit) = cache.get_or_compile(&a);
+/// let (_, hit) = index.get_or_compile(&a);
 /// assert!(!hit); // first sight compiles
-/// let (_, hit) = cache.get_or_compile(&a);
-/// assert!(hit); // second is served from cache
+/// let (_, hit) = index.get_or_compile(&a);
+/// assert!(hit); // second is served from the index
 /// ```
-#[derive(Debug)]
-pub struct PatternCache {
-    capacity: usize,
-    tick: u64,
-    map: HashMap<Pattern, CacheEntry>,
-}
-
-#[derive(Debug)]
-struct CacheEntry {
-    compiled: Arc<CompiledPattern>,
-    last_used: u64,
-}
-
-impl PatternCache {
-    /// A cache holding at most `capacity` compiled patterns (at least
-    /// one).
-    pub fn new(capacity: usize) -> Self {
-        PatternCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    /// Looks `pattern` up, refreshing its recency on a hit.
-    pub fn get(&mut self, pattern: &Pattern) -> Option<Arc<CompiledPattern>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(pattern).map(|entry| {
-            entry.last_used = tick;
-            Arc::clone(&entry.compiled)
-        })
-    }
-
-    /// Stores an already-compiled pattern, evicting the least recently
-    /// used entry if the cache is full.
-    pub fn insert(&mut self, pattern: &Pattern, compiled: Arc<CompiledPattern>) {
-        self.tick += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(pattern) {
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(p, _)| p.clone())
-            {
-                self.map.remove(&oldest);
-            }
-        }
-        self.map.insert(
-            pattern.clone(),
-            CacheEntry {
-                compiled,
-                last_used: self.tick,
-            },
-        );
-    }
-
-    /// Returns the compiled planes for `pattern` and whether the lookup
-    /// was a hit, compiling and (LRU-)evicting on a miss.
-    pub fn get_or_compile(&mut self, pattern: &Pattern) -> (Arc<CompiledPattern>, bool) {
-        if let Some(compiled) = self.get(pattern) {
-            return (compiled, true);
-        }
-        let compiled = Arc::new(CompiledPattern::compile(pattern));
-        self.insert(pattern, Arc::clone(&compiled));
-        (compiled, false)
-    }
-
-    /// Number of patterns currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Maximum number of cached patterns.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-/// The shared, read-mostly tier of pattern memoisation: a
-/// `RwLock`-guarded map that persists across runs of a
-/// [`ThroughputEngine`].
-///
-/// Workers consult it only after missing their private
-/// [`PatternCache`], take the write lock only to compile and publish a
-/// pattern the index lacks, and never hold any lock while matching — the old
-/// global `Mutex<PatternCache>` serialised every lookup of every
-/// worker through one point. Eviction is FIFO by publication order
-/// (recency lives in the per-worker caches; the index only has to
-/// bound memory).
 #[derive(Debug)]
 pub struct PatternIndex {
     capacity: usize,
@@ -338,10 +245,15 @@ impl PatternIndex {
 
     /// Returns the indexed compilation of `pattern` and whether the
     /// lookup was a hit, compiling and publishing it on a miss (FIFO
-    /// eviction at capacity). The compile runs under the write lock, so
-    /// workers that miss one pattern at the same time compile it once:
-    /// the first publishes it and the rest hit.
+    /// eviction at capacity). A hit takes only the read lock, so it
+    /// never queues behind a compile of another pattern. The compile
+    /// runs under the write lock, so workers that miss one pattern at
+    /// the same time compile it once: the first publishes it and the
+    /// rest hit.
     pub fn get_or_compile(&self, pattern: &Pattern) -> (Arc<CompiledPattern>, bool) {
+        if let Some(compiled) = self.get(pattern) {
+            return (compiled, true);
+        }
         let mut inner = self.inner.write().expect("index poisoned");
         if let Some(compiled) = inner.map.get(pattern) {
             return (Arc::clone(compiled), true);
@@ -438,9 +350,9 @@ pub struct ThroughputReport {
     pub workers: Vec<WorkerStats>,
     /// Whole-run counters and derived rates.
     pub totals: CounterSnapshot,
-    /// The instruction-set level the superplane kernels dispatched to
-    /// this run (process-wide; `Portable` also covers the `u64` width,
-    /// which has no specialised kernels).
+    /// The instruction-set level the lane-packed kernel dispatched to
+    /// this run (process-wide; every width, the one-word `u64` plane
+    /// included, runs through the same AVX2/AVX-512 wrappers).
     pub simd: SimdLevel,
     /// Lane slots per batch at the width this run used.
     pub lanes_per_batch: usize,
@@ -668,12 +580,11 @@ impl WorkQueue {
 /// Plans batches globally, then lets worker threads pull them from
 /// work-stealing deques, each driving a bit-plane batch engine of the
 /// configured [`SuperWidth`]. Compiled patterns persist across runs in
-/// a shared [`PatternIndex`] behind per-worker [`PatternCache`]s.
+/// one shared [`PatternIndex`].
 #[derive(Debug)]
 pub struct ThroughputEngine {
     workers: usize,
     width: SuperWidth,
-    cache_capacity: usize,
     index: PatternIndex,
     sink: SinkHandle,
     /// Characters processed across every run of this engine's lifetime.
@@ -691,10 +602,10 @@ pub struct ThroughputEngine {
 }
 
 impl ThroughputEngine {
-    /// An engine with `workers` threads (at least one) and pattern
-    /// caches of `cache_capacity` entries each (one shared index plus
-    /// one private cache per worker). Batches default to the widest
-    /// superplane ([`SuperWidth::W8`]); telemetry is disabled; use
+    /// An engine with `workers` threads (at least one) sharing one
+    /// [`PatternIndex`] of `cache_capacity` compiled patterns (at least
+    /// one). Batches default to the widest superplane
+    /// ([`SuperWidth::W8`]); telemetry is disabled; use
     /// [`with_sink`](Self::with_sink) or [`set_sink`](Self::set_sink)
     /// to attach a sink and [`set_width`](Self::set_width) to narrow
     /// the batches.
@@ -708,7 +619,6 @@ impl ThroughputEngine {
         ThroughputEngine {
             workers: workers.max(1),
             width: SuperWidth::default(),
-            cache_capacity: cache_capacity.max(1),
             index: PatternIndex::new(cache_capacity),
             sink,
             lifetime_chars: Counter::new(),
@@ -1040,7 +950,6 @@ impl ThroughputEngine {
     ) -> Result<WorkerOutcome, Error> {
         let started = Instant::now();
         let sink = &self.sink;
-        let mut local = PatternCache::new(self.cache_capacity);
         let mut stats = WorkerStats::idle(worker);
         let mut outs: Vec<(usize, JobOutput)> = Vec::new();
         let sticky = self.chaos.as_ref().and_then(|p| p.worker_fault(worker));
@@ -1072,8 +981,7 @@ impl ThroughputEngine {
             let timer = (policy.is_some() || sink.enabled()).then(Instant::now);
             let active = sticky.filter(|f| batch_no >= f.onset);
             let mut execute = || -> Result<Vec<MatchBits>, Error> {
-                let (hits, looked) =
-                    execute_members(&plan[b], jobs, &mut local, &self.index, sink, width);
+                let (hits, looked) = execute_members(&plan[b], jobs, &self.index, sink, width);
                 cache_hits += looked.hits;
                 cache_misses += looked.misses;
                 let mut hits = hits?;
@@ -1156,7 +1064,7 @@ impl ThroughputEngine {
         // the steal order.
         if policy.is_some()
             && condemned.is_none()
-            && !known_answer_test(worker, width, &mut local, sticky, batch_no)
+            && !known_answer_test(worker, width, sticky, batch_no)
         {
             condemned = Some("kat_mismatch");
         }
@@ -1200,20 +1108,18 @@ impl ThroughputEngine {
             return (rung0, booked);
         }
         let mut deepest = rung0;
-        let mut cache = PatternCache::new(self.cache_capacity.max(unresolved.len()));
         // Group unresolved jobs by pattern so each recovery batch is one
         // run of one compiled pattern, then chunk at the *narrowest*
         // rung width so one chunk fits every rung it may descend
-        // through.
+        // through. Each pattern comes up once, so it is compiled here
+        // rather than looked up in the engine's index.
         let narrow = rungs[rungs.len() - 1].lanes();
         let mut chunk_no = 0usize;
         for (pattern, members) in group_by_pattern(jobs, unresolved.iter().copied()) {
-            let (compiled, _) = cache.get_or_compile(pattern);
+            let compiled = CompiledPattern::compile(pattern);
             for chunk in members.chunks(narrow) {
-                let batch: Vec<(&CompiledPattern, &[Symbol])> = chunk
-                    .iter()
-                    .map(|&i| (compiled.as_ref(), jobs[i].text))
-                    .collect();
+                let batch: Vec<(&CompiledPattern, &[Symbol])> =
+                    chunk.iter().map(|&i| (&compiled, jobs[i].text)).collect();
                 let truth: Vec<Vec<bool>> = chunk
                     .iter()
                     .map(|&i| match_spec(jobs[i].text, pattern))
@@ -1312,31 +1218,6 @@ impl ThroughputEngine {
         (deepest, booked)
     }
 }
-/// Two-tier pattern lookup: private cache, then shared index (copying
-/// the hit down into the cache), then compile-and-publish. Only the
-/// last is a miss. The returned flag reports whether the lookup was a
-/// hit — the chaos harness's [`PlaneFault::CachePoison`] keys on it.
-fn lookup_pattern(
-    pattern: &Pattern,
-    local: &mut PatternCache,
-    index: &PatternIndex,
-    sink: &SinkHandle,
-) -> (Arc<CompiledPattern>, bool) {
-    let (compiled, hit) = match local.get(pattern) {
-        Some(compiled) => (compiled, true),
-        None => {
-            // Read lock first: a hit must not queue behind a compile.
-            let (compiled, hit) = match index.get(pattern) {
-                Some(compiled) => (compiled, true),
-                None => index.get_or_compile(pattern),
-            };
-            local.insert(pattern, Arc::clone(&compiled));
-            (compiled, hit)
-        }
-    };
-    sink.record(TraceEvent::CacheLookup { hit });
-    (compiled, hit)
-}
 
 /// Compiled-pattern lookups one batch made.
 #[derive(Debug, Default, Clone, Copy)]
@@ -1352,11 +1233,12 @@ struct Lookups {
 /// The planner keeps each pattern group's members contiguous, so one
 /// lookup per run of equal patterns books one lookup per
 /// (batch, pattern), and the run's lanes share one compilation — which
-/// the kernel sets up once for the whole run.
+/// the kernel sets up once for the whole run. Each lookup is traced as a
+/// [`TraceEvent::CacheLookup`]; its hit flag is also what the chaos
+/// harness's [`PlaneFault::CachePoison`] keys on.
 fn execute_members(
     members: &[usize],
     jobs: &[JobRef<'_>],
-    local: &mut PatternCache,
     index: &PatternIndex,
     sink: &SinkHandle,
     width: SuperWidth,
@@ -1372,7 +1254,8 @@ fn execute_members(
         let c = if repeat {
             Arc::clone(&compiled[lane - 1])
         } else {
-            let (c, hit) = lookup_pattern(pattern, local, index, sink);
+            let (c, hit) = index.get_or_compile(pattern);
+            sink.record(TraceEvent::CacheLookup { hit });
             looked.hits += u64::from(hit);
             looked.misses += u64::from(!hit);
             c
@@ -1561,17 +1444,16 @@ fn add_work(totals: &mut CounterSnapshot, stats: &WorkerStats) {
 }
 
 /// Runs a deterministic known-answer workload through the worker's own
-/// datapath — its local pattern cache, the run-width kernel and any
-/// sticky data fault — and checks every lane against the scalar spec.
-/// The pattern is executed twice so the second round is a guaranteed
-/// cache hit, which is what flushes out [`PlaneFault::CachePoison`].
+/// datapath — the run-width kernel and any sticky data fault — and
+/// checks every lane against the scalar spec. The pattern is compiled
+/// once and executed twice; the second round stands for the cache hit
+/// that flushes out [`PlaneFault::CachePoison`].
 /// Liveness faults (stall, panic) are not replayed: they cannot
 /// corrupt data and are caught by the watchdog and `catch_unwind`
 /// during real batches.
 fn known_answer_test(
     worker: usize,
     width: SuperWidth,
-    local: &mut PatternCache,
     sticky: Option<StickyFault>,
     batches_started: u64,
 ) -> bool {
@@ -1592,12 +1474,11 @@ fn known_answer_test(
             text_from_letters(&s).expect("A/B are alphabet letters")
         })
         .collect();
+    let compiled = CompiledPattern::compile(&pattern);
+    let lanes: Vec<(&CompiledPattern, &[Symbol])> =
+        texts.iter().map(|t| (&compiled, t.as_slice())).collect();
     for round in 0..2u64 {
-        let (compiled, cache_hit) = local.get_or_compile(&pattern);
-        let lanes: Vec<(&CompiledPattern, &[Symbol])> = texts
-            .iter()
-            .map(|t| (compiled.as_ref(), t.as_slice()))
-            .collect();
+        let cache_hit = round == 1;
         let Ok(mut hits) = run_lanes(width, &lanes) else {
             return false;
         };
@@ -1696,23 +1577,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn lru_evicts_the_coldest_pattern() {
-        let mut cache = PatternCache::new(2);
-        let a = Pattern::parse("A").unwrap();
-        let b = Pattern::parse("B").unwrap();
-        let c = Pattern::parse("C").unwrap();
-        cache.get_or_compile(&a);
-        cache.get_or_compile(&b);
-        cache.get_or_compile(&a); // refresh a; b is now coldest
-        cache.get_or_compile(&c); // evicts b
-        assert_eq!(cache.len(), 2);
-        let (_, hit_a) = cache.get_or_compile(&a);
-        assert!(hit_a, "a was refreshed and must survive");
-        let (_, hit_b) = cache.get_or_compile(&b);
-        assert!(!hit_b, "b was the LRU entry and must be gone");
-    }
-
-    #[test]
     fn index_evicts_fifo_and_tolerates_republication() {
         let index = PatternIndex::new(2);
         let a = Pattern::parse("A").unwrap();
@@ -1727,6 +1591,32 @@ pub(crate) mod tests {
         assert!(index.get(&a).is_none(), "a was the oldest publication");
         assert!(index.get(&b).is_some());
         assert!(index.get(&c).is_some());
+    }
+
+    #[test]
+    fn racing_workers_compile_one_pattern_once() {
+        const THREADS: usize = 8;
+        let index = PatternIndex::new(8);
+        let pattern = Pattern::parse("ABXCA").unwrap();
+        let start = std::sync::Barrier::new(THREADS);
+        let looked: Vec<(Arc<CompiledPattern>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        index.get_or_compile(&pattern)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let misses = looked.iter().filter(|(_, hit)| !hit).count();
+        assert_eq!(misses, 1, "exactly one racer compiles");
+        assert!(looked.iter().all(|(c, _)| Arc::ptr_eq(c, &looked[0].0)));
+        assert_eq!(index.len(), 1);
+        let (later, hit) = index.get_or_compile(&pattern);
+        assert!(hit);
+        assert!(Arc::ptr_eq(&later, &looked[0].0));
     }
 
     /// Whether every member of a planned batch shares one pattern.
@@ -1844,7 +1734,6 @@ pub(crate) mod tests {
         let (hits, looked) = execute_members(
             &(0..2 * N).collect::<Vec<_>>(),
             &refs,
-            &mut PatternCache::new(8),
             &PatternIndex::new(8),
             &SinkHandle::null(),
             SuperWidth::W8,
@@ -1867,7 +1756,6 @@ pub(crate) mod tests {
         let (hits, looked) = execute_members(
             &(0..8).collect::<Vec<_>>(),
             &one,
-            &mut PatternCache::new(8),
             &PatternIndex::new(8),
             &SinkHandle::null(),
             SuperWidth::W8,
@@ -2282,9 +2170,8 @@ pub(crate) mod tests {
     #[test]
     fn known_answer_test_passes_clean_and_fails_corrupt() {
         for width in [SuperWidth::W1, SuperWidth::W4, SuperWidth::W8] {
-            let mut cache = PatternCache::new(4);
             assert!(
-                known_answer_test(0, width, &mut cache, None, 3),
+                known_answer_test(0, width, None, 3),
                 "clean datapath must pass at {width}"
             );
             for kind in [
@@ -2293,14 +2180,13 @@ pub(crate) mod tests {
                 PlaneFault::StuckComparator { level: false },
                 PlaneFault::CachePoison,
             ] {
-                let mut cache = PatternCache::new(4);
                 let sticky = StickyFault {
                     kind,
                     onset: 0,
                     salt: 0x1234_5677, // odd, like the plan draws
                 };
                 assert!(
-                    !known_answer_test(1, width, &mut cache, Some(sticky), 3),
+                    !known_answer_test(1, width, Some(sticky), 3),
                     "{kind:?} must fail the KAT at {width}"
                 );
             }

@@ -1,14 +1,14 @@
-//! Regression test for the sharded pattern-cache design: a many-worker
-//! run over one hot pattern must not fall behind a single worker.
+//! Regression test for the compiled-pattern memo: a many-worker run
+//! over one hot pattern must not fall behind a single worker.
 //!
-//! The old scheduler kept one global `Mutex<PatternCache>`, so every
-//! worker's every lookup serialised through one lock — precisely worst
-//! on the most common workload, a service hammered with one hot
-//! pattern. The reworked scheduler gives each worker a private cache
-//! backed by a shared read-mostly index, so the hot path takes no lock
-//! at all. This test pins that property: with one hot pattern split
-//! across many `u64`-width batches, sixteen workers must sustain at
-//! least the character rate of one.
+//! An early scheduler kept its compiled patterns behind one global
+//! mutex, so every worker's every lookup serialised through one lock —
+//! precisely worst on the most common workload, a service hammered
+//! with one hot pattern. The scheduler now shares one read-mostly
+//! `PatternIndex`: a hit takes only its read lock, and a batch looks
+//! each run of equal patterns up once. This test pins that property:
+//! with one hot pattern split across many `u64`-width batches, sixteen
+//! workers must sustain at least the character rate of one.
 //!
 //! Timing discipline for noisy CI boxes (possibly single-core): the
 //! contended configuration gets its *best* of three runs, the baseline
@@ -79,9 +79,9 @@ fn sixteen_workers_on_one_hot_pattern_keep_up_with_one() {
 #[test]
 fn hot_pattern_is_compiled_once_across_sixteen_workers() {
     // The deterministic half of the regression: the hot pattern is
-    // compiled at most once per engine lifetime per worker tier, so
-    // after a warm run every lookup hits a private cache or the shared
-    // index — no wall clocks involved, safe on any CI box.
+    // compiled once per engine lifetime, so after a warm run every
+    // lookup hits the shared index — no wall clocks involved, safe on
+    // any CI box.
     let jobs = hot_jobs();
     let mut contended = ThroughputEngine::new(16, 8);
     contended.set_width(SuperWidth::W1);
