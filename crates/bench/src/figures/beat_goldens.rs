@@ -1,0 +1,24 @@
+//! Beat-level goldens: the figures that print the array's state beat by
+//! beat, or count beats, must keep their text exactly. The goldens were
+//! captured from the `figures` binary; any change to the injection
+//! schedule, the wiring order or the drain length shows up here as a
+//! diff.
+
+use super::{algorithm, resilience};
+
+#[test]
+fn fig3_2_flow_of_characters_is_beat_exact() {
+    assert_eq!(algorithm::fig3_2(), include_str!("goldens/fig3_2.txt"));
+}
+
+#[test]
+fn fig3_3_comparators_and_accumulators_are_beat_exact() {
+    assert_eq!(algorithm::fig3_3(), include_str!("goldens/fig3_3.txt"));
+}
+
+#[test]
+fn healing_table_is_beat_exact() {
+    // Detect 1028 and recover 2592 beats for every fault; the
+    // exhaustion leg runs out of spares at beat 13148.
+    assert_eq!(resilience::healing(), include_str!("goldens/healing.txt"));
+}

@@ -72,6 +72,9 @@ pub fn render(name: &str) -> Option<String> {
 }
 
 #[cfg(test)]
+mod beat_goldens;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
