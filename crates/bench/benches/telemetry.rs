@@ -2,9 +2,10 @@
 //!
 //! Two comparisons, matching the two sink architectures:
 //!
-//! * beat-accurate `SuperplaneDriver::<1>`: `run` (the untouched baseline) vs.
-//!   `run_with_sink(&NullSink)` (the traced twin monomorphised over a
-//!   disabled sink) — the zero-cost-when-disabled claim;
+//! * beat-accurate `SuperplaneDriver::<1>`: its one loop,
+//!   `run_with_sink`, with a `NullSink` (disabled at compile time; this
+//!   is `run`) vs. a null `Arc<dyn TraceSink>` (disabled at run time) —
+//!   the cost of the per-beat `enabled()` guard;
 //! * scheduler: a null `SinkHandle` vs. a live `MetricsRegistry` — the
 //!   price of actually collecting, which the EXPERIMENTS table reports
 //!   alongside the free disabled path.
@@ -15,7 +16,7 @@ use pm_chip::telemetry::MetricsRegistry;
 use pm_chip::throughput::{Job, ThroughputEngine};
 use pm_systolic::superplane::SuperplaneDriver;
 use pm_systolic::symbol::{Alphabet, Pattern, Symbol};
-use pm_systolic::telemetry::{NullSink, SinkHandle};
+use pm_systolic::telemetry::{NullSink, SinkHandle, TraceSink};
 use std::sync::Arc;
 
 fn bench_plane_driver_null_sink(c: &mut Criterion) {
@@ -31,13 +32,14 @@ fn bench_plane_driver_null_sink(c: &mut Criterion) {
     let mut group = c.benchmark_group("plane_driver_sink_ab");
     group.sample_size(10);
     group.throughput(Throughput::Elements(total));
-    group.bench_function("baseline_run", |b| {
-        let mut d = SuperplaneDriver::<1>::new(&patterns).expect("ok");
-        b.iter(|| d.run(&lanes).expect("ok"))
-    });
-    group.bench_function("null_sink", |b| {
+    group.bench_function("static_null_sink", |b| {
         let mut d = SuperplaneDriver::<1>::new(&patterns).expect("ok");
         b.iter(|| d.run_with_sink(&lanes, &NullSink).expect("ok"))
+    });
+    group.bench_function("dyn_null_sink", |b| {
+        let mut d = SuperplaneDriver::<1>::new(&patterns).expect("ok");
+        let sink: Arc<dyn TraceSink> = std::hint::black_box(Arc::new(NullSink));
+        b.iter(|| d.run_with_sink(&lanes, &*sink).expect("ok"))
     });
     group.finish();
 }

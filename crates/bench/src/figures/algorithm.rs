@@ -51,14 +51,9 @@ pub fn fig3_2() -> String {
         Driver::new(BooleanMatch, pattern.symbols().to_vec(), &[4]).expect("valid driver");
     let mut rec = TraceRecorder::new();
     for _ in 0..14 {
-        let is_text_beat =
-            driver.beat() >= driver.phase() && (driver.beat() - driver.phase()).is_multiple_of(2);
-        let inject = if is_text_beat {
-            let i = ((driver.beat() - driver.phase()) / 2) as usize;
-            text.get(i).copied()
-        } else {
-            None
-        };
+        let inject = driver
+            .text_slot(driver.beat())
+            .and_then(|i| text.get(i as usize).copied());
         driver.advance_beat(inject);
         rec.capture(&driver);
     }
@@ -91,14 +86,9 @@ pub fn fig3_3() -> String {
     .unwrap();
     writeln!(out, "  beat | cell: p(λ,x)         | acc t").unwrap();
     for beat in 0..16u64 {
-        let is_text_beat =
-            driver.beat() >= driver.phase() && (driver.beat() - driver.phase()).is_multiple_of(2);
-        let inject = if is_text_beat {
-            let i = ((driver.beat() - driver.phase()) / 2) as usize;
-            text.get(i).copied()
-        } else {
-            None
-        };
+        let inject = driver
+            .text_slot(driver.beat())
+            .and_then(|i| text.get(i as usize).copied());
         driver.advance_beat(inject);
         let seg = &driver.segments()[0];
         let mut row = String::new();

@@ -18,10 +18,10 @@
 //!    but a dip does not abort the figures run);
 //! 2. **exactness** — every width is bit-identical to the executable
 //!    spec on the same workload (no "fast but wrong" regressions);
-//! 3. **free telemetry** — the beat-accurate
-//!    `SuperplaneDriver::<8>`'s traced twin with a `NullSink` costs
-//!    ≈ 0 % against its un-instrumented baseline, measured by E30's
-//!    alternating-pairs A/B.
+//! 3. **free telemetry** — on the beat-accurate
+//!    `SuperplaneDriver::<8>`, a sink disabled only at run time (a null
+//!    `dyn TraceSink`) costs ≈ 0 % against `NullSink` on the same run
+//!    loop, measured by E30's alternating-pairs A/B.
 //!
 //! The figure also writes `BENCH_superwide.json` (override the path
 //! with `PM_SUPERWIDE_JSON`) carrying `superplane_chars_per_sec` and

@@ -7,8 +7,9 @@
 //! through its engines instead, and this figure demonstrates the two
 //! promises that design makes: folded counters are *exact* (they equal
 //! the ground truth the engines return, not an estimate), and a
-//! disabled sink costs nothing (the `NullSink` A/B on the beat-accurate
-//! `SuperplaneDriver::<1>`). It also writes the `BENCH_telemetry.json` snapshot
+//! disabled sink costs nothing (the A/B on the beat-accurate
+//! `SuperplaneDriver::<1>`'s one run loop: `NullSink` against a
+//! disabled `dyn TraceSink`). It also writes the `BENCH_telemetry.json` snapshot
 //! the CI bench-regression gate compares against its committed
 //! baseline.
 
@@ -18,7 +19,7 @@ use pm_chip::throughput::{Job, ThroughputEngine};
 use pm_systolic::spec::match_spec;
 use pm_systolic::superplane::SuperplaneDriver;
 use pm_systolic::symbol::{Alphabet, Pattern, Symbol};
-use pm_systolic::telemetry::{NullSink, SinkHandle};
+use pm_systolic::telemetry::{NullSink, SinkHandle, TraceSink};
 use std::fmt::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -205,10 +206,13 @@ pub fn telemetry() -> String {
 }
 
 /// The NullSink A/B on a beat-accurate [`SuperplaneDriver`] of width
-/// `W`, one lane per text, every lane carrying `pattern`: `run` is the
-/// un-instrumented baseline, and `run_with_sink(&NullSink)` is the
-/// traced twin monomorphised over a sink that is constantly disabled.
-/// Writes the figure block into `out`; E30 and E31 both use it.
+/// `W`, one lane per text, every lane carrying `pattern`. Both sides
+/// run the one loop, `run_with_sink`: the baseline with [`NullSink`],
+/// disabled at compile time (this is `run`), the other with a null
+/// `Arc<dyn TraceSink>` (what [`SinkHandle::null`] wraps), disabled
+/// only at run time. The difference is the one cost a disabled sink
+/// can still have: the per-beat `enabled()` guard. Writes the figure
+/// block into `out`; E30 and E31 both use it.
 ///
 /// Each side of a pair times [`AB_SIDE`]'s worth of runs and keeps
 /// their median, so a descheduled run moves nothing, and the two sides
@@ -226,13 +230,15 @@ pub(crate) fn null_sink_ab<const W: usize>(
     let patterns = vec![pattern.clone(); texts.len()];
     let lanes: Vec<&[Symbol]> = texts.iter().map(Vec::as_slice).collect();
     let mut driver = SuperplaneDriver::<W>::new(&patterns).expect("uniform pattern lengths");
+    // Opaque to the optimiser, so every beat asks the sink.
+    let runtime_null: Arc<dyn TraceSink> = std::hint::black_box(Arc::new(NullSink));
     // One timed run of one side.
-    let mut timed = |traced: bool| {
+    let mut timed = |dynamic: bool| {
         let t = Instant::now();
-        let run = if traced {
-            driver.run_with_sink(&lanes, &NullSink)
+        let run = if dynamic {
+            driver.run_with_sink(&lanes, &*runtime_null)
         } else {
-            driver.run(&lanes)
+            driver.run_with_sink(&lanes, &NullSink)
         };
         (t.elapsed().as_secs_f64(), run.expect("lane count matches"))
     };
@@ -242,7 +248,7 @@ pub(crate) fn null_sink_ab<const W: usize>(
         timed(false);
         runs += 1;
     }
-    // Seconds per run, `[baseline, traced]`. Within a pair the sides
+    // Seconds per run, `[static, dynamic]`. Within a pair the sides
     // take turns run by run, and the side that goes first alternates,
     // so a slow stretch of the host lands on both sides alike.
     let pairs: Vec<[f64; 2]> = (0..AB_PAIRS)
@@ -251,13 +257,13 @@ pub(crate) fn null_sink_ab<const W: usize>(
             let mut bits = [Vec::new(), Vec::new()];
             for r in 0..runs {
                 let first = (pair + r) % 2 == 1;
-                for traced in [first, !first] {
-                    let (s, b) = timed(traced);
-                    secs[usize::from(traced)].push(s);
-                    bits[usize::from(traced)] = b;
+                for dynamic in [first, !first] {
+                    let (s, b) = timed(dynamic);
+                    secs[usize::from(dynamic)].push(s);
+                    bits[usize::from(dynamic)] = b;
                 }
             }
-            assert_eq!(bits[0], bits[1], "traced twin must be bit-identical");
+            assert_eq!(bits[0], bits[1], "both sinks must give bit-identical runs");
             secs.map(|side| quartiles(side)[1])
         })
         .collect();
@@ -280,8 +286,8 @@ pub(crate) fn null_sink_ab<const W: usize>(
         texts.len()
     )
     .unwrap();
-    writeln!(out, "    baseline run       : {:>8.3} ms", median_ms(0)).unwrap();
-    writeln!(out, "    run_with_sink(Null): {:>8.3} ms", median_ms(1)).unwrap();
+    writeln!(out, "    NullSink (static)      : {:>8.3} ms", median_ms(0)).unwrap();
+    writeln!(out, "    dyn TraceSink, disabled: {:>8.3} ms", median_ms(1)).unwrap();
     writeln!(
         out,
         "    disabled-sink overhead: {:.2} % (IQR {:.2} %; within 1 %: {verdict})",

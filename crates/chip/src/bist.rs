@@ -47,6 +47,7 @@
 
 use pm_nmos::chip::PatternChip;
 use pm_nmos::faults::{self, CoverageReport};
+use pm_systolic::engine::{clock, drain_beats, text_slot};
 use pm_systolic::segment::{PatItem, Segment, SegmentIo, TxtItem};
 use pm_systolic::semantics::BooleanMatch;
 use pm_systolic::spec::match_spec;
@@ -190,10 +191,8 @@ impl BistProgram {
     }
 
     fn vector_beats(vector: &BistVector, cells: usize) -> u64 {
-        // Two beats per text character, then the drain slack the host
-        // driver uses: everything in flight exits within the cell count
-        // plus one pattern recirculation, doubled for safety.
-        2 * vector.text.len() as u64 + 2 * (cells + 2 * vector.pattern.len() + 4) as u64
+        // Two beats per text character, then the host driver's drain.
+        2 * vector.text.len() as u64 + drain_beats(cells, vector.pattern.len())
     }
 
     /// Runs the whole program against one chip, driving its boundary
@@ -228,61 +227,36 @@ impl BistProgram {
     ) -> Option<BistPort> {
         target.reset();
         let cells = target.cells();
-        let phase = ((cells - 1) % 2) as u64;
         let psyms: &[PatSym] = vector.pattern.symbols();
         let plen = psyms.len();
-        let total_beats = Self::vector_beats(vector, cells);
 
         let mut results: Vec<Option<bool>> = vec![None; vector.text.len()];
         let mut text_echo: Vec<Option<Symbol>> = vec![None; vector.text.len()];
         let mut pattern_echo: Vec<PatItem<PatSym>> = Vec::new();
-        let mut next_txt = 0usize;
 
-        for t in 0..total_beats {
-            // Same injection schedule as the host driver: p_j at beat
-            // 2j recirculating, s_i at beat 2i + φ.
-            let pattern_in = if t % 2 == 0 {
-                let idx = (t / 2) as usize % plen;
-                Some(PatItem {
-                    payload: psyms[idx],
-                    lambda: idx == plen - 1,
-                })
-            } else {
-                None
-            };
-            let text_in =
-                if t >= phase && (t - phase).is_multiple_of(2) && next_txt < vector.text.len() {
-                    let item = TxtItem {
-                        payload: vector.text[next_txt],
-                        seq: next_txt as u64,
-                    };
-                    next_txt += 1;
-                    Some(item)
-                } else {
-                    None
-                };
-
-            // Sample the boundary wires as the tester would, then step.
-            let out = target.outputs();
-            if let Some(p) = out.pattern {
+        // The host schedule on a one-chip chain; the tester samples the
+        // chain's exits, which are this chip's boundary wires.
+        for t in 0..Self::vector_beats(vector, cells) {
+            let text_in = text_slot(cells, t).and_then(|i| {
+                let payload = *vector.text.get(i as usize)?;
+                Some(TxtItem { payload, seq: i })
+            });
+            let (inputs, exit) = clock(t, psyms, [target.outputs()], text_in);
+            target.step(inputs.into_iter().next().expect("one chip"));
+            *beats += 1;
+            if let Some(p) = exit.pattern {
                 pattern_echo.push(p);
             }
-            if let Some(s) = out.text {
+            if let Some(s) = exit.text {
                 if let Some(slot) = text_echo.get_mut(s.seq as usize) {
                     *slot = Some(s.payload);
                 }
             }
-            if let Some(r) = out.result {
+            if let Some(r) = exit.result {
                 if let Some(slot) = results.get_mut(r.seq as usize) {
                     *slot = Some(r.value);
                 }
             }
-            target.step(SegmentIo {
-                pattern: pattern_in,
-                text: text_in,
-                result: None,
-            });
-            *beats += 1;
         }
         target.reset();
 
@@ -394,6 +368,19 @@ mod tests {
         let program = BistProgram::standard(5, 2);
         let mut chip = Segment::new(BooleanMatch, 5);
         assert!(program.run(&mut chip).passed);
+    }
+
+    #[test]
+    fn healthy_chips_of_every_size_pass_in_exactly_the_bound() {
+        for cells in 1..=16 {
+            for bits in 1..=8 {
+                let program = BistProgram::standard(cells, bits);
+                let mut chip = Segment::new(BooleanMatch, cells);
+                let outcome = program.run(&mut chip);
+                assert!(outcome.passed, "{cells} cells, {bits} bits: {outcome:?}");
+                assert_eq!(outcome.beats, program.beats_bound(cells), "{cells}x{bits}");
+            }
+        }
     }
 
     #[test]

@@ -69,9 +69,9 @@ use crate::host::{DeviceState, HostError, MatchEvent, RetryPolicy};
 use crate::wafer::Wafer;
 use pm_matchers::{software_fallback, MatchError};
 use pm_nmos::error::SimError;
-use pm_systolic::engine::MatchBits;
+use pm_systolic::engine::{check_chain, clock, drain_beats, text_slot, MatchBits};
 use pm_systolic::error::Error as ArrayError;
-use pm_systolic::segment::{PatItem, ResItem, Segment, SegmentIo, TxtItem};
+use pm_systolic::segment::{Segment, SegmentIo, TxtItem};
 use pm_systolic::semantics::BooleanMatch;
 use pm_systolic::symbol::{PatSym, Pattern, Symbol};
 use pm_systolic::telemetry::{SinkHandle, TraceEvent};
@@ -363,12 +363,6 @@ pub enum RecoveryEvent {
     },
 }
 
-/// What left the hardware chain during one beat. Text exits alongside
-/// results at the same boundary, but only results feed the quarantine.
-struct ChainExit {
-    result: Option<ResItem<bool>>,
-}
-
 /// A Figure 3-7 cascade with spare sockets and the full
 /// detect → isolate → remap → resume loop wrapped around it.
 #[derive(Debug, Clone)]
@@ -450,19 +444,7 @@ impl SelfHealingCascade {
         policy: RecoveryPolicy,
         sink: SinkHandle,
     ) -> Result<Self, FaultError> {
-        if pattern.is_empty() {
-            return Err(ArrayError::EmptyPattern.into());
-        }
-        if chips == 0 {
-            return Err(ArrayError::NoSegments.into());
-        }
-        if chips * cells_per_chip < pattern.len() {
-            return Err(ArrayError::ArrayTooSmall {
-                cells: chips * cells_per_chip,
-                pattern_len: pattern.len(),
-            }
-            .into());
-        }
+        check_chain(pattern.len(), &vec![cells_per_chip; chips])?;
         let bist = BistProgram::standard(cells_per_chip, pattern.alphabet().bits());
         let pool: Vec<ManagedChip> = (0..chips + spares)
             .map(|_| ManagedChip::new(cells_per_chip))
@@ -574,7 +556,7 @@ impl SelfHealingCascade {
     /// and self-test (with all retries and backoff) of every chip ahead
     /// of the faulty one in the chain.
     pub fn detection_bound_beats(&self) -> u64 {
-        let drain = 2 * (self.total_cells() + 2 * self.pattern.len() + 4) as u64;
+        let drain = drain_beats(self.total_cells(), self.pattern.len());
         let per_chip = self.bist.beats_bound(self.cells_per_chip)
             * u64::from(1 + self.policy.retry.max_retries)
             + (1..=self.policy.retry.max_retries)
@@ -683,16 +665,12 @@ impl SelfHealingCascade {
     }
 
     // ------------------------------------------------------------------
-    // Hardware beat engine (mirrors Driver::advance_beat at chip
-    // granularity, with per-chip pin faults applied at the boundaries).
+    // The hardware chain, clocked on the engine's schedule with each
+    // socket's pin faults applied at its boundary.
     // ------------------------------------------------------------------
 
     fn total_cells(&self) -> usize {
         self.chain.len() * self.cells_per_chip
-    }
-
-    fn phase(&self) -> u64 {
-        ((self.total_cells().max(1) - 1) % 2) as u64
     }
 
     /// Chars of pipeline latency the watchdog tolerates before calling
@@ -716,58 +694,18 @@ impl SelfHealingCascade {
         }
     }
 
-    /// One synchronous beat of the whole chain. Reads every chip's
-    /// (possibly fault-corrupted) boundary outputs, then steps every
-    /// chip with its neighbours' wires — the same order as the
-    /// monolithic driver, so a fault-free chain is beat-exact with
-    /// `ChipCascade`.
-    fn chain_beat(&mut self, text_in: Option<TxtItem<Symbol>>) -> ChainExit {
-        let t = self.sched_beat;
-        let psyms = self.pattern.symbols();
-        let plen = psyms.len();
-        let pattern_in = if t.is_multiple_of(2) {
-            let idx = (t / 2) as usize % plen;
-            Some(PatItem {
-                payload: psyms[idx],
-                lambda: idx == plen - 1,
-            })
-        } else {
-            None
-        };
-
-        let outs: Vec<SegmentIo<BooleanMatch>> = self
-            .chain
-            .iter()
-            .map(|&s| self.pool[s].faulty_outputs())
-            .collect();
-        let n = self.chain.len();
-        let exit = ChainExit {
-            result: outs[0].result.clone(),
-        };
-        for pos in 0..n {
-            let socket = self.chain[pos];
-            let pattern = if pos == 0 {
-                pattern_in.clone()
-            } else {
-                outs[pos - 1].pattern.clone()
-            };
-            let (text, result) = if pos == n - 1 {
-                (text_in.clone(), None)
-            } else {
-                (outs[pos + 1].text.clone(), outs[pos + 1].result.clone())
-            };
-            self.pool[socket].segment.step(SegmentIo {
-                pattern,
-                text,
-                result,
-            });
+    /// One synchronous beat of the whole chain through
+    /// [`engine::clock`](clock), reading every socket's (possibly
+    /// fault-corrupted) pins, so a fault-free chain is beat-exact with
+    /// `ChipCascade`. An exiting result enters the quarantine.
+    fn hw_beat(&mut self, text_in: Option<TxtItem<Symbol>>) {
+        let outputs = self.chain.iter().map(|&s| self.pool[s].faulty_outputs());
+        let (inputs, exit) = clock(self.sched_beat, self.pattern.symbols(), outputs, text_in);
+        for (&socket, input) in self.chain.iter().zip(inputs) {
+            self.pool[socket].segment.step(input);
         }
         self.sched_beat += 1;
         self.beat += 1;
-        exit
-    }
-
-    fn note_exit(&mut self, exit: ChainExit) {
         if let Some(r) = exit.result {
             if r.seq >= self.committed.len() as u64 {
                 self.pending.insert(r.seq, r.value);
@@ -779,24 +717,18 @@ impl SelfHealingCascade {
     /// replays keep their original sequence numbers) through one bus
     /// cycle of two beats.
     fn hw_feed(&mut self, sym: Symbol, seq: u64) {
-        let phase = self.phase();
         let mut item = Some(TxtItem { payload: sym, seq });
         for _ in 0..2 {
-            let is_text_beat =
-                self.sched_beat >= phase && (self.sched_beat - phase).is_multiple_of(2);
-            let inject = if is_text_beat { item.take() } else { None };
-            let exit = self.chain_beat(inject);
-            self.note_exit(exit);
+            let inject = text_slot(self.total_cells(), self.sched_beat).and_then(|_| item.take());
+            self.hw_beat(inject);
         }
         debug_assert!(item.is_none(), "no text slot in one bus cycle");
     }
 
     /// Runs the chain empty so every in-flight result exits.
     fn hw_drain(&mut self) {
-        let slack = 2 * (self.total_cells() + 2 * self.pattern.len() + 4) as u64;
-        for _ in 0..slack {
-            let exit = self.chain_beat(None);
-            self.note_exit(exit);
+        for _ in 0..drain_beats(self.total_cells(), self.pattern.len()) {
+            self.hw_beat(None);
         }
     }
 

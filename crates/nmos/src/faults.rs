@@ -214,14 +214,14 @@ pub fn coverage_multi(
 pub fn standard_test(columns: usize, bits: u32) -> (Pattern, Vec<Symbol>) {
     use pm_systolic::symbol::{Alphabet, PatSym};
     let alphabet = Alphabet::new(bits).expect("valid width");
-    let m = alphabet.size() as u8;
+    let m = alphabet.size();
     // Pattern: 0, 1, …, wild, …, cycling through the alphabet.
     let symbols: Vec<PatSym> = (0..columns)
         .map(|j| {
             if j == columns / 2 {
                 PatSym::Wild
             } else {
-                PatSym::Lit(Symbol::new((j as u8) % m))
+                PatSym::Lit(Symbol::new((j % m) as u8))
             }
         })
         .collect();
@@ -231,9 +231,9 @@ pub fn standard_test(columns: usize, bits: u32) -> (Pattern, Vec<Symbol>) {
     for rep in 0..3 {
         for j in 0..columns {
             let v = if rep == 1 {
-                (j as u8 + 1) % m
+                ((j + 1) % m) as u8
             } else {
-                (j as u8) % m
+                (j % m) as u8
             };
             text.push(Symbol::new(v));
         }
@@ -248,21 +248,21 @@ pub fn standard_test(columns: usize, bits: u32) -> (Pattern, Vec<Symbol>) {
 pub fn standard_test_program(columns: usize, bits: u32) -> Vec<(Pattern, Vec<Symbol>)> {
     use pm_systolic::symbol::{Alphabet, PatSym};
     let alphabet = Alphabet::new(bits).expect("valid width");
-    let m = alphabet.size() as u8;
+    let m = alphabet.size();
     let mut program = vec![standard_test(columns, bits)];
 
     // Literal alternating pattern over text that matches everywhere,
     // then nowhere.
     let lit: Vec<PatSym> = (0..columns)
-        .map(|j| PatSym::Lit(Symbol::new((j as u8) % 2 % m)))
+        .map(|j| PatSym::Lit(Symbol::new((j % 2 % m) as u8)))
         .collect();
     let pattern = Pattern::new(lit, alphabet).expect("non-empty");
     let all_match: Vec<Symbol> = (0..3 * columns)
-        .map(|j| Symbol::new((j as u8) % 2 % m))
+        .map(|j| Symbol::new((j % 2 % m) as u8))
         .collect();
     let inverted: Vec<Symbol> = all_match
         .iter()
-        .map(|s| Symbol::new((s.value() + 1) % m.max(2) % m.max(1)))
+        .map(|s| Symbol::new(((usize::from(s.value()) + 1) % m) as u8))
         .collect();
     program.push((pattern.clone(), all_match));
     program.push((pattern, inverted));

@@ -1,4 +1,5 @@
-//! The beat engine: a host-side driver for a chain of array segments.
+//! The beat engine: the one host schedule, and a driver for a chain of
+//! array segments.
 //!
 //! The paper's host computer feeds the chip two interleaved streams over
 //! one bus — "the pattern and the text string arrive alternately over the
@@ -7,16 +8,26 @@
 //! text character. [`Driver`] plays that host role for any number of
 //! cascaded [`Segment`]s and any [`MeetSemantics`].
 //!
+//! This module is the only code that knows that schedule and the
+//! synchronous wiring order. Every loop that clocks an array goes
+//! through it: [`Driver`] for its own segments, and hosts that model
+//! their own chips (the self-healing cascade's faulty pins, the
+//! self-test's probed chip) through [`text_slot`], [`drain_beats`] and
+//! [`clock`]. [`crate::schedule::Schedule`] restates the same contract in
+//! closed form, as the theory the tests hold this simulation to.
+//!
 //! ## Injection schedule
 //!
 //! Beats are numbered from 0. Pattern items are injected into the left
 //! end on every even beat (`p_j` at beat `2j`, recirculating with period
-//! `k+1` items). Text items are injected into the right end every other
-//! beat with a phase offset `φ = (N−1) mod 2` (`s_i` at beat `2i+φ`),
-//! where `N` is the total cell count. The offset makes `N−1+φ` even,
-//! which is the condition for opposing items to *meet* in a cell instead
-//! of passing between cells; for the even-sized arrays of the prototype
-//! chip it yields exactly the alternating pattern/text bus of Figure 3-1.
+//! `k+1` items, [`pattern_port`]). Text items are injected into the right
+//! end every other beat with a phase offset `φ = (N−1) mod 2` (`s_i` at
+//! beat `2i+φ`, [`text_slot`]), where `N` is the total cell count. The
+//! offset makes `N−1+φ` even, which is the condition for opposing items
+//! to *meet* in a cell instead of passing between cells; for the
+//! even-sized arrays of the prototype chip it yields exactly the
+//! alternating pattern/text bus of Figure 3-1. After the last character
+//! the host clocks [`drain_beats`] more beats so every result exits.
 //!
 //! With this schedule, `p_j` and `s_i` meet in cell `(N−1+φ)/2 + i − j`
 //! (mod the recirculation), all `k+1` pairs of one result meet in the
@@ -33,6 +44,9 @@ use crate::semantics::MeetSemantics;
 pub struct BeatExit<S: MeetSemantics> {
     /// Beat number just completed.
     pub beat: u64,
+    /// Sequence number of the text item injected at the right end this
+    /// beat, if any.
+    pub injected: Option<u64>,
     /// Text item that left the array's left end, if any.
     pub text: Option<TxtItem<S::Txt>>,
     /// Result item that left the array's left end, if any.
@@ -40,6 +54,92 @@ pub struct BeatExit<S: MeetSemantics> {
     /// Pattern item that left the array's right end, if any. A lone chip
     /// drops this on the floor; a cascade feeds it to the next chip.
     pub pattern: Option<PatItem<S::Pat>>,
+}
+
+/// The pattern item on the left port at beat `t`: `p_j` on beat `2j`,
+/// recirculating, with λ on the last item; `None` on odd beats.
+pub fn pattern_port<P: Clone>(pattern: &[P], t: u64) -> Option<PatItem<P>> {
+    if !t.is_multiple_of(2) {
+        return None;
+    }
+    let idx = (t / 2) as usize % pattern.len();
+    Some(PatItem {
+        payload: pattern[idx].clone(),
+        lambda: idx == pattern.len() - 1,
+    })
+}
+
+/// The text slot of beat `t` on an array of `cells` cells: `Some(i)`
+/// when `t = 2i + φ` with `φ = (N−1) mod 2`, `None` otherwise.
+pub fn text_slot(cells: usize, t: u64) -> Option<u64> {
+    let phase = (cells as u64).saturating_sub(1) % 2;
+    (t >= phase && (t - phase).is_multiple_of(2)).then(|| (t - phase) / 2)
+}
+
+/// Beats the host clocks after the last character so every in-flight
+/// result exits: at most `N` beats of traversal plus the recirculation
+/// period as slack for the final λ, doubled — `2·(N + 2(k+1) + 4)`.
+pub fn drain_beats(cells: usize, pattern_len: usize) -> u64 {
+    2 * (cells + 2 * pattern_len + 4) as u64
+}
+
+/// Checks a chain of `segment_cells` against a pattern of `pattern_len`
+/// items and returns the total cell count `N`.
+///
+/// # Errors
+///
+/// * [`Error::EmptyPattern`] if `pattern_len` is zero.
+/// * [`Error::NoSegments`] if `segment_cells` is empty.
+/// * [`Error::ArrayTooSmall`] if the cells don't cover the pattern.
+pub fn check_chain(pattern_len: usize, segment_cells: &[usize]) -> Result<usize, Error> {
+    if pattern_len == 0 {
+        return Err(Error::EmptyPattern);
+    }
+    if segment_cells.is_empty() {
+        return Err(Error::NoSegments);
+    }
+    let total: usize = segment_cells.iter().sum();
+    if total < pattern_len {
+        return Err(Error::ArrayTooSmall {
+            cells: total,
+            pattern_len,
+        });
+    }
+    Ok(total)
+}
+
+/// One synchronous beat of a non-empty chain: `outputs` are every
+/// chip's boundary outputs read from pre-beat state, left to right.
+/// Wires the neighbours — pattern flows left→right (chip `i` feeds
+/// `i+1`), text and results right→left — with the pattern port of beat
+/// `beat` at the left end and `text_in` at the right end, and returns
+/// each chip's inputs for this beat plus what left the chain.
+pub fn clock<S: MeetSemantics>(
+    beat: u64,
+    pattern: &[S::Pat],
+    outputs: impl IntoIterator<Item = SegmentIo<S>>,
+    text_in: Option<TxtItem<S::Txt>>,
+) -> (Vec<SegmentIo<S>>, BeatExit<S>) {
+    let mut io: Vec<SegmentIo<S>> = outputs.into_iter().collect();
+    let n = io.len();
+    let exit = BeatExit {
+        beat,
+        injected: text_in.as_ref().map(|t| t.seq),
+        text: io[0].text.take(),
+        result: io[0].result.take(),
+        pattern: io[n - 1].pattern.take(),
+    };
+    // Rewire in place: each output moves to the neighbour it feeds.
+    for i in (1..n).rev() {
+        io[i].pattern = io[i - 1].pattern.take();
+    }
+    io[0].pattern = pattern_port(pattern, beat);
+    for i in 0..n - 1 {
+        io[i].text = io[i + 1].text.take();
+        io[i].result = io[i + 1].result.take();
+    }
+    io[n - 1].text = text_in;
+    (io, exit)
 }
 
 /// Host-side driver: owns a chain of segments, schedules injection,
@@ -60,23 +160,9 @@ impl<S: MeetSemantics + Clone> Driver<S> {
     ///
     /// # Errors
     ///
-    /// * [`Error::EmptyPattern`] if `pattern` is empty.
-    /// * [`Error::NoSegments`] if `segment_cells` is empty.
-    /// * [`Error::ArrayTooSmall`] if the cells don't cover the pattern.
+    /// As [`check_chain`].
     pub fn new(sem: S, pattern: Vec<S::Pat>, segment_cells: &[usize]) -> Result<Self, Error> {
-        if pattern.is_empty() {
-            return Err(Error::EmptyPattern);
-        }
-        if segment_cells.is_empty() {
-            return Err(Error::NoSegments);
-        }
-        let total: usize = segment_cells.iter().sum();
-        if total < pattern.len() {
-            return Err(Error::ArrayTooSmall {
-                cells: total,
-                pattern_len: pattern.len(),
-            });
-        }
+        let total_cells = check_chain(pattern.len(), segment_cells)?;
         let segments = segment_cells
             .iter()
             .map(|&n| Segment::new(sem.clone(), n))
@@ -86,7 +172,7 @@ impl<S: MeetSemantics + Clone> Driver<S> {
             pattern,
             beat: 0,
             next_seq: 0,
-            total_cells: total,
+            total_cells,
         })
     }
 }
@@ -102,9 +188,14 @@ impl<S: MeetSemantics> Driver<S> {
         self.segments.len()
     }
 
-    /// The text injection phase `φ = (N−1) mod 2`.
-    pub fn phase(&self) -> u64 {
-        ((self.total_cells - 1) % 2) as u64
+    /// The text slot of beat `t` on this array (see [`text_slot`]).
+    pub fn text_slot(&self, t: u64) -> Option<u64> {
+        text_slot(self.total_cells, t)
+    }
+
+    /// The drain length of this array (see [`drain_beats`]).
+    pub fn drain_beats(&self) -> u64 {
+        drain_beats(self.total_cells, self.pattern.len())
     }
 
     /// Pattern length `k+1`.
@@ -147,21 +238,7 @@ impl<S: MeetSemantics> Driver<S> {
     /// Returns everything that left the chain this beat.
     pub fn advance_beat(&mut self, text: Option<S::Txt>) -> BeatExit<S> {
         let t = self.beat;
-
-        // Pattern port: p_j at beat 2j, recirculating.
-        let pattern_in = if t.is_multiple_of(2) {
-            let j = (t / 2) as usize;
-            let idx = j % self.pattern.len();
-            Some(PatItem {
-                payload: self.pattern[idx].clone(),
-                lambda: idx == self.pattern.len() - 1,
-            })
-        } else {
-            None
-        };
-
-        // Text port: s_i at beat 2i + φ.
-        let text_in = if t >= self.phase() && (t - self.phase()).is_multiple_of(2) {
+        let text_in = if self.text_slot(t).is_some() {
             text.map(|payload| {
                 let item = TxtItem {
                     payload,
@@ -174,38 +251,11 @@ impl<S: MeetSemantics> Driver<S> {
             debug_assert!(text.is_none(), "text offered on a non-text beat");
             None
         };
-
-        // Read all boundary wires from pre-beat state (synchronous step).
-        let outs: Vec<SegmentIo<S>> = self.segments.iter().map(|s| s.outputs()).collect();
-        let n = self.segments.len();
-
-        let exit = BeatExit {
-            beat: t,
-            text: outs[0].text.clone(),
-            result: outs[0].result.clone(),
-            pattern: outs[n - 1].pattern.clone(),
-        };
-
-        // Wire and step: pattern flows left→right (segment i feeds i+1),
-        // text/result right→left (segment i+1 feeds i).
-        for i in 0..n {
-            let pattern = if i == 0 {
-                pattern_in.clone()
-            } else {
-                outs[i - 1].pattern.clone()
-            };
-            let (txt, res) = if i == n - 1 {
-                (text_in.clone(), None)
-            } else {
-                (outs[i + 1].text.clone(), outs[i + 1].result.clone())
-            };
-            self.segments[i].step(SegmentIo {
-                pattern,
-                text: txt,
-                result: res,
-            });
+        let outputs = self.segments.iter().map(Segment::outputs);
+        let (inputs, exit) = clock(t, &self.pattern, outputs, text_in);
+        for (seg, input) in self.segments.iter_mut().zip(inputs) {
+            seg.step(input);
         }
-
         self.beat += 1;
         exit
     }
@@ -215,20 +265,7 @@ impl<S: MeetSemantics> Driver<S> {
     /// array during the cycle, tagged with its text position.
     pub fn feed(&mut self, txt: S::Txt) -> Vec<(u64, S::Out)> {
         let mut done = Vec::new();
-        let mut txt = Some(txt);
-        for _ in 0..2 {
-            let is_text_beat =
-                self.beat >= self.phase() && (self.beat - self.phase()).is_multiple_of(2);
-            let inject = if is_text_beat { txt.take() } else { None };
-            let exit = self.advance_beat(inject);
-            if let Some(res) = exit.result {
-                done.push((res.seq, res.value));
-            }
-        }
-        debug_assert!(
-            txt.is_none(),
-            "driver failed to find a text slot in one bus cycle"
-        );
+        self.feed_observed(txt, |exit| collect_result(exit, &mut done));
         done
     }
 
@@ -236,15 +273,7 @@ impl<S: MeetSemantics> Driver<S> {
     /// returning remaining results.
     pub fn drain(&mut self) -> Vec<(u64, S::Out)> {
         let mut done = Vec::new();
-        // Everything injected exits after at most N more beats; add the
-        // recirculation period as slack for the final λ.
-        let slack = (self.total_cells + 2 * self.pattern.len() + 4) as u64;
-        for _ in 0..(2 * slack) {
-            let exit = self.advance_beat(None);
-            if let Some(res) = exit.result {
-                done.push((res.seq, res.value));
-            }
-        }
+        self.drain_observed(|exit| collect_result(exit, &mut done));
         done
     }
 
@@ -255,30 +284,69 @@ impl<S: MeetSemantics> Driver<S> {
     where
         S::Txt: Clone,
     {
+        self.run_observed(text, |_| {})
+    }
+
+    /// As [`run`](Self::run), calling `observe` once per beat with what
+    /// left the chain, before the beat's result is booked.
+    pub fn run_observed(
+        &mut self,
+        text: &[S::Txt],
+        mut observe: impl FnMut(&BeatExit<S>),
+    ) -> Vec<S::Out>
+    where
+        S::Txt: Clone,
+    {
         self.reset();
         let k = self.pattern.len() - 1;
         let mut out: Vec<S::Out> = vec![S::Out::default(); text.len()];
         let mut seen = vec![false; text.len()];
-        let record = |pairs: Vec<(u64, S::Out)>, out: &mut Vec<S::Out>, seen: &mut Vec<bool>| {
-            for (seq, value) in pairs {
-                let i = seq as usize;
+        let mut book = |exit: BeatExit<S>| {
+            observe(&exit);
+            if let Some(res) = exit.result {
+                let i = res.seq as usize;
                 if i >= k && i < out.len() {
-                    out[i] = value;
+                    out[i] = res.value;
                     seen[i] = true;
                 }
             }
         };
         for ch in text {
-            let pairs = self.feed(ch.clone());
-            record(pairs, &mut out, &mut seen);
+            self.feed_observed(ch.clone(), &mut book);
         }
-        let pairs = self.drain();
-        record(pairs, &mut out, &mut seen);
+        self.drain_observed(&mut book);
         debug_assert!(
             seen.iter().skip(k).all(|&b| b),
             "every complete window must produce a result"
         );
         out
+    }
+
+    /// One bus cycle: two beats, `txt` injected on the cycle's text slot.
+    fn feed_observed(&mut self, txt: S::Txt, mut observe: impl FnMut(BeatExit<S>)) {
+        let mut txt = Some(txt);
+        for _ in 0..2 {
+            let inject = self.text_slot(self.beat).and_then(|_| txt.take());
+            observe(self.advance_beat(inject));
+        }
+        debug_assert!(
+            txt.is_none(),
+            "driver failed to find a text slot in one bus cycle"
+        );
+    }
+
+    /// [`drain_beats`](Self::drain_beats) beats with no text.
+    fn drain_observed(&mut self, mut observe: impl FnMut(BeatExit<S>)) {
+        for _ in 0..self.drain_beats() {
+            observe(self.advance_beat(None));
+        }
+    }
+}
+
+/// Keeps a beat's exiting result, tagged with its text position.
+fn collect_result<S: MeetSemantics>(exit: BeatExit<S>, done: &mut Vec<(u64, S::Out)>) {
+    if let Some(res) = exit.result {
+        done.push((res.seq, res.value));
     }
 }
 
@@ -488,17 +556,9 @@ mod tests {
         let mut beats_text: Vec<(u64, u64)> = Vec::new(); // (seq, exit beat)
         let mut beats_res: Vec<(u64, u64)> = Vec::new();
         for i in 0..40 {
-            let is_text_beat = d.beat() >= d.phase() && (d.beat() - d.phase()).is_multiple_of(2);
-            let inject = if is_text_beat {
-                let i = (d.beat() - d.phase()) / 2;
-                if (i as usize) < t.len() {
-                    Some(t[i as usize])
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
+            let inject = d
+                .text_slot(d.beat())
+                .and_then(|i| t.get(i as usize).copied());
             let exit = d.advance_beat(inject);
             if let Some(txt) = exit.text {
                 beats_text.push((txt.seq, i));
@@ -524,19 +584,13 @@ mod tests {
         let mut injected = 0usize;
         let mut results = Vec::new();
         for beat in 0..30u64 {
-            let is_text_beat = beat >= d.phase() && (beat - d.phase()).is_multiple_of(2);
             // Inject A, skip one slot, inject B.
-            let slot_index = if is_text_beat {
-                (beat - d.phase()) / 2
-            } else {
-                u64::MAX
-            };
-            let inject = if is_text_beat && slot_index != 1 && injected < 2 {
-                let s = text[injected];
-                injected += 1;
-                Some(s)
-            } else {
-                None
+            let inject = match d.text_slot(beat) {
+                Some(slot) if slot != 1 && injected < 2 => {
+                    injected += 1;
+                    Some(text[injected - 1])
+                }
+                _ => None,
             };
             let exit = d.advance_beat(inject);
             if let Some(res) = exit.result {

@@ -61,10 +61,10 @@
 //! * [`superplane`] — the throughput engine over `[u64; W]` planes
 //!   (64 lanes at `W = 1`, 256 at `W = 4`, 512 at `W = 8`): one
 //!   lane-packed batch kernel with runtime-dispatched AVX2/AVX-512
-//!   specialisations, and a beat-accurate
-//!   [`SuperplaneDriver`](superplane::SuperplaneDriver) telemetry twin
-//!   that runs the planes through the unmodified
-//!   [`Driver`](engine::Driver).
+//!   specialisations, and the beat-accurate
+//!   [`SuperplaneDriver`](superplane::SuperplaneDriver), which runs the
+//!   planes through the unmodified [`Driver`](engine::Driver) and can
+//!   trace every beat.
 //! * [`schedule`] — the closed-form injection/meeting algebra of
 //!   §3.2.1, machine-checked against the simulator.
 //! * [`trace`] — beat-by-beat choreography recording, used to regenerate

@@ -228,13 +228,9 @@ mod tests {
             let mut d = Driver::new(BooleanMatch, pattern.symbols().to_vec(), &[cells]).unwrap();
             let mut exits: Vec<(u64, u64)> = Vec::new(); // (i, beat)
             for _ in 0..60 {
-                let is_text_beat = d.beat() >= d.phase() && (d.beat() - d.phase()) % 2 == 0;
-                let inject = if is_text_beat {
-                    let i = ((d.beat() - d.phase()) / 2) as usize;
-                    text.get(i).copied()
-                } else {
-                    None
-                };
+                let inject = d
+                    .text_slot(d.beat())
+                    .and_then(|i| text.get(i as usize).copied());
                 let beat = d.beat();
                 let exit = d.advance_beat(inject);
                 if let Some(res) = exit.result {

@@ -31,10 +31,13 @@
 //!   the `PM_SIMD` environment variable (`portable`, `avx2`,
 //!   `avx512`; the override can only narrow, never exceed, what the
 //!   CPU supports);
-//! * the **beat-accurate twin** [`SuperplaneDriver`], whose
+//! * the **beat-accurate driver** [`SuperplaneDriver`], whose
 //!   accumulator is a `[u64; W]` plane flowing through the unmodified
-//!   [`Driver`], with `run_with_sink` emitting occupancy-masked
-//!   popcounts summed across all `W` words. At `W = 1` it is the
+//!   [`Driver`] on the engine's one schedule. It has one run loop,
+//!   [`Driver::run_observed`]; `run_with_sink` emits occupancy-masked
+//!   popcounts summed across all `W` words from its per-beat observer,
+//!   and `run` is `run_with_sink` with a
+//!   [`NullSink`]. At `W = 1` it is the
 //!   64-lane beat-accurate array.
 //!
 //! Why the transpose is strip-mined: a per-position text transpose
@@ -66,11 +69,11 @@
 #![allow(unsafe_code)]
 
 use crate::batch::CompiledPattern;
-use crate::engine::{BeatExit, Driver, MatchBits};
+use crate::engine::{Driver, MatchBits};
 use crate::error::Error;
 use crate::semantics::MeetSemantics;
 use crate::symbol::{PatSym, Pattern, Symbol};
-use crate::telemetry::{ClockPhase, TraceEvent, TraceSink};
+use crate::telemetry::{ClockPhase, NullSink, TraceEvent, TraceSink};
 use std::sync::OnceLock;
 
 /// A superplane: `W` machine words holding one state bit for each of
@@ -752,8 +755,8 @@ fn check_lane_count(texts: usize, lanes: usize) -> Result<(), Error> {
 /// through the existing [`Driver`] with [`SuperBoolean`] semantics.
 /// One beat of this driver is one beat of the scalar array — in all
 /// `W × 64` lanes simultaneously. [`run_with_sink`](Self::run_with_sink)
-/// emits beat-level events with occupancy-masked popcounts summed over
-/// the `W` words.
+/// is its one run loop and emits beat-level events with
+/// occupancy-masked popcounts summed over the `W` words.
 #[derive(Debug, Clone)]
 pub struct SuperplaneDriver<const W: usize> {
     driver: Driver<SuperBoolean<W>>,
@@ -793,75 +796,40 @@ impl<const W: usize> SuperplaneDriver<W> {
     /// Runs every lane's text through the array (texts may have
     /// different lengths; shorter lanes idle on zero planes, whose
     /// results are discarded) and returns one [`MatchBits`] per lane.
-    ///
-    /// This is the un-instrumented path, preserved verbatim so the
-    /// telemetry A/B in `pm-bench` (E30) has a true baseline;
-    /// [`run_with_sink`](Self::run_with_sink) is the traced twin and is
-    /// tested bit-identical to it.
+    /// This is [`run_with_sink`](Self::run_with_sink) with a
+    /// [`NullSink`].
     ///
     /// # Errors
     ///
     /// [`Error::LaneCountMismatch`] unless there is exactly one text per
     /// lane the driver was built with.
     pub fn run(&mut self, texts: &[&[Symbol]]) -> Result<Vec<MatchBits>, Error> {
-        check_lane_count(texts.len(), self.lanes)?;
-        let stream = self.transpose(texts);
-        let planes = self.driver.run(&stream);
-        Ok(self.collect(texts, |i| planes[i].0))
+        self.run_with_sink(texts, &NullSink)
     }
 
-    /// As [`run`](Self::run), but flips the given result-plane bits
-    /// before results are collected — the chaos harness's model of a
-    /// §4 lane upset inside the `Superplane<W>` result registers. Each
-    /// entry is `(position, lane)`: the result bit for text position
-    /// `position` in `lane` is inverted. Out-of-range entries are
-    /// ignored; with an empty slice this is exactly [`run`](Self::run)
-    /// (the zero-cost-when-disabled discipline of the harness: callers
-    /// pass `&[]` unless a fault plan is armed).
+    /// As [`run`](Self::run), emitting beat-level [`TraceEvent`]s into
+    /// `sink`. Each beat records, in order, [`TraceEvent::TextInjected`]
+    /// on text beats, two [`TraceEvent::Clock`] phases, and one
+    /// [`TraceEvent::ComparatorFire`] per exiting complete-window result
+    /// with the popcount of matching *occupied* lanes summed across all
+    /// `W` words of the superplane.
+    ///
+    /// There is one run loop, [`Driver::run_observed`]; the sink only
+    /// decides what its per-beat observer does. A [`NullSink`] is
+    /// disabled at compile time, so the observer is empty; a sink behind
+    /// `dyn TraceSink` that reports itself disabled costs one
+    /// `enabled()` call per beat.
     ///
     /// # Errors
     ///
     /// As [`run`](Self::run).
-    pub fn run_with_upsets(
-        &mut self,
-        texts: &[&[Symbol]],
-        upsets: &[(usize, usize)],
-    ) -> Result<Vec<MatchBits>, Error> {
-        check_lane_count(texts.len(), self.lanes)?;
-        let stream = self.transpose(texts);
-        let mut planes: Vec<Superplane<W>> =
-            self.driver.run(&stream).into_iter().map(|p| p.0).collect();
-        for &(pos, lane) in upsets {
-            if pos < planes.len() && lane < self.lanes {
-                planes[pos][lane / 64] ^= 1u64 << (lane % 64);
-            }
-        }
-        Ok(self.collect(texts, |i| planes[i]))
-    }
-
-    /// As [`run`](Self::run), but emits beat-level [`TraceEvent`]s into
-    /// `sink`: two [`TraceEvent::Clock`] phases per beat,
-    /// [`TraceEvent::TextInjected`] on text beats, and one
-    /// [`TraceEvent::ComparatorFire`] per exiting result with the
-    /// popcount of matching *occupied* lanes summed across all `W`
-    /// words of the superplane.
-    ///
-    /// The sink is a generic parameter so a
-    /// [`NullSink`](crate::telemetry::NullSink) monomorphises the
-    /// emission sites away; `run_with_sink(texts, &NullSink)` compiles
-    /// to the same machine loop as [`run`](Self::run).
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run).
-    pub fn run_with_sink<K: TraceSink>(
+    pub fn run_with_sink<K: TraceSink + ?Sized>(
         &mut self,
         texts: &[&[Symbol]],
         sink: &K,
     ) -> Result<Vec<MatchBits>, Error> {
         check_lane_count(texts.len(), self.lanes)?;
         let stream = self.transpose(texts);
-        self.driver.reset();
         // Per-position occupancy: lanes whose text still covers
         // position `i`. Exhausted lanes idle on zero planes and may
         // fire spuriously, so the comparator popcount masks them out.
@@ -881,75 +849,37 @@ impl<const W: usize> SuperplaneDriver<W> {
                 })
                 .collect()
         };
-        let mut planes = vec![[0u64; W]; stream.len()];
-        // Feed: one bus cycle (two beats) per text plane, injecting on
-        // the driver's text beats — the same schedule as Driver::run.
-        for (seq, item) in stream.iter().enumerate() {
-            let mut item = Some(item.clone());
-            for _ in 0..2 {
-                let beat = self.driver.beat();
-                let phase = self.driver.phase();
-                let is_text_beat = beat >= phase && (beat - phase).is_multiple_of(2);
-                let inject = if is_text_beat { item.take() } else { None };
-                if sink.enabled() && inject.is_some() {
-                    sink.record(TraceEvent::TextInjected {
-                        beat,
-                        seq: seq as u64,
-                    });
-                }
-                let exit = self.driver.advance_beat(inject);
-                self.note_exit(exit, &occupancy, &mut planes, sink);
+        let k = self.k;
+        let planes = self.driver.run_observed(&stream, |exit| {
+            if !sink.enabled() {
+                return;
             }
-            debug_assert!(item.is_none(), "no text slot in one bus cycle");
-        }
-        // Drain: same slack bound as Driver::drain.
-        let slack = (self.driver.total_cells() + 2 * self.driver.pattern_len() + 4) as u64;
-        for _ in 0..(2 * slack) {
-            let exit = self.driver.advance_beat(None);
-            self.note_exit(exit, &occupancy, &mut planes, sink);
-        }
-        Ok(self.collect(texts, |i| planes[i]))
-    }
-
-    /// Books one beat's exits: stores complete-window result planes and
-    /// emits the clock/comparator events for the beat just executed.
-    fn note_exit<K: TraceSink>(
-        &self,
-        exit: BeatExit<SuperBoolean<W>>,
-        occupancy: &[Superplane<W>],
-        planes: &mut [Superplane<W>],
-        sink: &K,
-    ) {
-        if sink.enabled() {
-            sink.record(TraceEvent::Clock {
-                beat: exit.beat,
-                phase: ClockPhase::Phi1,
-            });
-            sink.record(TraceEvent::Clock {
-                beat: exit.beat,
-                phase: ClockPhase::Phi2,
-            });
-        }
-        if let Some(res) = exit.result {
-            let i = res.seq as usize;
-            if i >= self.k && i < planes.len() {
-                planes[i] = res.value.0;
-                if sink.enabled() {
-                    let lanes: u32 = res
+            let beat = exit.beat;
+            if let Some(seq) = exit.injected {
+                sink.record(TraceEvent::TextInjected { beat, seq });
+            }
+            for phase in [ClockPhase::Phi1, ClockPhase::Phi2] {
+                sink.record(TraceEvent::Clock { beat, phase });
+            }
+            if let Some(res) = &exit.result {
+                let i = res.seq as usize;
+                if i >= k && i < occupancy.len() {
+                    let lanes = res
                         .value
                         .0
                         .iter()
-                        .zip(occupancy[i].iter())
+                        .zip(&occupancy[i])
                         .map(|(v, o)| (v & o).count_ones())
                         .sum();
                     sink.record(TraceEvent::ComparatorFire {
-                        beat: exit.beat,
+                        beat,
                         seq: res.seq,
                         lanes,
                     });
                 }
             }
-        }
+        });
+        Ok(self.collect(texts, &planes))
     }
 
     /// Transposes per-lane texts into the per-position superplane stream.
@@ -975,18 +905,15 @@ impl<const W: usize> SuperplaneDriver<W> {
     }
 
     /// Slices per-position result planes back into per-lane [`MatchBits`].
-    fn collect(
-        &self,
-        texts: &[&[Symbol]],
-        plane_at: impl Fn(usize) -> Superplane<W>,
-    ) -> Vec<MatchBits> {
+    fn collect(&self, texts: &[&[Symbol]], planes: &[SuperOut<W>]) -> Vec<MatchBits> {
         texts
             .iter()
             .enumerate()
             .map(|(l, t)| {
                 let (word, bit) = (l / 64, (l % 64) as u32);
-                let bits = (0..t.len())
-                    .map(|i| (plane_at(i)[word] >> bit) & 1 == 1)
+                let bits = planes[..t.len()]
+                    .iter()
+                    .map(|p| (p.0[word] >> bit) & 1 == 1)
                     .collect();
                 MatchBits::new(bits, self.k)
             })
@@ -1349,7 +1276,6 @@ mod tests {
                 expected: 70,
             };
             assert_eq!(d.run(&texts), Err(want.clone()));
-            assert_eq!(d.run_with_upsets(&texts, &[]), Err(want.clone()));
             assert_eq!(d.run_with_sink(&texts, &NullSink), Err(want));
         }
     }
@@ -1464,39 +1390,6 @@ mod tests {
         assert_eq!(level, simd_level(), "detection must be cached");
         assert!(["portable", "avx2", "avx512"].contains(&level.name()));
         assert_eq!(level.to_string(), level.name());
-    }
-
-    #[test]
-    fn upset_hook_flips_exactly_the_named_bit() {
-        let pats: Vec<Pattern> = (0..3).map(|_| Pattern::parse("AXC").unwrap()).collect();
-        let texts: Vec<Vec<Symbol>> = (0..3).map(|_| letters("ABCAACCAB")).collect();
-        let lanes: Vec<&[Symbol]> = texts.iter().map(|t| t.as_slice()).collect();
-        let mut d = SuperplaneDriver::<2>::new(&pats).unwrap();
-        let clean = d.run(&lanes).unwrap();
-        // No upsets: bit-identical to run().
-        assert_eq!(d.run_with_upsets(&lanes, &[]).unwrap(), clean);
-        // One upset: exactly one bit of exactly one lane differs.
-        let upset = d.run_with_upsets(&lanes, &[(5, 1)]).unwrap();
-        for (l, (got, want)) in upset.iter().zip(&clean).enumerate() {
-            if l == 1 {
-                assert_ne!(got, want);
-                let diffs = got
-                    .bits()
-                    .iter()
-                    .zip(&want.bits())
-                    .filter(|(a, b)| a != b)
-                    .count();
-                assert_eq!(diffs, 1);
-                assert_eq!(got.bit(5), !want.bit(5));
-            } else {
-                assert_eq!(got, want, "lane {l} must be untouched");
-            }
-        }
-        // Out-of-range upsets are ignored.
-        assert_eq!(
-            d.run_with_upsets(&lanes, &[(999, 0), (0, 99)]).unwrap(),
-            clean
-        );
     }
 
     /// Spec match ends for one lane.

@@ -16,8 +16,10 @@
 //!   [`SuperplaneDriver::run_with_sink`](crate::superplane::SuperplaneDriver::run_with_sink))
 //!   take `&S where S: TraceSink`. With [`NullSink`] the
 //!   `enabled() == false` constant folds and every emission compiles
-//!   away — the A/B measurement in `pm-bench`'s E30 figure holds this
-//!   under 1 % against the un-instrumented path.
+//!   away. `SuperplaneDriver::run` is `run_with_sink(&NullSink)`, so
+//!   there is no separate un-instrumented loop; `pm-bench`'s E30 A/B
+//!   times that loop against the same loop with a disabled
+//!   `dyn TraceSink`, which still pays one `enabled()` call per beat.
 //! * **Dynamic paths** (the `pm-chip` scheduler and recovery cascade)
 //!   hold a [`SinkHandle`] and guard each emission with one virtual
 //!   `enabled()` call; events there are per-batch or per-scrub, never

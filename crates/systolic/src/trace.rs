@@ -124,13 +124,9 @@ mod tests {
         let mut d = Driver::new(BooleanMatch, p.symbols().to_vec(), &[cells]).unwrap();
         let mut rec = TraceRecorder::new();
         for _ in 0..beats {
-            let is_text_beat = d.beat() >= d.phase() && (d.beat() - d.phase()).is_multiple_of(2);
-            let inject = if is_text_beat {
-                let i = ((d.beat() - d.phase()) / 2) as usize;
-                t.get(i).copied()
-            } else {
-                None
-            };
+            let inject = d
+                .text_slot(d.beat())
+                .and_then(|i| t.get(i as usize).copied());
             d.advance_beat(inject);
             rec.capture(&d);
         }
