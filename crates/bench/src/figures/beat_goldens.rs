@@ -4,7 +4,7 @@
 //! schedule, the wiring order or the drain length shows up here as a
 //! diff.
 
-use super::{algorithm, resilience};
+use super::{algorithm, extensions, resilience};
 
 #[test]
 fn fig3_2_flow_of_characters_is_beat_exact() {
@@ -21,4 +21,14 @@ fn healing_table_is_beat_exact() {
     // Detect 1028 and recover 2592 beats for every fault; the
     // exhaustion leg runs out of spares at beat 13148.
     assert_eq!(resilience::healing(), include_str!("goldens/healing.txt"));
+}
+
+#[test]
+fn multipass_figure_is_exact() {
+    // 28 passes of a 24-char pattern over 8 cells find all three
+    // planted matches.
+    assert_eq!(
+        extensions::multipass(),
+        include_str!("goldens/multipass.txt")
+    );
 }
