@@ -47,7 +47,7 @@
 
 use pm_nmos::chip::PatternChip;
 use pm_nmos::faults::{self, CoverageReport};
-use pm_systolic::engine::{clock, drain_beats, text_slot};
+use pm_systolic::engine::{clock, drain_beats, pattern_port, text_slot};
 use pm_systolic::segment::{PatItem, Segment, SegmentIo, TxtItem};
 use pm_systolic::semantics::BooleanMatch;
 use pm_systolic::spec::match_spec;
@@ -241,8 +241,10 @@ impl BistProgram {
                 let payload = *vector.text.get(i as usize)?;
                 Some(TxtItem { payload, seq: i })
             });
-            let (inputs, exit) = clock(t, psyms, [target.outputs()], text_in);
-            target.step(inputs.into_iter().next().expect("one chip"));
+            let mut io = [target.outputs()];
+            let exit = clock(t, pattern_port(psyms, t), &mut io, text_in);
+            let [input] = io;
+            target.step(input);
             *beats += 1;
             if let Some(p) = exit.pattern {
                 pattern_echo.push(p);

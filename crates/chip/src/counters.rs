@@ -6,8 +6,9 @@
 //! the coordinator sums them into a [`CounterSnapshot`], which derives
 //! the rates (chars/sec, lane occupancy, cache hit rate) at reporting
 //! time. [`Counter`] is a relaxed atomic for counts that outlive one
-//! run and are read from several threads; [`RateWindow`] windows one
-//! such count into a current rate.
+//! run and are read from several threads. A current rate over a long
+//! run is the exporter's job: scrape a monotonic count (the telemetry
+//! registry's `pm_chars_total`) twice and divide by the interval.
 //!
 //! ```
 //! use pm_chip::counters::CounterSnapshot;
@@ -27,11 +28,9 @@
 //! assert_eq!(snap.cache_hit_rate(), 0.75);
 //! ```
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A monotonically increasing event counter shared between threads.
 /// Relaxed ordering is sufficient: counters are statistics, not
@@ -129,89 +128,6 @@ impl fmt::Display for CounterSnapshot {
     }
 }
 
-/// A sliding-window rate estimator over a monotonic count.
-///
-/// The lifetime-average rate ([`CounterSnapshot::chars_per_sec`] over
-/// elapsed-since-start) is the right number for a finite benchmark run,
-/// but a long-running scheduler asking "how fast am I going *now*?"
-/// must not dilute the answer with hours of history. `RateWindow` keeps
-/// `(instant, count)` samples covering the last `window` of wall clock
-/// and reports the rate across the span it retains.
-///
-/// Feed it the same monotonic counter it is windowing — typically
-/// `window.sample(counter.get())` on whatever reporting cadence the
-/// caller already has.
-///
-/// ```
-/// use pm_chip::counters::RateWindow;
-/// use std::time::{Duration, Instant};
-///
-/// let w = RateWindow::new(Duration::from_secs(10));
-/// let t0 = Instant::now();
-/// w.sample_at(0, t0);
-/// w.sample_at(4_000_000, t0 + Duration::from_secs(1));
-/// assert_eq!(w.rate().round() as u64, 4_000_000); // the paper's rate
-/// ```
-#[derive(Debug)]
-pub struct RateWindow {
-    window: Duration,
-    samples: Mutex<VecDeque<(Instant, u64)>>,
-}
-
-impl RateWindow {
-    /// A window covering the last `window` of wall clock.
-    pub fn new(window: Duration) -> Self {
-        RateWindow {
-            window,
-            samples: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Records the counter's current value now.
-    pub fn sample(&self, count: u64) {
-        self.sample_at(count, Instant::now());
-    }
-
-    /// Records a `(count, instant)` observation and evicts samples that
-    /// have slid out of the window. Exposed separately so tests can
-    /// drive synthetic clocks; `at` values must be non-decreasing.
-    pub fn sample_at(&self, count: u64, at: Instant) {
-        let mut samples = self.samples.lock().expect("rate window poisoned");
-        samples.push_back((at, count));
-        // Keep one sample at-or-before the window edge so the span
-        // always covers the full window once enough history exists.
-        while samples.len() > 2 {
-            let second = samples[1].0;
-            if at.saturating_duration_since(second) >= self.window {
-                samples.pop_front();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Events per second across the retained window: the count delta
-    /// between the oldest and newest samples over their time span.
-    /// Returns 0.0 until two samples with distinct instants exist.
-    pub fn rate(&self) -> f64 {
-        let samples = self.samples.lock().expect("rate window poisoned");
-        let (Some(&(t0, c0)), Some(&(t1, c1))) = (samples.front(), samples.back()) else {
-            return 0.0;
-        };
-        let span = t1.saturating_duration_since(t0).as_secs_f64();
-        if span > 0.0 {
-            c1.saturating_sub(c0) as f64 / span
-        } else {
-            0.0
-        }
-    }
-
-    /// The configured window length.
-    pub fn window(&self) -> Duration {
-        self.window
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,39 +153,6 @@ mod tests {
         assert_eq!(snap.chars_per_sec(), 0.0);
         assert_eq!(snap.lane_occupancy(), 0.0);
         assert_eq!(snap.cache_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn windowed_rate_tracks_current_not_lifetime_throughput() {
-        // A scheduler that ran fast for an hour then slowed to a crawl:
-        // the lifetime average stays high, the window must not.
-        let w = RateWindow::new(Duration::from_secs(10));
-        let t0 = Instant::now();
-        // One hour at 1M events/s…
-        w.sample_at(0, t0);
-        w.sample_at(3_600_000_000, t0 + Duration::from_secs(3600));
-        // …then 10 s at 100 events/s.
-        for i in 1..=10u64 {
-            w.sample_at(3_600_000_000 + 100 * i, t0 + Duration::from_secs(3600 + i));
-        }
-        let lifetime = 3_600_001_000.0 / 3610.0; // ≈ 997k/s
-        let windowed = w.rate();
-        assert!(windowed < 200.0, "windowed {windowed} should be ~100/s");
-        assert!(lifetime > 900_000.0);
-    }
-
-    #[test]
-    fn windowed_rate_edge_cases() {
-        let w = RateWindow::new(Duration::from_secs(5));
-        assert_eq!(w.rate(), 0.0); // no samples
-        let t0 = Instant::now();
-        w.sample_at(10, t0);
-        assert_eq!(w.rate(), 0.0); // one sample: zero span
-        w.sample_at(10, t0); // same instant
-        assert_eq!(w.rate(), 0.0);
-        w.sample_at(30, t0 + Duration::from_secs(2));
-        assert_eq!(w.rate(), 10.0);
-        assert_eq!(w.window(), Duration::from_secs(5));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub mod wafer;
 pub mod prelude {
     pub use crate::bist::{BistFailure, BistOutcome, BistPort, BistProgram, BistVector};
     pub use crate::cascade::ChipCascade;
-    pub use crate::counters::{CounterSnapshot, RateWindow};
+    pub use crate::counters::CounterSnapshot;
     pub use crate::datasheet::DataSheet;
     pub use crate::dictionary::{DictionaryMatcher, DictionaryStats, PatternDictionary};
     pub use crate::faults::{Fault, FaultPlan, PlaneFault, StickyFault, XorShift64};

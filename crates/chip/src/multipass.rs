@@ -9,10 +9,12 @@
 //! succeeding runs."
 //!
 //! In a single pass the pattern does **not** recirculate: it streams
-//! through once, delayed by `n−1` beats relative to the text so that
-//! the window ending at (run-relative) position `i` accumulates in cell
-//! `i−k`. Exactly the `n` windows ending at positions `k … k+n−1` fit
-//! in the array; the next pass advances the text window by `n`.
+//! through once on the engine's once-through port
+//! ([`pm_systolic::engine::once_through_port`]), whose delay puts the
+//! window ending at (run-relative) position `i` in cell `i−k`. Exactly
+//! the `n` windows ending at positions `k … k+n−1` fit in the array;
+//! the next pass advances the text window by `n`. The delay and the
+//! drain live in the engine; this module only slices the text.
 //!
 //! # Example
 //!
@@ -34,9 +36,11 @@
 //! # }
 //! ```
 
-use pm_systolic::engine::MatchBits;
+use pm_systolic::engine::{
+    check_chain, clock, once_through_drain, once_through_port, text_slot, MatchBits,
+};
 use pm_systolic::error::Error;
-use pm_systolic::segment::{PatItem, Segment, SegmentIo, TxtItem};
+use pm_systolic::segment::{Segment, TxtItem};
 use pm_systolic::semantics::BooleanMatch;
 use pm_systolic::symbol::{Pattern, Symbol};
 
@@ -53,19 +57,18 @@ impl MultipassMatcher {
     ///
     /// # Errors
     ///
-    /// [`Error::EmptyPattern`] for an empty pattern. (There is no upper
-    /// limit on pattern length — that is the point.)
+    /// As [`check_chain`] for a one-chip chain, except that the array
+    /// may be smaller than the pattern — that is the point.
     pub fn new(pattern: &Pattern, cells: usize) -> Result<Self, Error> {
-        if pattern.is_empty() {
-            return Err(Error::EmptyPattern);
+        // A zero-cell array is no chip at all.
+        let chips: &[usize] = if cells == 0 { &[] } else { &[cells] };
+        match check_chain(pattern.len(), chips) {
+            Ok(_) | Err(Error::ArrayTooSmall { .. }) => Ok(MultipassMatcher {
+                pattern: pattern.clone(),
+                cells,
+            }),
+            Err(e) => Err(e),
         }
-        if cells == 0 {
-            return Err(Error::NoSegments);
-        }
-        Ok(MultipassMatcher {
-            pattern: pattern.clone(),
-            cells,
-        })
     }
 
     /// Array size.
@@ -84,79 +87,44 @@ impl MultipassMatcher {
         }
     }
 
-    /// Beats consumed by one pass (pattern stream + drain).
-    pub fn beats_per_pass(&self, segment_len: usize) -> u64 {
-        let n = self.cells as u64;
-        let l = self.pattern.len() as u64;
-        (2 * segment_len as u64).max(2 * l + n - 1) + 2 * n + 4
-    }
-
     /// Matches the text, running as many passes as needed.
     pub fn match_symbols(&self, text: &[Symbol]) -> MatchBits {
         let k = self.pattern.k();
         let n = self.cells;
         let mut out = vec![false; text.len()];
-        let mut pass = 0usize;
-        while pass * n + k < text.len() {
-            let base = pass * n;
+        let mut chip = Segment::new(BooleanMatch, n);
+        let mut base = 0;
+        while base + k < text.len() {
             // A pass produces windows ending at relative k..k+n-1; it
             // needs at most k+n characters of text.
             let hi = (base + k + n).min(text.len());
-            let segment = &text[base..hi];
-            for (rel, value) in self.single_pass(segment) {
-                out[base + rel] = value;
-            }
-            pass += 1;
+            self.single_pass(&mut chip, &text[base..hi], &mut out[base..hi]);
+            base += n;
         }
         MatchBits::new(out, k)
     }
 
-    /// One non-recirculating pass: returns `(relative_end, matched)`
-    /// for every complete window the array covers.
-    fn single_pass(&self, text: &[Symbol]) -> Vec<(usize, bool)> {
+    /// Resets `chip` and runs one once-through pass over `text`,
+    /// writing every complete window's result into `out`, which is
+    /// indexed like `text`.
+    fn single_pass(&self, chip: &mut Segment<BooleanMatch>, text: &[Symbol], out: &mut [bool]) {
         let n = self.cells;
-        let l = self.pattern.len();
-        let k = l - 1;
-        let delay = (n - 1) as u64; // pattern lags the text
-        let mut seg: Segment<BooleanMatch> = Segment::new(BooleanMatch, n);
-
-        let total = self.beats_per_pass(text.len());
-        let mut results = Vec::new();
-        for t in 0..total {
-            let exit = seg.outputs();
-            if let Some(res) = exit.result {
-                let i = res.seq as usize;
-                if i >= k && i < text.len() {
-                    results.push((i, res.value));
-                }
-            }
-            // Pattern item j at beat 2j + (n−1), streamed exactly once.
-            let pattern = t
-                .checked_sub(delay)
-                .filter(|d| d % 2 == 0)
-                .map(|d| d / 2)
-                .filter(|&j| (j as usize) < l)
-                .map(|j| PatItem {
-                    payload: self.pattern.symbols()[j as usize],
-                    lambda: j as usize == k,
-                });
-            // Text item i at beat 2i.
-            let text_in = if t % 2 == 0 {
-                let i = (t / 2) as usize;
-                text.get(i).map(|&payload| TxtItem {
-                    payload,
-                    seq: i as u64,
-                })
-            } else {
-                None
-            };
-            seg.step(SegmentIo {
-                pattern,
-                text: text_in,
-                result: None,
+        let k = self.pattern.k();
+        let psyms = self.pattern.symbols();
+        chip.reset();
+        for t in 0..2 * text.len() as u64 + once_through_drain(n) {
+            let text_in = text_slot(n, t).and_then(|i| {
+                let payload = *text.get(i as usize)?;
+                Some(TxtItem { payload, seq: i })
             });
+            let mut io = [chip.outputs()];
+            let exit = clock(t, once_through_port(psyms, n, t), &mut io, text_in);
+            let [input] = io;
+            chip.step(input);
+            if let Some(r) = exit.result.filter(|r| r.seq as usize >= k) {
+                out[r.seq as usize] = r.value;
+            }
         }
-        results
     }
 }
 
@@ -208,6 +176,15 @@ mod tests {
         assert_eq!(m.passes_needed(100), 22);
         assert_eq!(m.passes_needed(16), 1);
         assert_eq!(m.passes_needed(15), 0);
+    }
+
+    #[test]
+    fn rejects_a_zero_cell_array() {
+        let p = Pattern::parse("ABC").unwrap();
+        assert!(matches!(
+            MultipassMatcher::new(&p, 0),
+            Err(Error::NoSegments)
+        ));
     }
 
     #[test]

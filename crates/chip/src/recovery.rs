@@ -69,7 +69,7 @@ use crate::host::{DeviceState, HostError, MatchEvent, RetryPolicy};
 use crate::wafer::Wafer;
 use pm_matchers::{software_fallback, MatchError};
 use pm_nmos::error::SimError;
-use pm_systolic::engine::{check_chain, clock, drain_beats, text_slot, MatchBits};
+use pm_systolic::engine::{check_chain, clock, drain_beats, pattern_port, text_slot, MatchBits};
 use pm_systolic::error::Error as ArrayError;
 use pm_systolic::segment::{Segment, SegmentIo, TxtItem};
 use pm_systolic::semantics::BooleanMatch;
@@ -699,9 +699,14 @@ impl SelfHealingCascade {
     /// fault-corrupted) pins, so a fault-free chain is beat-exact with
     /// `ChipCascade`. An exiting result enters the quarantine.
     fn hw_beat(&mut self, text_in: Option<TxtItem<Symbol>>) {
-        let outputs = self.chain.iter().map(|&s| self.pool[s].faulty_outputs());
-        let (inputs, exit) = clock(self.sched_beat, self.pattern.symbols(), outputs, text_in);
-        for (&socket, input) in self.chain.iter().zip(inputs) {
+        let mut io: Vec<_> = self
+            .chain
+            .iter()
+            .map(|&s| self.pool[s].faulty_outputs())
+            .collect();
+        let pattern_in = pattern_port(self.pattern.symbols(), self.sched_beat);
+        let exit = clock(self.sched_beat, pattern_in, &mut io, text_in);
+        for (&socket, input) in self.chain.iter().zip(io) {
             self.pool[socket].segment.step(input);
         }
         self.sched_beat += 1;

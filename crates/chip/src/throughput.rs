@@ -64,7 +64,7 @@
 //! # }
 //! ```
 
-use crate::counters::{Counter, CounterSnapshot, RateWindow};
+use crate::counters::CounterSnapshot;
 use crate::faults::{corrupt_bits, mix, FaultPlan, PlaneFault, StickyFault, XorShift64};
 use crate::host::RetryPolicy;
 use pm_matchers::software_fallback;
@@ -81,9 +81,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
-
-/// Default sliding window for [`ThroughputEngine::windowed_chars_per_sec`].
-const RATE_WINDOW: Duration = Duration::from_secs(30);
 
 /// How wide one batch is: the number of 64-lane machine words packed
 /// side by side in each bit plane.
@@ -587,10 +584,6 @@ pub struct ThroughputEngine {
     width: SuperWidth,
     index: PatternIndex,
     sink: SinkHandle,
-    /// Characters processed across every run of this engine's lifetime.
-    lifetime_chars: Counter,
-    /// Sliding window over `lifetime_chars`, sampled after each run.
-    rate: RateWindow,
     /// Fault-tolerant scheduling, when installed.
     resilience: Option<ResiliencePolicy>,
     /// Seeded chaos campaign, when armed (orthogonal to `resilience`:
@@ -621,12 +614,6 @@ impl ThroughputEngine {
             width: SuperWidth::default(),
             index: PatternIndex::new(cache_capacity),
             sink,
-            lifetime_chars: Counter::new(),
-            rate: {
-                let rate = RateWindow::new(RATE_WINDOW);
-                rate.sample(0); // construction anchors the window
-                rate
-            },
             resilience: None,
             chaos: None,
             ladder: LadderState::default(),
@@ -706,20 +693,6 @@ impl ThroughputEngine {
     /// Number of distinct patterns currently in the shared index.
     pub fn cached_patterns(&self) -> usize {
         self.index.len()
-    }
-
-    /// Characters processed across this engine's whole lifetime.
-    pub fn lifetime_chars(&self) -> u64 {
-        self.lifetime_chars.get()
-    }
-
-    /// Current throughput over the last ~30 s of wall clock — the
-    /// windowed rate a long-running scheduler should report, as opposed
-    /// to the lifetime average a finite benchmark wants
-    /// ([`CounterSnapshot::chars_per_sec`]). Returns 0.0 until two runs
-    /// have completed inside the window.
-    pub fn windowed_chars_per_sec(&self) -> f64 {
-        self.rate.rate()
     }
 
     /// Runs every job to completion and reports results plus stats.
@@ -912,8 +885,6 @@ impl ThroughputEngine {
             .map(|o| o.expect("every job is committed or recovered"))
             .collect();
         totals.elapsed = started.elapsed();
-        self.lifetime_chars.add(totals.chars);
-        self.rate.sample(self.lifetime_chars.get());
         Ok(ThroughputReport {
             outputs,
             workers: worker_stats,
@@ -1929,9 +1900,6 @@ pub(crate) mod tests {
             snap.dispatch_portable + snap.dispatch_avx2 + snap.dispatch_avx512,
             1
         );
-        // The engine samples its rate window after each run.
-        assert_eq!(engine.lifetime_chars(), report.totals.chars);
-        assert!(engine.windowed_chars_per_sec() >= 0.0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn multipass_equals_spec((pat, text) in workload(), cells in 1usize..6) {
+    fn multipass_equals_spec((pat, text) in workload(), cells in 1usize..17) {
         let pattern = build(&pat);
         let symbols: Vec<Symbol> = text.iter().map(|&b| Symbol::new(b)).collect();
         let m = MultipassMatcher::new(&pattern, cells).unwrap();

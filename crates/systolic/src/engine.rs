@@ -12,9 +12,10 @@
 //! synchronous wiring order. Every loop that clocks an array goes
 //! through it: [`Driver`] for its own segments, and hosts that model
 //! their own chips (the self-healing cascade's faulty pins, the
-//! self-test's probed chip) through [`text_slot`], [`drain_beats`] and
-//! [`clock`]. [`crate::schedule::Schedule`] restates the same contract in
-//! closed form, as the theory the tests hold this simulation to.
+//! self-test's probed chip, the multi-pass matcher's one chip) through
+//! [`text_slot`], a pattern port, a drain length and [`clock`].
+//! [`crate::schedule::Schedule`] restates the same contract in closed
+//! form, as the theory the tests hold this simulation to.
 //!
 //! ## Injection schedule
 //!
@@ -34,6 +35,15 @@
 //! *same* cell on consecutive active beats, and `r_i` leaves the left end
 //! of the array on the same beat as `s_i` — the invariants the paper
 //! walks through in §3.2.1, which the tests here check mechanically.
+//!
+//! ## Once-through schedule
+//!
+//! A pattern longer than the array runs "through the system several
+//! times" (§3.4), streamed once per pass on the [`once_through_port`]:
+//! `p_j` at beat `2(j + ⌊N/2⌋)`, text on its [`text_slot`]. Since
+//! `(N−1+φ)/2 = ⌊N/2⌋`, `p_j` meets `s_i` in cell `i − j`, so the array
+//! holds exactly the `N` windows ending at positions `k … k+N−1`. After
+//! the text the host clocks [`once_through_drain`] more beats.
 
 use crate::error::Error;
 use crate::segment::{PatItem, ResItem, Segment, SegmentIo, TxtItem};
@@ -67,6 +77,21 @@ pub fn pattern_port<P: Clone>(pattern: &[P], t: u64) -> Option<PatItem<P>> {
         payload: pattern[idx].clone(),
         lambda: idx == pattern.len() - 1,
     })
+}
+
+/// The pattern port of a once-through pass over an array of `cells`
+/// cells: [`pattern_port`] delayed by `2⌊N/2⌋` beats and not
+/// recirculated, so `p_j` enters on beat `2(j + ⌊N/2⌋)`.
+pub fn once_through_port<P: Clone>(pattern: &[P], cells: usize, t: u64) -> Option<PatItem<P>> {
+    let t = t.checked_sub(2 * (cells as u64 / 2))?;
+    (t / 2 < pattern.len() as u64).then(|| pattern_port(pattern, t))?
+}
+
+/// Beats a once-through pass clocks after the text's last bus cycle:
+/// `r_i` leaves with `s_i`, at most `N` beats after it enters, so
+/// `2N + 4` is the traversal doubled, with slack.
+pub fn once_through_drain(cells: usize) -> u64 {
+    2 * cells as u64 + 4
 }
 
 /// The text slot of beat `t` on an array of `cells` cells: `Some(i)`
@@ -108,19 +133,19 @@ pub fn check_chain(pattern_len: usize, segment_cells: &[usize]) -> Result<usize,
     Ok(total)
 }
 
-/// One synchronous beat of a non-empty chain: `outputs` are every
-/// chip's boundary outputs read from pre-beat state, left to right.
-/// Wires the neighbours — pattern flows left→right (chip `i` feeds
-/// `i+1`), text and results right→left — with the pattern port of beat
-/// `beat` at the left end and `text_in` at the right end, and returns
-/// each chip's inputs for this beat plus what left the chain.
+/// One synchronous beat of a non-empty chain. `io` holds every chip's
+/// boundary outputs read from pre-beat state, left to right. Wires the
+/// neighbours in place — pattern flows left→right (chip `i` feeds
+/// `i+1`), text and results right→left — with `pattern_in` (the beat's
+/// pattern-port item) at the left end and `text_in` at the right end,
+/// so that `io` ends up holding each chip's inputs for this beat.
+/// Returns what left the chain.
 pub fn clock<S: MeetSemantics>(
     beat: u64,
-    pattern: &[S::Pat],
-    outputs: impl IntoIterator<Item = SegmentIo<S>>,
+    pattern_in: Option<PatItem<S::Pat>>,
+    io: &mut [SegmentIo<S>],
     text_in: Option<TxtItem<S::Txt>>,
-) -> (Vec<SegmentIo<S>>, BeatExit<S>) {
-    let mut io: Vec<SegmentIo<S>> = outputs.into_iter().collect();
+) -> BeatExit<S> {
     let n = io.len();
     let exit = BeatExit {
         beat,
@@ -129,17 +154,17 @@ pub fn clock<S: MeetSemantics>(
         result: io[0].result.take(),
         pattern: io[n - 1].pattern.take(),
     };
-    // Rewire in place: each output moves to the neighbour it feeds.
+    // Each output moves to the neighbour it feeds.
     for i in (1..n).rev() {
         io[i].pattern = io[i - 1].pattern.take();
     }
-    io[0].pattern = pattern_port(pattern, beat);
+    io[0].pattern = pattern_in;
     for i in 0..n - 1 {
         io[i].text = io[i + 1].text.take();
         io[i].result = io[i + 1].result.take();
     }
     io[n - 1].text = text_in;
-    (io, exit)
+    exit
 }
 
 /// Host-side driver: owns a chain of segments, schedules injection,
@@ -147,6 +172,8 @@ pub fn clock<S: MeetSemantics>(
 #[derive(Debug, Clone)]
 pub struct Driver<S: MeetSemantics> {
     segments: Vec<Segment<S>>,
+    /// Per-beat wiring buffer, one entry per segment.
+    io: Vec<SegmentIo<S>>,
     pattern: Vec<S::Pat>,
     beat: u64,
     next_seq: u64,
@@ -169,6 +196,7 @@ impl<S: MeetSemantics + Clone> Driver<S> {
             .collect();
         Ok(Driver {
             segments,
+            io: segment_cells.iter().map(|_| SegmentIo::idle()).collect(),
             pattern,
             beat: 0,
             next_seq: 0,
@@ -251,10 +279,12 @@ impl<S: MeetSemantics> Driver<S> {
             debug_assert!(text.is_none(), "text offered on a non-text beat");
             None
         };
-        let outputs = self.segments.iter().map(Segment::outputs);
-        let (inputs, exit) = clock(t, &self.pattern, outputs, text_in);
-        for (seg, input) in self.segments.iter_mut().zip(inputs) {
-            seg.step(input);
+        for (io, seg) in self.io.iter_mut().zip(&self.segments) {
+            *io = seg.outputs();
+        }
+        let exit = clock(t, pattern_port(&self.pattern, t), &mut self.io, text_in);
+        for (seg, input) in self.segments.iter_mut().zip(&mut self.io) {
+            seg.step(std::mem::take(input));
         }
         self.beat += 1;
         exit
@@ -601,6 +631,58 @@ mod tests {
         // (p1='B', s1='B') comparison happened — reported as a match,
         // i.e. the hole acted as a wild card. Hence: don't leave holes.
         assert!(results.contains(&(1, true)), "{results:?}");
+    }
+
+    #[test]
+    fn once_through_schedule_fits_every_size() {
+        // Every array size, pattern length and pass length a multi-pass
+        // host can ask for: each complete window's result exits inside
+        // the clocked beats with the specified value, and no pass clocks
+        // more beats than the multi-pass loop's own formula allowed.
+        let mut seed = 0x9e37_79b9_u32;
+        let mut letters = |len: usize, choices: &[u8]| -> String {
+            (0..len)
+                .map(|_| {
+                    seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    choices[(seed >> 16) as usize % choices.len()] as char
+                })
+                .collect()
+        };
+        for n in 1..=16usize {
+            for l in 1..=3 * n + 2 {
+                let k = l - 1;
+                let pattern = Pattern::parse(&letters(l, b"ABCX")).unwrap();
+                for seg in l..=k + n {
+                    let text = text_from_letters(&letters(seg, b"ABC")).unwrap();
+                    let beats = 2 * seg as u64 + once_through_drain(n);
+                    let mut chip = Segment::new(BooleanMatch, n);
+                    let mut got = vec![None; seg];
+                    for t in 0..beats {
+                        let text_in = text_slot(n, t).and_then(|i| {
+                            let payload = *text.get(i as usize)?;
+                            Some(TxtItem { payload, seq: i })
+                        });
+                        let pattern_in = once_through_port(pattern.symbols(), n, t);
+                        let mut io = [chip.outputs()];
+                        let exit = clock(t, pattern_in, &mut io, text_in);
+                        let [input] = io;
+                        chip.step(input);
+                        if let Some(r) = exit.result {
+                            got[r.seq as usize] = Some(r.value);
+                        }
+                    }
+                    let want = match_spec(&text, &pattern);
+                    for i in k..seg {
+                        assert_eq!(got[i], Some(want[i]), "N={n} L={l} seg={seg} r_{i}");
+                    }
+                    let (seg, l, n) = (seg as u64, l as u64, n as u64);
+                    assert!(
+                        beats <= (2 * seg).max(2 * l + n - 1) + 2 * n + 4,
+                        "N={n} L={l} seg={seg}: {beats} beats"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
