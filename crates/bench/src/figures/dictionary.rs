@@ -22,9 +22,11 @@
 //! Three claims are checked in one run:
 //!
 //! 1. **crossover** — at the 1k-pattern point, the W≥4 farm sustains
-//!    at least the Aho–Corasick character rate (asserted under the same
-//!    conditions as E31's speedup bar: release build, runtime dispatch
-//!    ≥ AVX2, overridable with `PM_ENFORCE_SPEEDUP`);
+//!    at least the Aho–Corasick character rate. Each size times the
+//!    oracle and the three farms together, round by round, and the
+//!    claim is judged on the per-round ratios (it must read true under
+//!    the same conditions as E31's speedup bar: release build, runtime
+//!    dispatch ≥ AVX2, overridable with `PM_ENFORCE_SPEEDUP`);
 //! 2. **exactness** — farm events ≡ Aho–Corasick events at every size
 //!    and width, and ≡ the scalar spec where the spec is cheap enough
 //!    to compute;
@@ -36,17 +38,18 @@
 //! machine-dependent) and `dict_10k_speedup_over_ac` — a same-run
 //! ratio the CI bench gate enforces like `w8_speedup_over_u64`.
 
+use crate::figures::paired::{enforce_speedup, paired, quartiles, verdict, Claim, Verdict};
 use crate::workloads;
 use pm_chip::dictionary::PatternDictionary;
 use pm_chip::throughput::SuperWidth;
 use pm_matchers::aho_corasick::{AhoCorasick, DictMatch};
 use pm_systolic::spec::match_spec;
-use pm_systolic::superplane::{simd_level, SimdLevel};
+use pm_systolic::superplane::simd_level;
 use pm_systolic::symbol::{Alphabet, Pattern, Symbol};
 use std::fmt::Write;
-use std::time::Instant;
 
-/// Dictionary sizes swept (the 10k point feeds the gated ratio).
+/// Dictionary sizes swept: the 1k point carries the crossover claim and
+/// the 10k point feeds the gated ratio.
 const SIZES: [usize; 4] = [10, 100, 1_000, 10_000];
 /// Shared text length: long enough that per-chunk setup amortises,
 /// short enough that a debug test run stays quick.
@@ -55,11 +58,6 @@ const TEXT_LEN: usize = if cfg!(debug_assertions) {
 } else {
     1 << 16
 };
-/// Repetitions per engine; best-of-N rejects scheduler noise. The
-/// gated 10k ratio divides two best-of-N rates, so N is higher than
-/// E31's: the Aho–Corasick side's cache behaviour at 10k patterns is
-/// the noisiest measurement in the figures suite.
-const REPS: usize = if cfg!(debug_assertions) { 2 } else { 9 };
 /// Full scalar-spec verification is O(size × text); cap it where it
 /// stays cheap. Above the cap the Aho–Corasick oracle (itself
 /// spec-checked below the cap and property-tested in `pm-chip`)
@@ -92,33 +90,6 @@ fn plant(text: &mut [Symbol], pats: &[Pattern]) {
                 text[at + d] = s;
             }
         }
-    }
-}
-
-/// Best-of-`REPS` character rate for one matcher closure.
-fn best_rate<F: FnMut() -> Vec<DictMatch>>(mut f: F) -> (f64, Vec<DictMatch>) {
-    let mut best = 0.0f64;
-    let mut events = Vec::new();
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let r = f();
-        let rate = TEXT_LEN as f64 / t.elapsed().as_secs_f64();
-        if rate > best || events.is_empty() {
-            best = best.max(rate);
-            events = r;
-        }
-    }
-    (best, events)
-}
-
-/// Same bar as E31: the crossover assertion binds optimised builds on
-/// hardware whose dispatch reaches AVX2; `PM_ENFORCE_SPEEDUP` forces
-/// it on (`1`) or off (`0`) anywhere.
-fn enforce_speedup() -> bool {
-    match std::env::var("PM_ENFORCE_SPEEDUP").ok().as_deref() {
-        Some("0") => false,
-        Some(_) => true,
-        None => cfg!(not(debug_assertions)) && simd_level() >= SimdLevel::Avx2,
     }
 }
 
@@ -157,12 +128,10 @@ pub fn dictionary_to(json_path: &str) -> String {
     .unwrap();
 
     let mut agree = true;
-    let mut crossover_1k = (0.0f64, 0.0f64); // (W4/AC, W8/AC) at 1k
-    let mut headline = (0.0f64, 1.0f64); // (W8 rate, W8/AC) at the largest size
-    for size in SIZES {
+    let [_, _, at_1k, at_10k] = SIZES.map(|size| {
         let pats = dictionary(size);
         let oracle = AhoCorasick::new(&pats).expect("literal dictionary");
-        let (ac_rate, ac_events) = best_rate(|| oracle.find_all(&text));
+        let ac_events = oracle.find_all(&text);
 
         if size <= SPEC_CAP {
             let mut spec_events: Vec<DictMatch> = Vec::new();
@@ -179,64 +148,74 @@ pub fn dictionary_to(json_path: &str) -> String {
             }
         }
 
-        let mut rates = [0.0f64; 3];
-        let mut stats = None;
-        for (i, width) in [SuperWidth::W1, SuperWidth::W4, SuperWidth::W8]
-            .into_iter()
-            .enumerate()
-        {
-            let dict = PatternDictionary::new(&pats, width);
-            let matcher = dict.matcher();
-            let (rate, events) = best_rate(|| matcher.find_all(&text));
-            rates[i] = rate;
-            if events != ac_events {
-                agree = false;
-            }
-            if width == SuperWidth::W8 {
-                let s = *dict.stats();
-                if s.resident > s.patterns || s.occupancy() > 1.0 {
-                    agree = false;
-                }
-                stats = Some(s);
-            }
+        let dicts = [SuperWidth::W1, SuperWidth::W4, SuperWidth::W8]
+            .map(|width| PatternDictionary::new(&pats, width));
+        let [w1, w4, w8] = dicts.each_ref().map(PatternDictionary::matcher);
+        // Side 0 is the oracle; every round's events from every side
+        // must equal its untimed run's, checked outside the timed region.
+        let timing = paired(
+            &mut [
+                &mut || oracle.find_all(&text),
+                &mut || w1.find_all(&text),
+                &mut || w4.find_all(&text),
+                &mut || w8.find_all(&text),
+            ],
+            |events| agree &= events.iter().all(|e| *e == ac_events),
+        );
+        let stats = *dicts[2].stats();
+        if stats.resident > stats.patterns || stats.occupancy() > 1.0 {
+            agree = false;
         }
-        let stats = stats.expect("W8 always planned");
-        let ratio = rates[2] / ac_rate;
+        let rate = |side: usize| TEXT_LEN as f64 / timing.secs(side);
+        let w8_ac = quartiles(&timing.speedups(3));
         writeln!(
             out,
-            "  {size:>8} | {:>8} | {:>10} | {:>8.0}% | {:>11.2} | {:>11.2} | {:>11.2} | {:>11.2} | {ratio:>5.2}",
+            "  {size:>8} | {:>8} | {:>10} | {:>8.0}% | {:>11.2} | {:>11.2} | {:>11.2} | {:>11.2} | {:>5.2}",
             stats.resident,
             stats.groups,
             stats.occupancy() * 100.0,
-            ac_rate / 1e6,
-            rates[0] / 1e6,
-            rates[1] / 1e6,
-            rates[2] / 1e6,
+            rate(0) / 1e6,
+            rate(1) / 1e6,
+            rate(2) / 1e6,
+            rate(3) / 1e6,
+            w8_ac[1],
         )
         .unwrap();
-
-        if size == 1_000 {
-            crossover_1k = (rates[1] / ac_rate, rates[2] / ac_rate);
-        }
-        headline = (rates[2], ratio);
-    }
+        timing
+    });
 
     let enforced = enforce_speedup();
+    let [(w4, w4_holds), (w8, w8_holds)] = [2, 3].map(|side| {
+        let speedups = at_1k.speedups(side);
+        (
+            quartiles(&speedups),
+            verdict(&speedups, Claim::AtLeast(1.0)),
+        )
+    });
+    let (w4_ac, w8_ac) = (w4[1], w8[1]);
     writeln!(
         out,
-        "\n  1k-pattern crossover: W4/AC {:.2}x, W8/AC {:.2}x (>= 1x on W>=4 holds: {}, enforced here: {enforced})",
-        crossover_1k.0,
-        crossover_1k.1,
-        crossover_1k.0 >= 1.0 && crossover_1k.1 >= 1.0,
+        "\n  1k-pattern crossover, {}: W4/AC {w4_ac:.2}x (IQR {:.2}x, >= 1x holds: {w4_holds}), \
+         W8/AC {w8_ac:.2}x (IQR {:.2}x, >= 1x holds: {w8_holds}), enforced here: {enforced}",
+        at_1k.label(),
+        w4[2] - w4[0],
+        w8[2] - w8[0],
+    )
+    .unwrap();
+    let [q1, w8_over_ac, q3] = quartiles(&at_10k.speedups(3));
+    let w8_rate = TEXT_LEN as f64 / at_10k.secs(3);
+    writeln!(
+        out,
+        "  10k-pattern W8/AC: {w8_over_ac:.2}x (IQR {:.2}x)",
+        q3 - q1
     )
     .unwrap();
     if enforced {
         assert!(
-            crossover_1k.0 >= 1.0 && crossover_1k.1 >= 1.0,
+            w4_holds == Verdict::True && w8_holds == Verdict::True,
             "the W>=4 farm must sustain at least the Aho-Corasick rate at \
-             1k patterns, measured W4/AC {:.2}x, W8/AC {:.2}x",
-            crossover_1k.0,
-            crossover_1k.1,
+             1k patterns, paired medians W4/AC {w4_ac:.2}x ({w4_holds}), \
+             W8/AC {w8_ac:.2}x ({w8_holds})",
         );
     }
 
@@ -244,25 +223,14 @@ pub fn dictionary_to(json_path: &str) -> String {
     // same-run ratio at the largest size (enforced off-portable).
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"dictionary_chars_per_sec\": {:.1},", headline.0);
-    let _ = writeln!(json, "  \"dict_10k_speedup_over_ac\": {:.3},", headline.1);
-    let _ = writeln!(json, "  \"dict_1k_w8_over_ac\": {:.3},", crossover_1k.1);
+    let _ = writeln!(json, "  \"dictionary_chars_per_sec\": {w8_rate:.1},");
+    let _ = writeln!(json, "  \"dict_10k_speedup_over_ac\": {w8_over_ac:.3},");
+    let _ = writeln!(json, "  \"dict_1k_w8_over_ac\": {w8_ac:.3},");
     let _ = writeln!(json, "  \"simd_level\": \"{}\",", simd_level());
     let _ = writeln!(json, "  \"sizes\": [10, 100, 1000, 10000],");
     let _ = writeln!(json, "  \"text_len\": {TEXT_LEN}");
     json.push_str("}\n");
-    let wrote = std::fs::write(json_path, &json).is_ok();
-    writeln!(
-        out,
-        "\n  JSON snapshot ({} bytes) {} {json_path}",
-        json.len(),
-        if wrote {
-            "written to"
-        } else {
-            "NOT written to"
-        },
-    )
-    .unwrap();
+    super::write_snapshot(&mut out, json_path, &json);
 
     writeln!(out, "\n  dictionary events equal specification: {agree}").unwrap();
     out

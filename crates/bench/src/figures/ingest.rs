@@ -221,18 +221,7 @@ pub fn ingest_to(json_path: &str) -> String {
     let _ = writeln!(json, "  \"workers_per_shard\": {WORKERS_PER_SHARD},");
     let _ = writeln!(json, "  \"simd_level\": \"{}\"", simd_level());
     json.push_str("}\n");
-    let wrote = std::fs::write(json_path, &json).is_ok();
-    writeln!(
-        out,
-        "\n  JSON snapshot ({} bytes) {} {json_path}",
-        json.len(),
-        if wrote {
-            "written to"
-        } else {
-            "NOT written to"
-        },
-    )
-    .unwrap();
+    super::write_snapshot(&mut out, json_path, &json);
 
     writeln!(out, "\n  equal offline oracle: {exact}").unwrap();
     out

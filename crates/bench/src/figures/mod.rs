@@ -11,11 +11,14 @@ pub mod hardware;
 pub mod ingest;
 pub mod inventory;
 pub mod methodology;
+mod paired;
 pub mod resilience;
 pub mod serve;
 pub mod superwide;
 pub mod telemetry;
 pub mod throughput;
+
+use std::fmt::Write;
 
 /// A named figure renderer.
 pub type FigureEntry = (&'static str, fn() -> String);
@@ -69,6 +72,18 @@ pub fn render(name: &str) -> Option<String> {
         .into_iter()
         .find(|(n, _)| *n == name)
         .map(|(_, f)| f())
+}
+
+/// Writes a figure's JSON snapshot to `path` and reports the write in
+/// `out`; a failed write is not an error, so read-only checkouts render.
+fn write_snapshot(out: &mut String, path: &str, json: &str) {
+    let wrote = if std::fs::write(path, json).is_ok() {
+        "written to"
+    } else {
+        "NOT written to"
+    };
+    let len = json.len();
+    writeln!(out, "\n  JSON snapshot ({len} bytes) {wrote} {path}").unwrap();
 }
 
 #[cfg(test)]

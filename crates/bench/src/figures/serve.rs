@@ -285,18 +285,7 @@ pub fn serve_to(json_path: &str) -> String {
     let _ = writeln!(json, "  \"chunk_bytes\": {CHUNK},");
     let _ = writeln!(json, "  \"chunks_per_session\": {CHUNKS}");
     json.push_str("}\n");
-    let wrote = std::fs::write(json_path, &json).is_ok();
-    writeln!(
-        out,
-        "\n  JSON snapshot ({} bytes) {} {json_path}",
-        json.len(),
-        if wrote {
-            "written to"
-        } else {
-            "NOT written to"
-        },
-    )
-    .unwrap();
+    super::write_snapshot(&mut out, json_path, &json);
 
     writeln!(
         out,

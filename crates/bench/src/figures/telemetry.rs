@@ -9,10 +9,11 @@
 //! the ground truth the engines return, not an estimate), and a
 //! disabled sink costs nothing (the A/B on the beat-accurate
 //! `SuperplaneDriver::<1>`'s one run loop: `NullSink` against a
-//! disabled `dyn TraceSink`). It also writes the `BENCH_telemetry.json` snapshot
-//! the CI bench-regression gate compares against its committed
-//! baseline.
+//! disabled `dyn TraceSink`, timed by the figures' one paired
+//! estimator). It also writes the `BENCH_telemetry.json` snapshot the
+//! CI bench-regression gate compares against its committed baseline.
 
+use crate::figures::paired::{paired, quartiles, verdict, Claim};
 use crate::workloads;
 use pm_chip::telemetry::MetricsRegistry;
 use pm_chip::throughput::{Job, ThroughputEngine};
@@ -20,9 +21,10 @@ use pm_systolic::spec::match_spec;
 use pm_systolic::superplane::SuperplaneDriver;
 use pm_systolic::symbol::{Alphabet, Pattern, Symbol};
 use pm_systolic::telemetry::{NullSink, SinkHandle, TraceSink};
+use std::cell::RefCell;
 use std::fmt::Write;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Streams in the scheduler workload: one full word of lanes plus a
 /// ragged tail, same shape as E29.
@@ -36,14 +38,6 @@ const WORKERS: usize = 4;
 /// Scheduler repetitions; the best-of-N rate is the regression-gate
 /// headline, which rejects most scheduler noise on shared CI boxes.
 const SCHED_REPS: usize = 3;
-/// Pairs in the NullSink A/B ([`null_sink_ab`]). Each pair alternates
-/// which side runs first, and the figure reports the median per-pair
-/// overhead with its interquartile range, so one slow pair moves
-/// neither.
-const AB_PAIRS: usize = 15;
-/// Wall-clock time one side of an A/B pair spends in its runs (at
-/// least one run).
-const AB_SIDE: Duration = Duration::from_millis(20);
 /// Lanes and characters for the A/B workload (the beat-accurate driver
 /// is the slow path; a modest size keeps the figure quick).
 const AB_LANES: usize = 64;
@@ -184,18 +178,7 @@ pub fn telemetry() -> String {
     let json = snap.to_json(chars_per_sec);
     let path = std::env::var("PM_TELEMETRY_JSON")
         .unwrap_or_else(|_| crate::snapshot_path("BENCH_telemetry.json"));
-    let wrote = std::fs::write(&path, &json).is_ok();
-    writeln!(
-        out,
-        "\n  JSON snapshot ({} bytes) {} {path}",
-        json.len(),
-        if wrote {
-            "written to"
-        } else {
-            "NOT written to"
-        },
-    )
-    .unwrap();
+    super::write_snapshot(&mut out, &path, &json);
 
     let ab_pattern = workloads::random_pattern(alphabet, PATTERN_LEN, 10, 31);
     let ab_texts: Vec<Vec<Symbol>> = (0..AB_LANES)
@@ -217,14 +200,9 @@ pub fn telemetry() -> String {
 /// can still have: the per-beat `enabled()` guard. Writes the figure
 /// block into `out`; E30 and E31 both use it.
 ///
-/// Each side of a pair times [`AB_SIDE`]'s worth of runs and keeps
-/// their median, so a descheduled run moves nothing, and the two sides
-/// take turns run by run, so a slow stretch of the host slows both.
-/// Each pair asserts the two sides bit-identical. The block reports the
-/// median per-pair overhead with its interquartile range. The 1 % claim
-/// holds when every pair is under 1 %, fails when every pair is at or
-/// over it, and otherwise is "unresolved" while the IQR is wider than
-/// 1 % and decided by the median once it is not.
+/// The sides are timed by [`paired`], and every round asserts them
+/// bit-identical. The block reports the median per-round overhead with
+/// its interquartile range, and judges "within 1 %" by [`verdict`].
 pub(crate) fn null_sink_ab<const W: usize>(
     out: &mut String,
     pattern: &Pattern,
@@ -232,79 +210,48 @@ pub(crate) fn null_sink_ab<const W: usize>(
 ) {
     let patterns = vec![pattern.clone(); texts.len()];
     let lanes: Vec<&[Symbol]> = texts.iter().map(Vec::as_slice).collect();
-    let mut driver = SuperplaneDriver::<W>::new(&patterns).expect("uniform pattern lengths");
+    let driver =
+        RefCell::new(SuperplaneDriver::<W>::new(&patterns).expect("uniform pattern lengths"));
     // Opaque to the optimiser, so every beat asks the sink.
     let runtime_null: Arc<dyn TraceSink> = std::hint::black_box(Arc::new(NullSink));
-    // One timed run of one side.
-    let mut timed = |dynamic: bool| {
-        let t = Instant::now();
-        let run = if dynamic {
-            driver.run_with_sink(&lanes, &*runtime_null)
-        } else {
-            driver.run_with_sink(&lanes, &NullSink)
-        };
-        (t.elapsed().as_secs_f64(), run.expect("lane count matches"))
-    };
-    // Calibrate (and warm up): the runs one side needs to fill AB_SIDE.
-    let (started, mut runs) = (Instant::now(), 0);
-    while runs == 0 || started.elapsed() < AB_SIDE {
-        timed(false);
-        runs += 1;
-    }
-    // Seconds per run, `[static, dynamic]`. Within a pair the sides
-    // take turns run by run, and the side that goes first alternates,
-    // so a slow stretch of the host lands on both sides alike.
-    let pairs: Vec<[f64; 2]> = (0..AB_PAIRS)
-        .map(|pair| {
-            let mut secs = [Vec::with_capacity(runs), Vec::with_capacity(runs)];
-            let mut bits = [Vec::new(), Vec::new()];
-            for r in 0..runs {
-                let first = (pair + r) % 2 == 1;
-                for dynamic in [first, !first] {
-                    let (s, b) = timed(dynamic);
-                    secs[usize::from(dynamic)].push(s);
-                    bits[usize::from(dynamic)] = b;
-                }
-            }
-            assert_eq!(bits[0], bits[1], "both sinks must give bit-identical runs");
-            secs.map(|side| quartiles(side)[1])
-        })
-        .collect();
-    let overheads: Vec<f64> = pairs.iter().map(|[b, n]| (n - b) / b.max(1e-12)).collect();
-    let [q1, median, q3] = quartiles(overheads.clone());
-    let median_ms = |side: usize| quartiles(pairs.iter().map(|p| p[side] * 1e3).collect())[1];
-    let narrow = q3 - q1 <= 0.01;
-    let verdict = if overheads.iter().all(|&o| o < 0.01) || (narrow && median < 0.01) {
-        "true"
-    } else if overheads.iter().all(|&o| o >= 0.01) || narrow {
-        "false"
-    } else {
-        "unresolved"
-    };
+    let timing = paired(
+        &mut [
+            &mut || {
+                driver
+                    .borrow_mut()
+                    .run_with_sink(&lanes, &NullSink)
+                    .expect("lanes match")
+            },
+            &mut || {
+                driver
+                    .borrow_mut()
+                    .run_with_sink(&lanes, &*runtime_null)
+                    .expect("lanes match")
+            },
+        ],
+        |runs| assert_eq!(runs[0], runs[1], "both sinks must give bit-identical runs"),
+    );
+    let overheads: Vec<f64> = timing.speedups(1).iter().map(|s| 1.0 / s - 1.0).collect();
+    let [q1, median, q3] = quartiles(&overheads);
     let len = texts.iter().map(Vec::len).max().unwrap_or(0);
     writeln!(
         out,
-        "\n  NullSink A/B (beat-accurate SuperplaneDriver::<{W}>, {} lanes × {len} chars, \
-         {AB_PAIRS} alternating pairs of {runs} runs a side, medians):",
-        texts.len()
+        "\n  NullSink A/B (beat-accurate SuperplaneDriver::<{W}>, {} lanes × {len} chars, {}):",
+        texts.len(),
+        timing.label(),
     )
     .unwrap();
-    writeln!(out, "    NullSink (static)      : {:>8.3} ms", median_ms(0)).unwrap();
-    writeln!(out, "    dyn TraceSink, disabled: {:>8.3} ms", median_ms(1)).unwrap();
+    let ms = |side: usize| timing.secs(side) * 1e3;
+    writeln!(out, "    NullSink (static)      : {:>8.3} ms", ms(0)).unwrap();
+    writeln!(out, "    dyn TraceSink, disabled: {:>8.3} ms", ms(1)).unwrap();
     writeln!(
         out,
-        "    disabled-sink overhead: {:.2} % (IQR {:.2} %; within 1 %: {verdict})",
+        "    disabled-sink overhead: {:.2} % (IQR {:.2} %; within 1 %: {})",
         median * 100.0,
-        (q3 - q1) * 100.0
+        (q3 - q1) * 100.0,
+        verdict(&overheads, Claim::AtMost(0.01)),
     )
     .unwrap();
-}
-
-/// Lower quartile, median and upper quartile of `v` (nearest rank).
-fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
-    v.sort_by(f64::total_cmp);
-    let at = |q: usize| v[(v.len() - 1) * q / 4];
-    [at(1), at(2), at(3)]
 }
 
 #[cfg(test)]

@@ -87,11 +87,11 @@ pub fn once_through_port<P: Clone>(pattern: &[P], cells: usize, t: u64) -> Optio
     (t / 2 < pattern.len() as u64).then(|| pattern_port(pattern, t))?
 }
 
-/// Beats a once-through pass clocks after the text's last bus cycle:
-/// `r_i` leaves with `s_i`, at most `N` beats after it enters, so
-/// `2N + 4` is the traversal doubled, with slack.
+/// Beats a once-through pass clocks after the text's bus cycles: `s_i`
+/// enters on beat `2i + φ` and `r_i` leaves with it at most `N` beats
+/// later. One beat fewer loses a result at `N = 2`.
 pub fn once_through_drain(cells: usize) -> u64 {
-    2 * cells as u64 + 4
+    cells as u64
 }
 
 /// The text slot of beat `t` on an array of `cells` cells: `Some(i)`
@@ -116,6 +116,7 @@ pub fn drain_beats(cells: usize, pattern_len: usize) -> u64 {
 /// * [`Error::EmptyPattern`] if `pattern_len` is zero.
 /// * [`Error::NoSegments`] if `segment_cells` is empty.
 /// * [`Error::ArrayTooSmall`] if the cells don't cover the pattern.
+/// * [`Error::EmptySegment`] if they do but a segment has no cells.
 pub fn check_chain(pattern_len: usize, segment_cells: &[usize]) -> Result<usize, Error> {
     if pattern_len == 0 {
         return Err(Error::EmptyPattern);
@@ -129,6 +130,9 @@ pub fn check_chain(pattern_len: usize, segment_cells: &[usize]) -> Result<usize,
             cells: total,
             pattern_len,
         });
+    }
+    if let Some(segment) = segment_cells.iter().position(|&n| n == 0) {
+        return Err(Error::EmptySegment { segment });
     }
     Ok(total)
 }
@@ -501,6 +505,14 @@ mod tests {
             Driver::new(BooleanMatch, vec![], &[4]),
             Err(Error::EmptyPattern)
         ));
+        assert!(matches!(
+            Driver::new(BooleanMatch, p.symbols().to_vec(), &[0, 5]),
+            Err(Error::EmptySegment { segment: 0 })
+        ));
+        assert!(matches!(
+            Driver::new(BooleanMatch, p.symbols().to_vec(), &[5, 0]),
+            Err(Error::EmptySegment { segment: 1 })
+        ));
     }
 
     #[test]
@@ -638,7 +650,7 @@ mod tests {
         // Every array size, pattern length and pass length a multi-pass
         // host can ask for: each complete window's result exits inside
         // the clocked beats with the specified value, and no pass clocks
-        // more beats than the multi-pass loop's own formula allowed.
+        // more than `N` beats after its text.
         let mut seed = 0x9e37_79b9_u32;
         let mut letters = |len: usize, choices: &[u8]| -> String {
             (0..len)
@@ -675,11 +687,8 @@ mod tests {
                     for i in k..seg {
                         assert_eq!(got[i], Some(want[i]), "N={n} L={l} seg={seg} r_{i}");
                     }
-                    let (seg, l, n) = (seg as u64, l as u64, n as u64);
-                    assert!(
-                        beats <= (2 * seg).max(2 * l + n - 1) + 2 * n + 4,
-                        "N={n} L={l} seg={seg}: {beats} beats"
-                    );
+                    let (seg, n) = (seg as u64, n as u64);
+                    assert!(beats <= 2 * seg + n, "N={n} L={l} seg={seg}: {beats} beats");
                 }
             }
         }

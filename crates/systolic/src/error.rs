@@ -31,6 +31,11 @@ pub enum Error {
     BadAlphabetWidth(u32),
     /// A driver was asked to run with zero segments.
     NoSegments,
+    /// A segment of a driver's chain has no cells.
+    EmptySegment {
+        /// Index of the empty segment in the chain.
+        segment: usize,
+    },
     /// A segment of the array has been condemned by self-test and no
     /// replacement is wired in; the chain cannot carry a stream.
     ///
@@ -97,6 +102,7 @@ impl fmt::Display for Error {
                 write!(f, "alphabet width of {bits} bits is not in 1..=8")
             }
             Error::NoSegments => write!(f, "driver requires at least one array segment"),
+            Error::EmptySegment { segment } => write!(f, "array segment {segment} has no cells"),
             Error::SegmentFaulted { segment } => write!(
                 f,
                 "array segment {segment} is condemned and no spare replaces it"
@@ -142,6 +148,7 @@ mod tests {
             },
             Error::BadAlphabetWidth(0),
             Error::NoSegments,
+            Error::EmptySegment { segment: 1 },
             Error::SegmentFaulted { segment: 3 },
             Error::TooManyLanes {
                 lanes: 65,
