@@ -7,11 +7,12 @@
 //! This module is that arrangement over the superplane engine:
 //! [`PatternDictionary`] plans 10–10,000 patterns into
 //! [`ResidentGroup`]s (the lane-resident "chips" of
-//! `pm_systolic::resident`), and [`DictionaryMatcher`] streams text
-//! chunks through every group once, merging per-group lane events into
-//! a single `(pattern_id, end)` stream.
+//! `pm_systolic::resident`) and compiles them once into an immutable,
+//! shared farm. A [`DictionaryMatcher`] is only a stream's carry over
+//! that farm: it streams text chunks through every group once, merging
+//! per-group lane events into a single `(pattern_id, end)` stream.
 //!
-//! The compilation pipeline:
+//! The compilation pipeline, all of it in [`PatternDictionary::new`]:
 //!
 //! 1. **prefix-dedup trie** — patterns are interned in a trie keyed by
 //!    pattern symbols (wild card = its own edge), so exact duplicates
@@ -24,7 +25,7 @@
 //!    per-character cost) of every group it touches;
 //! 3. **superplane groups** — the bucketed order is cut into groups of
 //!    `width.lanes()` patterns, each compiled to a `ResidentGroup`
-//!    whose acceptance table is built once and reused for every chunk.
+//!    whose acceptance table every matcher shares for every chunk.
 //!
 //! [`DictionaryStats`] reports what planning achieved — dedup ratio,
 //! lane occupancy, prefix sharing — and
@@ -63,6 +64,7 @@ use pm_systolic::resident::ResidentGroup;
 use pm_systolic::symbol::{PatSym, Pattern, Symbol};
 use pm_systolic::telemetry::{SinkHandle, TraceEvent};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Trie edge key: a literal symbol value, or this for a wild card.
 const WILD_KEY: u16 = u16::MAX;
@@ -116,9 +118,8 @@ impl DictionaryStats {
     }
 }
 
-/// A planned multi-pattern dictionary: submitted patterns, the
-/// deduped resident order, and the group cut — everything needed to
-/// build a [`DictionaryMatcher`].
+/// A compiled multi-pattern dictionary: the farm of resident groups,
+/// built once and shared by every [`DictionaryMatcher`] it hands out.
 ///
 /// Pattern *ids* are the indices into the slice given to
 /// [`new`](Self::new); match events report those ids, so duplicates
@@ -126,19 +127,15 @@ impl DictionaryStats {
 #[derive(Debug, Clone)]
 pub struct PatternDictionary {
     width: SuperWidth,
-    /// Representative pattern per resident lane, in planned order.
-    residents: Vec<Pattern>,
-    /// Submitted ids behind each resident lane (first id is the
-    /// representative's own).
-    ids_of: Vec<Vec<u32>>,
+    farm: Arc<Farm>,
     stats: DictionaryStats,
 }
 
 impl PatternDictionary {
-    /// Plans `patterns` into resident groups of the given superplane
-    /// width. Accepts any count (including zero — an empty dictionary
-    /// matches nothing); wild cards are fine, they simply intern as
-    /// their own trie edge.
+    /// Plans and compiles `patterns` into resident groups of the given
+    /// superplane width. Accepts any count (including zero — an empty
+    /// dictionary matches nothing); wild cards are fine, they simply
+    /// intern as their own trie edge.
     pub fn new(patterns: &[Pattern], width: SuperWidth) -> Self {
         // 1. Prefix-dedup trie. Nodes are BTreeMaps so the DFS below
         //    is deterministic and prefix-adjacent.
@@ -189,25 +186,32 @@ impl PatternDictionary {
         // prefix-adjacent order.
         survivors.sort_by_key(|(p, _)| p.len());
 
-        // 3. The group cut is implicit: resident lane l lives in group
-        //    l / width.lanes(). Stats summarise the plan.
-        let resident = survivors.len();
-        let groups = resident.div_ceil(width.lanes());
+        // 3. Resident lane l lives in group l / width.lanes(); each
+        //    group's acceptance table is built here, once.
+        let span = width.lanes();
+        let (residents, ids_of): (Vec<Pattern>, _) = survivors.into_iter().unzip();
+        let groups = residents.len().div_ceil(span);
         let stats = DictionaryStats {
             patterns: patterns.len(),
-            resident,
+            resident: residents.len(),
             groups,
-            lane_slots: groups * width.lanes(),
+            lane_slots: groups * span,
             trie_nodes: children.len() - 1,
             pattern_symbols,
         };
-        let (residents, ids_of) = survivors.into_iter().unzip();
-        PatternDictionary {
-            width,
-            residents,
+        let chunks = residents.chunks(span);
+        let farm = Arc::new(Farm {
+            groups: match width {
+                SuperWidth::W1 => Groups::W1(chunks.map(compile_group).collect()),
+                SuperWidth::W4 => Groups::W4(chunks.map(compile_group).collect()),
+                SuperWidth::W8 => Groups::W8(chunks.map(compile_group).collect()),
+            },
             ids_of,
-            stats,
-        }
+            span,
+            // Length-sorted, so the last resident is the longest.
+            kmax: residents.last().map_or(0, Pattern::len),
+        });
+        PatternDictionary { width, farm, stats }
     }
 
     /// The planned superplane width.
@@ -236,23 +240,11 @@ impl PatternDictionary {
         });
     }
 
-    /// Compiles the plan into a streaming matcher. Group acceptance
-    /// tables are built here, once; the matcher reuses them for every
-    /// chunk it is fed.
+    /// A fresh streaming matcher over the compiled farm. O(1): the
+    /// matcher shares the farm and owns only its stream's carry.
     pub fn matcher(&self) -> DictionaryMatcher {
-        let span = self.width.lanes();
-        let chunks = self.residents.chunks(span);
-        let groups = match self.width {
-            SuperWidth::W1 => Farm::W1(chunks.map(compile_group).collect()),
-            SuperWidth::W4 => Farm::W4(chunks.map(compile_group).collect()),
-            SuperWidth::W8 => Farm::W8(chunks.map(compile_group).collect()),
-        };
-        let kmax = self.residents.iter().map(|p| p.len()).max().unwrap_or(0);
         DictionaryMatcher {
-            groups,
-            ids_of: self.ids_of.clone(),
-            span,
-            kmax,
+            farm: Arc::clone(&self.farm),
             tail: Vec::new(),
             seen: 0,
         }
@@ -264,10 +256,25 @@ fn compile_group<const W: usize>(chunk: &[Pattern]) -> ResidentGroup<W> {
     ResidentGroup::new(chunk).expect("planned group exceeds its own width")
 }
 
-/// The compiled farm: one vector of resident groups at the planned
-/// width. A runtime-width wrapper over the const-generic kernel.
-#[derive(Debug, Clone)]
-enum Farm {
+/// The compiled farm, immutable once built: the resident groups and
+/// what it takes to turn their lane hits into pattern ids.
+#[derive(Debug)]
+struct Farm {
+    groups: Groups,
+    /// Submitted ids fanned out per resident lane (first id is the
+    /// lane's representative).
+    ids_of: Vec<Vec<u32>>,
+    /// Lane slots per group (`width.lanes()`).
+    span: usize,
+    /// Longest resident pattern; `kmax − 1` symbols of overlap carry
+    /// between chunks.
+    kmax: usize,
+}
+
+/// One vector of resident groups at the planned width. A runtime-width
+/// wrapper over the const-generic kernel.
+#[derive(Debug)]
+enum Groups {
     W1(Vec<ResidentGroup<1>>),
     W4(Vec<ResidentGroup<4>>),
     W8(Vec<ResidentGroup<8>>),
@@ -276,6 +283,9 @@ enum Farm {
 /// Streams text through every resident group of a
 /// [`PatternDictionary`] and merges the per-group lane events into one
 /// ordered `(pattern_id, end)` stream.
+///
+/// A matcher owns only its stream's carry and shares the compiled
+/// farm, so a clone copies the carry, not the farm.
 ///
 /// Two modes: [`find_all`](Self::find_all) for a complete text, and
 /// [`feed`](Self::feed) for chunked streaming — the matcher carries the
@@ -308,14 +318,7 @@ enum Farm {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DictionaryMatcher {
-    groups: Farm,
-    /// Submitted ids fanned out per resident lane.
-    ids_of: Vec<Vec<u32>>,
-    /// Lane slots per group (`width.lanes()`).
-    span: usize,
-    /// Longest resident pattern; `kmax − 1` symbols of overlap carry
-    /// between chunks.
-    kmax: usize,
+    farm: Arc<Farm>,
     /// Carried overlap: the last `kmax − 1` symbols already consumed.
     tail: Vec<Symbol>,
     /// Symbols consumed before the next [`feed`](Self::feed) chunk.
@@ -340,12 +343,12 @@ impl DictionaryMatcher {
     /// materialised before the rest of the chunk is again scanned
     /// borrowed.
     pub fn feed(&mut self, chunk: &[Symbol]) -> Vec<DictMatch> {
-        if self.kmax == 0 {
+        if self.farm.kmax == 0 {
             self.seen += chunk.len();
             return Vec::new();
         }
         let carry = self.tail.len();
-        let overlap = self.kmax - 1;
+        let overlap = self.farm.kmax - 1;
         let events = if carry == 0 {
             self.scan_window(chunk, 0, self.seen)
         } else {
@@ -393,13 +396,9 @@ impl DictionaryMatcher {
         self.seen
     }
 
-    /// Resident groups in the farm.
+    /// Resident groups in the farm: the plan's group cut.
     pub fn group_count(&self) -> usize {
-        match &self.groups {
-            Farm::W1(g) => g.len(),
-            Farm::W4(g) => g.len(),
-            Farm::W8(g) => g.len(),
-        }
+        self.farm.ids_of.len().div_ceil(self.farm.span)
     }
 
     /// Scans `window` through every group, keeping events ending at or
@@ -407,10 +406,10 @@ impl DictionaryMatcher {
     /// sorted by `(end, pattern)`.
     fn scan_window(&self, window: &[Symbol], min_pos: usize, base: usize) -> Vec<DictMatch> {
         let mut events = Vec::new();
-        match &self.groups {
-            Farm::W1(g) => scan_farm(g, self, window, min_pos, base, &mut events),
-            Farm::W4(g) => scan_farm(g, self, window, min_pos, base, &mut events),
-            Farm::W8(g) => scan_farm(g, self, window, min_pos, base, &mut events),
+        match &self.farm.groups {
+            Groups::W1(g) => scan_farm(g, &self.farm, window, min_pos, base, &mut events),
+            Groups::W4(g) => scan_farm(g, &self.farm, window, min_pos, base, &mut events),
+            Groups::W8(g) => scan_farm(g, &self.farm, window, min_pos, base, &mut events),
         }
         events.sort_unstable();
         events
@@ -422,7 +421,7 @@ impl DictionaryMatcher {
 /// submitted pattern ids.
 fn scan_farm<const W: usize>(
     groups: &[ResidentGroup<W>],
-    m: &DictionaryMatcher,
+    farm: &Farm,
     window: &[Symbol],
     min_pos: usize,
     base: usize,
@@ -433,7 +432,7 @@ fn scan_farm<const W: usize>(
             if pos < min_pos {
                 continue; // already reported by the previous chunk
             }
-            for &id in &m.ids_of[g * m.span + lane] {
+            for &id in &farm.ids_of[g * farm.span + lane] {
                 events.push(DictMatch {
                     pattern: id as usize,
                     end: base + pos,
@@ -562,6 +561,33 @@ mod tests {
                 assert!(m.tail.capacity() < 4 * kmax);
             }
         }
+    }
+
+    // One compiled farm may serve matchers on many threads.
+    const _: fn() = || {
+        fn send_sync<T: Send + Sync>() {}
+        fn send<T: Send>() {}
+        send_sync::<PatternDictionary>();
+        send::<DictionaryMatcher>();
+    };
+
+    #[test]
+    fn matchers_and_clones_share_one_farm() {
+        let pats = patterns(&["ABCABC", "CAB", "BX"]);
+        let text = letters("ABCABCABCAAAABCABBA");
+        let (head, rest) = text.split_at(7);
+        let dict = PatternDictionary::new(&pats, SuperWidth::W8);
+        let mut fed = dict.matcher();
+        fed.feed(head);
+        let mut twin = fed.clone();
+        for m in [&dict.matcher(), &dict.matcher(), &fed, &twin] {
+            assert!(Arc::ptr_eq(&m.farm, &dict.farm));
+        }
+        assert_eq!(twin.consumed(), fed.consumed());
+        let later = fed.feed(rest);
+        assert!(!later.is_empty(), "the rest of the text holds matches");
+        assert_eq!(twin.feed(rest), later);
+        assert_eq!(twin.consumed(), text.len());
     }
 
     #[test]
