@@ -3,10 +3,13 @@
 //! backpressure recovery path — all through the facade crate's
 //! `serve` re-export, the way an embedding application would reach it.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use systolic_pm::chip::dictionary::PatternDictionary;
 use systolic_pm::serve::client::ClientError;
 use systolic_pm::serve::prelude::*;
+use systolic_pm::serve::protocol::{read_frame, write_frame, PROTOCOL_VERSION};
 use systolic_pm::systolic::symbol::{Alphabet, Pattern, Symbol};
 
 /// The shared test dictionary: two literals and a wildcard pattern.
@@ -203,6 +206,24 @@ fn metrics_frame_reports_the_load() {
     server.shutdown();
 }
 
+/// Retries `open` while the server answers `SERVER_BUSY`, for up to
+/// 5 s; true once a session is admitted.
+fn admitted(mut open: impl FnMut() -> Result<(), ClientError>) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match open() {
+            Ok(()) => return true,
+            Err(ClientError::Busy { retry_after_ms, .. }) => {
+                if Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(u64::from(retry_after_ms)));
+            }
+            Err(e) => panic!("unexpected {e:?}"),
+        }
+    }
+}
+
 #[test]
 fn hangup_without_close_returns_sessions_to_the_cap() {
     let server = MatchServer::start(ServeConfig {
@@ -217,20 +238,45 @@ fn hangup_without_close_returns_sessions_to_the_cap() {
         rude.open_session().unwrap();
         // Dropped here: TCP FIN without CLOSE or BYE.
     }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let mut polite = MatchClient::connect(addr).unwrap();
-    let admitted = loop {
-        match polite.open_session() {
-            Ok(_) => break true,
-            Err(ClientError::Busy { retry_after_ms, .. }) => {
-                if Instant::now() > deadline {
-                    break false;
+    {
+        // A ruder client on raw frames takes the reclaimed slot, then
+        // hangs up halfway through a FEED frame.
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let hello = Frame::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        write_frame(&mut raw, &hello).unwrap();
+        assert!(matches!(read_frame(&mut raw), Ok(Frame::HelloOk { .. })));
+        let mut session = 0;
+        let open = || {
+            write_frame(&mut raw, &Frame::OpenSession)?;
+            match read_frame(&mut raw)? {
+                Frame::SessionOpened { session: s } => {
+                    session = s;
+                    Ok(())
                 }
-                std::thread::sleep(Duration::from_millis(u64::from(retry_after_ms)));
+                Frame::ServerBusy {
+                    reason,
+                    retry_after_ms,
+                } => Err(ClientError::Busy {
+                    reason,
+                    retry_after_ms,
+                }),
+                other => panic!("unexpected {other:?}"),
             }
-            Err(e) => panic!("unexpected {e:?}"),
+        };
+        assert!(admitted(open), "the hung-up session was never reclaimed");
+        let feed = Frame::Feed {
+            session,
+            bytes: vec![b'a'; 64],
         }
-    };
-    assert!(admitted, "the hung-up session was never reclaimed");
+        .to_bytes();
+        // The length prefix, kind and session id, and half the body.
+        raw.write_all(&feed[..feed.len() / 2]).unwrap();
+        // Dropped here: mid-frame, without CLOSE or BYE.
+    }
+    let mut polite = MatchClient::connect(addr).unwrap();
+    let open = || polite.open_session().map(drop);
+    assert!(admitted(open), "the hung-up session was never reclaimed");
     server.shutdown();
 }
