@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 /// Rounds per measurement. A debug build, where the figures run as
 /// smoke tests, runs just enough to rotate the first side.
 const ROUNDS: usize = if cfg!(debug_assertions) { 2 } else { 15 };
-/// Time each side runs per round, on average (at least one run).
+/// Time each side runs per round (at least one run).
 const SIDE: Duration = Duration::from_millis(if cfg!(debug_assertions) { 0 } else { 20 });
 
 /// A [`paired`] measurement.
@@ -17,7 +17,7 @@ pub(crate) struct Paired {
     /// `secs[round][side]`: the median of that side's runs in the round.
     secs: Vec<Vec<f64>>,
     /// Runs of each side per round.
-    turns: usize,
+    turns: Vec<usize>,
 }
 
 impl Paired {
@@ -33,53 +33,66 @@ impl Paired {
 
     /// How the sides were timed, for a figure's label.
     pub(crate) fn label(&self) -> String {
-        let (rounds, turns) = (self.secs.len(), self.turns);
-        format!("paired medians over {rounds} rounds, {turns} run(s) a side per round")
+        let (rounds, turns) = (self.secs.len(), &self.turns);
+        format!("paired medians over {rounds} rounds, {turns:?} runs a side per round")
     }
 }
 
 /// Times `sides` against each other; side 0 is the baseline. A ratio
 /// of rates timed in separate blocks carries whatever the host did
-/// between the blocks, so here the sides take turns run by run, and a
-/// slow stretch of the host lands on all of them alike. After a warm-up
-/// turn (one run of every side), counts the turns that fill [`SIDE`]
-/// per side, then runs [`ROUNDS`] rounds of that many turns, rotating
-/// which side goes first. After each round, `check` gets every side's
+/// between the blocks, so here the sides take turns within every
+/// round, and a slow stretch of the host lands on all of them alike.
+/// After a warm-up, counts the runs that fill [`SIDE`] for each side,
+/// then runs [`ROUNDS`] rounds. In a round each side runs its count
+/// back to back, so a cache-bound side runs warm rather than after
+/// another side has evicted it, and the side that goes first rotates
+/// from round to round. After each round, `check` gets every side's
 /// last output, outside the timed region.
 pub(crate) fn paired<T>(sides: &mut [&mut dyn FnMut() -> T], check: impl FnMut(&[T])) -> Paired {
-    time_rounds(sides, ROUNDS, SIDE, check)
+    let turns = calibrate(sides, SIDE);
+    time_rounds(sides, ROUNDS, turns, check)
 }
 
-/// [`paired`] with the round count and side time passed in.
+/// Runs each side once to warm up, then counts the runs back to back
+/// that fill `side`; at least one.
+fn calibrate<T>(sides: &mut [&mut dyn FnMut() -> T], side: Duration) -> Vec<usize> {
+    let count = |run: &mut &mut dyn FnMut() -> T| {
+        drop(run());
+        let (started, mut runs) = (Instant::now(), 0);
+        while started.elapsed() < side {
+            drop(run());
+            runs += 1;
+        }
+        runs.max(1)
+    };
+    sides.iter_mut().map(count).collect()
+}
+
+/// [`paired`]'s rounds, with the round count and runs a side passed in.
 fn time_rounds<T>(
     sides: &mut [&mut dyn FnMut() -> T],
     rounds: usize,
-    side: Duration,
+    turns: Vec<usize>,
     mut check: impl FnMut(&[T]),
 ) -> Paired {
     let k = sides.len();
     assert!(k >= 2, "a paired measurement needs two sides");
-    sides.iter_mut().for_each(|run| drop(run()));
-    let (started, mut turns) = (Instant::now(), 0);
-    while started.elapsed() < side * k as u32 {
-        sides.iter_mut().for_each(|run| drop(run()));
-        turns += 1;
-    }
-    let turns = turns.max(1);
     let secs = (0..rounds)
         .map(|round| {
-            let mut secs = vec![Vec::with_capacity(turns); k];
+            let mut secs = vec![0.0; k];
             let mut last: Vec<Option<T>> = (0..k).map(|_| None).collect();
-            for _ in 0..turns {
-                for i in (0..k).map(|j| (round + j) % k) {
+            for i in (0..k).map(|j| (round + j) % k) {
+                let mut runs = Vec::with_capacity(turns[i]);
+                for _ in 0..turns[i] {
                     let t = Instant::now();
                     let out = sides[i]();
-                    secs[i].push(t.elapsed().as_secs_f64());
+                    runs.push(t.elapsed().as_secs_f64());
                     last[i] = Some(out);
                 }
+                secs[i] = quartiles(&runs)[1];
             }
             check(&last.into_iter().flatten().collect::<Vec<T>>());
-            secs.iter().map(|s| quartiles(s)[1]).collect()
+            secs
         })
         .collect();
     Paired { secs, turns }
@@ -194,7 +207,8 @@ mod tests {
 
     #[test]
     fn sides_run_equally_often_and_take_turns_going_first() {
-        for (k, rounds) in [(2, 7), (4, 7), (4, 9)] {
+        for (rounds, turns) in [(7, vec![1, 1]), (7, vec![3; 4]), (9, vec![2, 1, 3, 1])] {
+            let k = turns.len();
             let log = RefCell::new(Vec::new());
             let mut sides: Vec<_> = (0..k)
                 .map(|i| {
@@ -209,22 +223,27 @@ mod tests {
                 .iter_mut()
                 .map(|s| s as &mut dyn FnMut() -> usize)
                 .collect();
+            // The warm-up runs every side once; no time to fill, one run.
+            assert_eq!(calibrate(&mut refs, Duration::ZERO), vec![1; k]);
+            assert_eq!(log.take(), (0..k).collect::<Vec<_>>());
             let mut checked = 0;
-            let p = time_rounds(&mut refs, rounds, Duration::ZERO, |last| {
+            let p = time_rounds(&mut refs, rounds, turns.clone(), |last| {
                 assert_eq!(last, (0..k).collect::<Vec<_>>());
                 checked += 1;
             });
-            assert_eq!((checked, p.turns, p.secs.len()), (rounds, 1, rounds));
+            assert_eq!((checked, &p.turns, p.secs.len()), (rounds, &turns, rounds));
+            // Each round runs every side's turns as one block, and the
+            // side that goes first rotates, so over the rounds each side
+            // goes first equally often.
+            let per_round: usize = turns.iter().sum();
             let log = log.take();
-            for i in 0..k {
-                let runs = log.iter().filter(|&&s| s == i).count();
-                assert_eq!(runs, 1 + rounds, "k={k}: side {i} ran {runs} times");
-                // Skip the warm-up turn; each round is one turn of k runs.
-                let firsts = log[k..].chunks(k).filter(|turn| turn[0] == i).count();
-                assert!(
-                    firsts == rounds / k || firsts == rounds.div_ceil(k),
-                    "k={k}: side {i} went first in {firsts} of {rounds} rounds"
-                );
+            assert_eq!(log.len(), rounds * per_round);
+            for (round, runs) in log.chunks(per_round).enumerate() {
+                let blocks: Vec<usize> = (0..k)
+                    .map(|j| (round + j) % k)
+                    .flat_map(|i| [i].repeat(turns[i]))
+                    .collect();
+                assert_eq!(runs, blocks, "turns {turns:?}: round {round}");
             }
         }
     }
