@@ -9,8 +9,9 @@
 //! [`ResidentGroup`]s (the lane-resident "chips" of
 //! `pm_systolic::resident`) and compiles them once into an immutable,
 //! shared farm. A [`DictionaryMatcher`] is only a stream's carry over
-//! that farm: it streams text chunks through every group once, merging
-//! per-group lane events into a single `(pattern_id, end)` stream.
+//! that farm — one [`LaneState`], the array's own state, per group — so
+//! each chunk streams through every group once, and the per-group lane
+//! events merge into a single `(pattern_id, end)` stream.
 //!
 //! The compilation pipeline, all of it in [`PatternDictionary::new`]:
 //!
@@ -60,7 +61,7 @@
 
 use crate::throughput::SuperWidth;
 use pm_matchers::aho_corasick::DictMatch;
-use pm_systolic::resident::ResidentGroup;
+use pm_systolic::resident::{LaneState, ResidentGroup};
 use pm_systolic::symbol::{PatSym, Pattern, Symbol};
 use pm_systolic::telemetry::{SinkHandle, TraceEvent};
 use std::collections::BTreeMap;
@@ -126,7 +127,6 @@ impl DictionaryStats {
 /// are transparent to the caller.
 #[derive(Debug, Clone)]
 pub struct PatternDictionary {
-    width: SuperWidth,
     farm: Arc<Farm>,
     stats: DictionaryStats,
 }
@@ -208,20 +208,8 @@ impl PatternDictionary {
             },
             ids_of,
             span,
-            // Length-sorted, so the last resident is the longest.
-            kmax: residents.last().map_or(0, Pattern::len),
         });
-        PatternDictionary { width, farm, stats }
-    }
-
-    /// The planned superplane width.
-    pub fn width(&self) -> SuperWidth {
-        self.width
-    }
-
-    /// Submitted pattern count (the id space of match events).
-    pub fn pattern_count(&self) -> usize {
-        self.stats.patterns
+        PatternDictionary { farm, stats }
     }
 
     /// What planning achieved.
@@ -241,11 +229,12 @@ impl PatternDictionary {
     }
 
     /// A fresh streaming matcher over the compiled farm. O(1): the
-    /// matcher shares the farm and owns only its stream's carry.
+    /// matcher shares the farm, and its carry stays empty until the
+    /// first [`feed`](DictionaryMatcher::feed).
     pub fn matcher(&self) -> DictionaryMatcher {
         DictionaryMatcher {
             farm: Arc::clone(&self.farm),
-            tail: Vec::new(),
+            carry: Vec::new(),
             seen: 0,
         }
     }
@@ -266,9 +255,47 @@ struct Farm {
     ids_of: Vec<Vec<u32>>,
     /// Lane slots per group (`width.lanes()`).
     span: usize,
-    /// Longest resident pattern; `kmax − 1` symbols of overlap carry
-    /// between chunks.
-    kmax: usize,
+}
+
+impl Farm {
+    /// One farm pass: every group continues from its state in `carry`
+    /// over the same text (the shared text bus of §3.4), and the lane
+    /// hits fan out to submitted ids, reported at `base + position` and
+    /// sorted by `(end, pattern)`.
+    fn pass(&self, carry: &mut Vec<LaneState>, text: &[Symbol], base: usize) -> Vec<DictMatch> {
+        let mut events = Vec::new();
+        match &self.groups {
+            Groups::W1(g) => self.pass_at(g, carry, text, base, &mut events),
+            Groups::W4(g) => self.pass_at(g, carry, text, base, &mut events),
+            Groups::W8(g) => self.pass_at(g, carry, text, base, &mut events),
+        }
+        events.sort_unstable();
+        events
+    }
+
+    fn pass_at<const W: usize>(
+        &self,
+        groups: &[ResidentGroup<W>],
+        carry: &mut Vec<LaneState>,
+        text: &[Symbol],
+        base: usize,
+        events: &mut Vec<DictMatch>,
+    ) {
+        carry.resize_with(groups.len(), LaneState::default);
+        let mut hits = Vec::new();
+        for (g, (group, state)) in groups.iter().zip(carry).enumerate() {
+            hits.clear();
+            group.scan_from(state, text, base, &mut hits);
+            for &(end, lane) in &hits {
+                for &id in &self.ids_of[g * self.span + lane] {
+                    events.push(DictMatch {
+                        pattern: id as usize,
+                        end,
+                    });
+                }
+            }
+        }
+    }
 }
 
 /// One vector of resident groups at the planned width. A runtime-width
@@ -288,10 +315,11 @@ enum Groups {
 /// farm, so a clone copies the carry, not the farm.
 ///
 /// Two modes: [`find_all`](Self::find_all) for a complete text, and
-/// [`feed`](Self::feed) for chunked streaming — the matcher carries the
-/// `kmax − 1` symbol overlap between chunks itself, so matches that
-/// straddle a chunk boundary (or span several chunks) are still
-/// reported exactly once, at their global end offset.
+/// [`feed`](Self::feed) for chunked streaming — the matcher carries
+/// each group's array state between chunks, so matches that straddle a
+/// chunk boundary (or span several chunks) are still reported exactly
+/// once, at their global end offset. The carry is one bit per farm cell
+/// (lane slot × pattern position): at most `groups × kmax × W` words.
 ///
 /// ```
 /// use pm_chip::dictionary::PatternDictionary;
@@ -319,8 +347,9 @@ enum Groups {
 #[derive(Debug, Clone)]
 pub struct DictionaryMatcher {
     farm: Arc<Farm>,
-    /// Carried overlap: the last `kmax − 1` symbols already consumed.
-    tail: Vec<Symbol>,
+    /// The array's state after the last chunk: one state per group,
+    /// empty before the first [`feed`](Self::feed).
+    carry: Vec<LaneState>,
     /// Symbols consumed before the next [`feed`](Self::feed) chunk.
     seen: usize,
 }
@@ -329,7 +358,7 @@ impl DictionaryMatcher {
     /// Matches a complete text in one pass, independent of any
     /// streaming state. Events are ordered by `(end, pattern)`.
     pub fn find_all(&self, text: &[Symbol]) -> Vec<DictMatch> {
-        self.scan_window(text, 0, 0)
+        self.farm.pass(&mut Vec::new(), text, 0)
     }
 
     /// Consumes the next chunk of a streamed text and returns the
@@ -337,56 +366,18 @@ impl DictionaryMatcher {
     /// across all chunks fed so far). Chunks may be any size, including
     /// shorter than the longest pattern.
     ///
-    /// Per-chunk allocation is O(`kmax`), not O(chunk): with no carried
-    /// tail the caller's slice is scanned in place, and with one only a
-    /// boundary window of at most `2·(kmax − 1)` symbols is
-    /// materialised before the rest of the chunk is again scanned
-    /// borrowed.
+    /// This is the same single pass as [`find_all`](Self::find_all),
+    /// continued from the carried state: each chunk is scanned once, in
+    /// place, and the array state is allocated once, by the first chunk.
     pub fn feed(&mut self, chunk: &[Symbol]) -> Vec<DictMatch> {
-        if self.farm.kmax == 0 {
-            self.seen += chunk.len();
-            return Vec::new();
-        }
-        let carry = self.tail.len();
-        let overlap = self.farm.kmax - 1;
-        let events = if carry == 0 {
-            self.scan_window(chunk, 0, self.seen)
-        } else {
-            // Boundary window: the carried tail plus just enough of the
-            // chunk to finish any match that straddles the cut.
-            let head = chunk.len().min(overlap);
-            let mut window = Vec::with_capacity(carry + head);
-            window.extend_from_slice(&self.tail);
-            window.extend_from_slice(&chunk[..head]);
-            let mut events = self.scan_window(&window, carry, self.seen - carry);
-            if head < chunk.len() {
-                // Matches ending past the overlap lie wholly inside the
-                // chunk; scan the slice directly, skipping the prefix
-                // the boundary window already reported. Both halves are
-                // (end, pattern)-sorted and the end ranges are disjoint
-                // and ordered, so extending keeps the merged order.
-                events.extend(self.scan_window(chunk, head, self.seen));
-            }
-            events
-        };
+        let events = self.farm.pass(&mut self.carry, chunk, self.seen);
         self.seen += chunk.len();
-        // Retain the kmax − 1 overlap without copying the whole chunk:
-        // either the chunk covers it, or the old tail's suffix tops it
-        // up.
-        if chunk.len() >= overlap {
-            self.tail.clear();
-            self.tail.extend_from_slice(&chunk[chunk.len() - overlap..]);
-        } else {
-            let keep_old = (carry + chunk.len()).min(overlap) - chunk.len();
-            self.tail.drain(..carry - keep_old);
-            self.tail.extend_from_slice(chunk);
-        }
         events
     }
 
     /// Forgets all streaming state, ready for a fresh text.
     pub fn reset(&mut self) {
-        self.tail.clear();
+        self.carry.clear();
         self.seen = 0;
     }
 
@@ -394,51 +385,6 @@ impl DictionaryMatcher {
     /// [`reset`](Self::reset).
     pub fn consumed(&self) -> usize {
         self.seen
-    }
-
-    /// Resident groups in the farm: the plan's group cut.
-    pub fn group_count(&self) -> usize {
-        self.farm.ids_of.len().div_ceil(self.farm.span)
-    }
-
-    /// Scans `window` through every group, keeping events ending at or
-    /// after `min_pos`, reported at `base + position`, merged and
-    /// sorted by `(end, pattern)`.
-    fn scan_window(&self, window: &[Symbol], min_pos: usize, base: usize) -> Vec<DictMatch> {
-        let mut events = Vec::new();
-        match &self.farm.groups {
-            Groups::W1(g) => scan_farm(g, &self.farm, window, min_pos, base, &mut events),
-            Groups::W4(g) => scan_farm(g, &self.farm, window, min_pos, base, &mut events),
-            Groups::W8(g) => scan_farm(g, &self.farm, window, min_pos, base, &mut events),
-        }
-        events.sort_unstable();
-        events
-    }
-}
-
-/// One farm pass at a concrete width: every group scans the same
-/// window (the shared text bus of §3.4), lane hits fan back out to
-/// submitted pattern ids.
-fn scan_farm<const W: usize>(
-    groups: &[ResidentGroup<W>],
-    farm: &Farm,
-    window: &[Symbol],
-    min_pos: usize,
-    base: usize,
-    events: &mut Vec<DictMatch>,
-) {
-    for (g, group) in groups.iter().enumerate() {
-        for (pos, lane) in group.scan(window) {
-            if pos < min_pos {
-                continue; // already reported by the previous chunk
-            }
-            for &id in &farm.ids_of[g * farm.span + lane] {
-                events.push(DictMatch {
-                    pattern: id as usize,
-                    end: base + pos,
-                });
-            }
-        }
     }
 }
 
@@ -501,10 +447,10 @@ mod tests {
         assert!(events.contains(&DictMatch { pattern: 2, end: 3 }));
     }
 
-    #[test]
-    fn multi_group_dictionary_equals_spec() {
-        // 150 distinct patterns on W1: three groups of 64 lanes.
-        let pats: Vec<Pattern> = (0..150u32)
+    /// `n` patterns of 3–6 letters over `ABCD`, spelled from the digits
+    /// of their index.
+    fn numbered_patterns(n: u32) -> Vec<Pattern> {
+        (0..n)
             .map(|i| {
                 let letters = ["A", "B", "C", "D"];
                 let s: String = (0..3 + (i % 4))
@@ -512,7 +458,13 @@ mod tests {
                     .collect();
                 Pattern::parse(&s).unwrap()
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn multi_group_dictionary_equals_spec() {
+        // 150 distinct patterns on W1: three groups of 64 lanes.
+        let pats = numbered_patterns(150);
         let dict = PatternDictionary::new(&pats, SuperWidth::W1);
         assert!(dict.stats().groups >= 2);
         let text = letters("ABCDDCBAABCDABCDDDAABBCCDD");
@@ -543,24 +495,44 @@ mod tests {
     }
 
     #[test]
-    fn feed_state_stays_bounded_by_kmax() {
-        let pats = patterns(&["ABCAB", "BC"]);
-        let dict = PatternDictionary::new(&pats, SuperWidth::W1);
+    fn feed_carries_one_state_per_group() {
+        let dict = PatternDictionary::new(&numbered_patterns(150), SuperWidth::W1);
+        let groups = dict.stats().groups;
+        assert!(groups >= 2);
+        // Ends in "AB" and starts with "C": "ABC" (pattern 36) spans
+        // each seam where the text runs on.
+        let text = letters("CDDCBAABCDABCDDDAABBCCDDAB").repeat(800);
+        let chunked = |m: &mut DictionaryMatcher| -> Vec<DictMatch> {
+            text.chunks(7).flat_map(|c| m.feed(c)).collect()
+        };
         let mut m = dict.matcher();
-        let kmax = 5;
-        // One huge chunk, then ragged little ones: the carried tail and
-        // its backing allocation must stay O(kmax), never O(chunk).
-        let big: Vec<Symbol> = letters("ABCAB").repeat(4000);
-        m.feed(&big);
-        assert_eq!(m.tail.len(), kmax - 1);
-        assert!(m.tail.capacity() < 4 * kmax, "tail grew with the chunk");
+        assert!(m.carry.is_empty(), "a fresh matcher holds no state");
+        // One huge chunk, then ragged little ones: the carry is one
+        // state per group, however the text is cut (each state's own
+        // size is bounded in `pm_systolic::resident`).
+        m.feed(&text);
+        assert_eq!(m.carry.len(), groups);
         for chunk_len in [1, 2, 3, 7] {
-            for chunk in big.chunks(chunk_len) {
+            for chunk in text.chunks(chunk_len) {
                 m.feed(chunk);
-                assert!(m.tail.len() < kmax);
-                assert!(m.tail.capacity() < 4 * kmax);
+                assert_eq!(m.carry.len(), groups);
             }
         }
+        let fresh = chunked(&mut dict.matcher());
+        m.reset();
+        assert!(m.carry.is_empty());
+        assert_eq!(chunked(&mut m), fresh, "reset matcher vs fresh one");
+        // The carry is what a reset forgets: fed on without one, the
+        // same text also reports matches across the seam.
+        let carried: Vec<DictMatch> = m
+            .feed(&text)
+            .into_iter()
+            .map(|e| DictMatch {
+                end: e.end - text.len(),
+                ..e
+            })
+            .collect();
+        assert!(carried.len() > fresh.len());
     }
 
     // One compiled farm may serve matchers on many threads.
@@ -596,8 +568,8 @@ mod tests {
         assert_eq!(dict.stats().resident, 0);
         assert_eq!(dict.stats().groups, 0);
         let mut m = dict.matcher();
-        assert_eq!(m.group_count(), 0);
         assert!(m.feed(&letters("ABC")).is_empty());
+        assert_eq!(m.carry.len(), dict.stats().groups);
         assert!(m.find_all(&letters("ABC")).is_empty());
     }
 

@@ -36,9 +36,11 @@ pub struct ServeConfig {
     /// Longest accepted pattern, in symbols.
     pub max_pattern_len: usize,
     /// Per-session byte budget: the largest `FEED` chunk a session may
-    /// send in one frame. Bounds per-session buffering (chunk + the
-    /// `kmax − 1` boundary carry); oversized chunks are a hard error,
-    /// not a retry.
+    /// send in one frame; oversized chunks are a hard error, not a
+    /// retry. It bounds the chunk a session buffers. The matcher's
+    /// carried array state is separate and fixed: one bit per farm cell,
+    /// `groups × kmax × W` words, at most 32 KiB at these defaults
+    /// (4096 patterns of 64 symbols on 8 W8 groups).
     pub session_budget_bytes: usize,
     /// Global byte budget: total `FEED` bytes in flight across all
     /// sessions, leased from a `SlotPool`. Exhaustion is retriable

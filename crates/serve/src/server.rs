@@ -74,8 +74,11 @@ pub struct MatchServer {
 struct Wire {
     stream: TcpStream,
     decoder: Decoder,
-    /// Encoded responses not yet accepted by the socket.
+    /// Encoded responses; `outbox[sent..]` is not yet accepted by the
+    /// socket.
     outbox: Vec<u8>,
+    /// Read cursor into `outbox`: bytes the socket has taken.
+    sent: usize,
     conn: Conn,
     last_activity: Instant,
     /// Set on hangup, codec poison or `BYE`; the worker drops the
@@ -260,6 +263,7 @@ fn worker_loop(
                     stream,
                     decoder: Decoder::new(),
                     outbox: Vec::new(),
+                    sent: 0,
                     conn: Conn::new(Arc::clone(&shared)),
                     last_activity: Instant::now(),
                     closing: false,
@@ -291,12 +295,12 @@ fn worker_loop(
                 }
             }
         }
-        wires.retain(|w| !(w.closing && w.outbox.is_empty()));
+        wires.retain(|w| !(w.closing && w.unsent().is_empty()));
 
         fds.clear();
         fds.push(PollFd::new(&wake, POLLIN));
         fds.extend(wires.iter().map(|w| {
-            let events = if w.outbox.is_empty() {
+            let events = if w.unsent().is_empty() {
                 POLLIN
             } else {
                 POLLIN | POLLOUT
@@ -355,6 +359,17 @@ fn readiness(fds: &mut [PollFd], timeout: Option<Duration>) {
 }
 
 impl Wire {
+    /// Encoded responses the socket has not taken yet.
+    fn unsent(&self) -> &[u8] {
+        &self.outbox[self.sent..]
+    }
+
+    /// Drops every encoded response, sent or not: the peer is gone.
+    fn discard_outbox(&mut self) {
+        self.outbox.clear();
+        self.sent = 0;
+    }
+
     /// One multiplexer turn: read what's there, handle complete
     /// frames, flush what the socket will take.
     fn poll(&mut self, buf: &mut [u8]) {
@@ -363,7 +378,7 @@ impl Wire {
             match self.stream.read(buf) {
                 Ok(0) => {
                     self.closing = true;
-                    self.outbox.clear(); // peer is gone; nothing to flush
+                    self.discard_outbox(); // peer is gone; nothing to flush
                     break;
                 }
                 Ok(n) => {
@@ -374,7 +389,7 @@ impl Wire {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.closing = true;
-                    self.outbox.clear();
+                    self.discard_outbox();
                     break;
                 }
             }
@@ -408,21 +423,29 @@ impl Wire {
         }
 
         // Flush as much as the socket will take.
-        while !self.outbox.is_empty() {
-            match self.stream.write(&self.outbox) {
+        while !self.unsent().is_empty() {
+            match self.stream.write(&self.outbox[self.sent..]) {
                 Ok(0) => {
                     self.closing = true;
-                    self.outbox.clear();
+                    self.discard_outbox();
                     break;
                 }
                 Ok(n) => {
-                    self.outbox.drain(..n);
+                    self.sent += n;
+                    // Drop the sent prefix once it is half the buffer
+                    // (all of it when the cursor catches up): each byte
+                    // moves at most once on average, and the outbox
+                    // never holds more than twice its unsent bytes.
+                    if 2 * self.sent >= self.outbox.len() {
+                        self.outbox.drain(..self.sent);
+                        self.sent = 0;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.closing = true;
-                    self.outbox.clear();
+                    self.discard_outbox();
                     break;
                 }
             }

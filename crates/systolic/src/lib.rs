@@ -128,7 +128,7 @@ pub mod prelude {
     pub use crate::engine::{Driver, MatchBits};
     pub use crate::error::Error;
     pub use crate::matcher::SystolicMatcher;
-    pub use crate::resident::{LaneHit, ResidentGroup};
+    pub use crate::resident::{LaneHit, LaneState, ResidentGroup};
     pub use crate::segment::{Segment, SegmentIo};
     pub use crate::semantics::{BooleanMatch, CountMatch, MeetSemantics};
     pub use crate::spec::{count_spec, match_spec};

@@ -10,9 +10,10 @@
 //! [`match_lanes_wide`](crate::superplane::match_lanes_wide) per chunk:
 //!
 //! * **merge once, stream forever** — the per-lane control planes are
-//!   merged at construction and reused for every text chunk, so the
-//!   per-chunk cost is the stream pass alone (the planning hook
-//!   `pm_chip::dictionary` builds its groups on);
+//!   merged at construction and reused for every text chunk, and the
+//!   array's state between chunks is a [`LaneState`] the caller
+//!   carries, so a text cut anywhere streams as one pass (the hooks
+//!   `pm_chip::dictionary` builds its groups and streams on);
 //! * **a cheaper inner loop** — with every lane reading the *same*
 //!   text symbol, the comparator `d = ∧_b ¬(p_b ⊕ s_b)` collapses to a
 //!   table lookup: for each pattern position `m` and symbol value `v`
@@ -55,14 +56,31 @@ use crate::symbol::{PatSym, Pattern, Symbol};
 /// resident in `lane` matched the window ending at text position `end`.
 pub type LaneHit = (usize, usize);
 
+/// The array's state between beats (§3.2): the partial-match plane of
+/// every pattern position, and the highest position still live.
+/// [`ResidentGroup::scan_from`] continues from it, so a text fed in
+/// chunks reports exactly what one scan of the whole text reports.
+///
+/// The default is empty and sizes itself to its group's `kmax × W`
+/// words on first use, so one type serves every width. Carry a state
+/// only with the group that sized it.
+#[derive(Debug, Clone, Default)]
+pub struct LaneState {
+    /// `kmax` planes of `W` words, position-major.
+    words: Vec<u64>,
+    /// Highest position whose plane is nonzero; the planes above it
+    /// are semantically zero (and physically stale).
+    depth: usize,
+}
+
 /// Up to `W × 64` patterns held resident in the lanes of one
 /// superplane group, matched against a shared text stream.
 ///
 /// Lanes are assigned in pattern order; ragged lengths are fine (each
 /// lane's `λ` plane marks its own end position). Construction merges
-/// the control planes once; [`scan`](Self::scan) and
-/// [`match_text`](Self::match_text) then stream any number of text
-/// chunks through the resident lanes with no per-chunk setup.
+/// the control planes once; [`scan_from`](Self::scan_from) then streams
+/// any number of text chunks through the resident lanes with no
+/// per-chunk setup.
 #[derive(Debug, Clone)]
 pub struct ResidentGroup<const W: usize> {
     /// Occupied lanes (= number of resident patterns).
@@ -152,9 +170,9 @@ impl<const W: usize> ResidentGroup<W> {
         lanes_of(W)
     }
 
-    /// Longest resident pattern, in characters. A match spans at most
-    /// this many text positions — the overlap a chunked caller must
-    /// carry between chunks is `kmax() - 1`.
+    /// Longest resident pattern, in characters: a match spans at most
+    /// this many text positions, and a [`LaneState`] holds this many
+    /// planes of `W` words.
     pub fn kmax(&self) -> usize {
         self.kmax
     }
@@ -172,20 +190,39 @@ impl<const W: usize> ResidentGroup<W> {
     /// many lanes are resident.
     pub fn scan(&self, text: &[Symbol]) -> Vec<LaneHit> {
         let mut hits = Vec::new();
-        if self.lanes == 0 || self.kmax == 0 {
-            return hits;
+        self.scan_from(&mut LaneState::default(), text, 0, &mut hits);
+        hits
+    }
+
+    /// As [`scan`](Self::scan), but continuing from the carried
+    /// `state` (left as the state after `text`) and appending events to
+    /// `hits` at `base + position`. Scanning a text in any cut with one
+    /// state reports exactly the events of one scan of the whole text.
+    /// Panics on a state sized by a group of another `kmax × W`.
+    pub fn scan_from(
+        &self,
+        state: &mut LaneState,
+        text: &[Symbol],
+        base: usize,
+        hits: &mut Vec<LaneHit>,
+    ) {
+        if self.lanes == 0 {
+            return;
         }
+        if state.words.is_empty() {
+            state.words = vec![0; self.kmax * W];
+        }
+        assert_eq!(state.words.len(), self.kmax * W, "state of another group");
         match simd_level() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: simd_level() returns Avx512 only after
             // is_x86_feature_detected!("avx512f") succeeded.
-            SimdLevel::Avx512 => unsafe { scan_avx512(self, text, &mut hits) },
+            SimdLevel::Avx512 => unsafe { scan_avx512(self, state, text, base, hits) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as above, for "avx2".
-            SimdLevel::Avx2 => unsafe { scan_avx2(self, text, &mut hits) },
-            _ => scan_generic(self, text, &mut hits),
+            SimdLevel::Avx2 => unsafe { scan_avx2(self, state, text, base, hits) },
+            _ => scan_generic(self, state, text, base, hits),
         }
-        hits
     }
 
     /// As [`scan`](Self::scan), but split into one [`MatchBits`] per
@@ -208,10 +245,12 @@ impl<const W: usize> ResidentGroup<W> {
 #[target_feature(enable = "avx2")]
 unsafe fn scan_avx2<const W: usize>(
     group: &ResidentGroup<W>,
+    state: &mut LaneState,
     text: &[Symbol],
+    base: usize,
     hits: &mut Vec<LaneHit>,
 ) {
-    scan_generic(group, text, hits)
+    scan_generic(group, state, text, base, hits)
 }
 
 // Only "avx512f", as in `superplane`: the kernel is `u64` word logic,
@@ -220,10 +259,12 @@ unsafe fn scan_avx2<const W: usize>(
 #[target_feature(enable = "avx512f")]
 unsafe fn scan_avx512<const W: usize>(
     group: &ResidentGroup<W>,
+    state: &mut LaneState,
     text: &[Symbol],
+    base: usize,
     hits: &mut Vec<LaneHit>,
 ) {
-    scan_generic(group, text, hits)
+    scan_generic(group, state, text, base, hits)
 }
 
 /// The broadcast-text recurrence: for each character, select the
@@ -238,19 +279,24 @@ unsafe fn scan_avx512<const W: usize>(
 /// few prefixes stay alive (any realistic dictionary over a byte
 /// alphabet) the per-character cost collapses to one or two plane
 /// ANDs however long the longest pattern is. Matches are the
-/// end-masked fold over positions ≤ `depth`. `#[inline(always)]` so
-/// each `#[target_feature]` wrapper compiles the whole loop under its
-/// feature set.
+/// end-masked fold over positions ≤ `depth`. The planes and `depth`
+/// live in the caller's [`LaneState`] between calls. `#[inline(always)]`
+/// so each `#[target_feature]` wrapper compiles the whole loop under
+/// its feature set.
 #[inline(always)]
 fn scan_generic<const W: usize>(
     group: &ResidentGroup<W>,
+    carried: &mut LaneState,
     text: &[Symbol],
+    base: usize,
     hits: &mut Vec<LaneHit>,
 ) {
     let kmax = group.kmax;
     let size = group.size;
-    let mut state = vec![[0u64; W]; kmax];
-    let mut depth = 0usize;
+    // Exactly `kmax` planes, so the loop's `m ≤ lim < kmax` needs no
+    // bounds checks.
+    let state = &mut carried.words.as_chunks_mut::<W>().0[..kmax];
+    let mut depth = carried.depth;
     for (i, sym) in text.iter().enumerate() {
         let v = sym.value() as usize;
         let col: &[Superplane<W>] = if v < size {
@@ -293,12 +339,13 @@ fn scan_generic<const W: usize>(
                 let mut bits = bits;
                 while bits != 0 {
                     let lane = word * 64 + bits.trailing_zeros() as usize;
-                    hits.push((i, lane));
+                    hits.push((base + i, lane));
                     bits &= bits - 1;
                 }
             }
         }
     }
+    carried.depth = depth;
 }
 
 #[cfg(test)]
@@ -400,6 +447,27 @@ mod tests {
         assert_eq!(empty.lanes(), 0);
         assert!(empty.scan(&letters("ABC")).is_empty());
         assert!(empty.match_text(&letters("ABC")).is_empty());
+    }
+
+    #[test]
+    fn carried_state_stays_kmax_by_w_words() {
+        let pats = patterns(&["ABCAB", "BC"]);
+        let group = ResidentGroup::<4>::new(&pats).unwrap();
+        let words = group.kmax() * 4;
+        let mut state = LaneState::default();
+        assert!(state.words.is_empty(), "an unused state holds nothing");
+        // One huge chunk, then ragged little ones: the state is the
+        // array's kmax × W words, never anything per chunk.
+        let big = letters("ABCAB").repeat(4000);
+        let mut hits = Vec::new();
+        group.scan_from(&mut state, &big, 0, &mut hits);
+        assert_eq!((state.words.len(), state.words.capacity()), (words, words));
+        for chunk_len in [1, 2, 3, 7] {
+            for chunk in big.chunks(chunk_len) {
+                group.scan_from(&mut state, chunk, 0, &mut hits);
+                assert_eq!((state.words.len(), state.words.capacity()), (words, words));
+            }
+        }
     }
 
     #[test]

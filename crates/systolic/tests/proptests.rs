@@ -150,6 +150,47 @@ fn run_workload() -> impl Strategy<Value = RunJobs> {
     })
 }
 
+/// A resident dictionary job: an alphabet width, ragged patterns, a
+/// text and cut points.
+type SplitJob = (u32, Vec<Vec<Option<u8>>>, Vec<u8>, Vec<usize>);
+
+/// Strategy: up to 64 ragged patterns (with wild cards) for one
+/// resident group, a text that strays past their alphabet (symbols
+/// only wild cards accept), and cut points, repeats (empty chunks)
+/// and points past the end included.
+fn split_workload() -> impl Strategy<Value = SplitJob> {
+    (1u32..=4).prop_flat_map(|bits| {
+        let max = (1u16 << bits) as u8 - 1;
+        let pat_sym = prop_oneof![
+            3 => (0..=max).prop_map(Some),
+            1 => Just(None), // wild card
+        ];
+        (
+            Just(bits),
+            proptest::collection::vec(proptest::collection::vec(pat_sym, 1..=9), 1..=64),
+            proptest::collection::vec(0..=max + 2, 0..=48),
+            proptest::collection::vec(0usize..=50, 0..=8),
+        )
+    })
+}
+
+/// Scans `text` cut at `cuts` (ascending, ≤ `text.len()`) through one
+/// carried state.
+fn split_scan<const W: usize>(
+    group: &ResidentGroup<W>,
+    text: &[Symbol],
+    cuts: &[usize],
+) -> Vec<LaneHit> {
+    let mut state = LaneState::default();
+    let mut hits = Vec::new();
+    let mut from = 0;
+    for &to in cuts.iter().chain([&text.len()]) {
+        group.scan_from(&mut state, &text[from..to], from, &mut hits);
+        from = to;
+    }
+    hits
+}
+
 /// Runs `jobs` through the lane-packed kernel at width `W`, one
 /// `W × 64`-lane batch at a time.
 fn lanes_at<const W: usize>(jobs: &[(&CompiledPattern, &[Symbol])]) -> Vec<MatchBits> {
@@ -412,6 +453,30 @@ proptest! {
             prop_assert_eq!(n.bits(), spec.clone(), "W1 driver vs spec");
             prop_assert_eq!(h.bits(), spec, "W2 driver vs spec");
         }
+    }
+
+    #[test]
+    fn resident_scans_are_split_invariant_at_every_width(
+        (bits, pats, text, cuts) in split_workload()
+    ) {
+        let patterns: Vec<Pattern> = pats.iter().map(|p| build(bits, p)).collect();
+        let text: Vec<Symbol> = text.iter().map(|&b| Symbol::new(b)).collect();
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(text.len())).collect();
+        cuts.sort_unstable();
+        let specs: Vec<Vec<bool>> = patterns.iter().map(|p| match_spec(&text, p)).collect();
+        let spec: Vec<LaneHit> = (0..text.len())
+            .flat_map(|i| (0..patterns.len()).map(move |l| (i, l)))
+            .filter(|&(i, l)| specs[l][i])
+            .collect();
+        let w1 = ResidentGroup::<1>::new(&patterns).unwrap();
+        let w4 = ResidentGroup::<4>::new(&patterns).unwrap();
+        let w8 = ResidentGroup::<8>::new(&patterns).unwrap();
+        prop_assert_eq!(w1.scan(&text), spec.clone(), "W1 scan vs spec");
+        prop_assert_eq!(split_scan(&w1, &text, &cuts), spec.clone(), "W1 split");
+        prop_assert_eq!(w4.scan(&text), spec.clone(), "W4 scan vs spec");
+        prop_assert_eq!(split_scan(&w4, &text, &cuts), spec.clone(), "W4 split");
+        prop_assert_eq!(w8.scan(&text), spec.clone(), "W8 scan vs spec");
+        prop_assert_eq!(split_scan(&w8, &text, &cuts), spec, "W8 split");
     }
 
     #[test]
