@@ -15,18 +15,22 @@
 //!
 //! The compilation pipeline, all of it in [`PatternDictionary::new`]:
 //!
-//! 1. **prefix-dedup trie** — patterns are interned in a trie keyed by
-//!    pattern symbols (wild card = its own edge), so exact duplicates
-//!    collapse onto one resident lane (their ids fan back out at event
-//!    time) and the depth-first walk emits survivors in prefix-adjacent
+//! 1. **prefix dedup** — pattern ids are stable-sorted by their symbol
+//!    sequences (wild card = a key above every symbol), which is the
+//!    depth-first order of a prefix trie: exact duplicates land side by
+//!    side and collapse onto one resident lane (their ids fan back out
+//!    at event time), and the survivors come out in prefix-adjacent
 //!    order;
 //! 2. **length buckets** — survivors are stable-sorted by length, as
 //!    the throughput planner sorts its pool of small pattern groups, so
 //!    one long pattern can't inflate the `kmax` (and therefore the
 //!    per-character cost) of every group it touches;
 //! 3. **superplane groups** — the bucketed order is cut into groups of
-//!    `width.lanes()` patterns, each compiled to a `ResidentGroup`
-//!    whose acceptance table every matcher shares for every chunk.
+//!    `width.lanes()` patterns; the last (or only) group compiles at the
+//!    narrowest width that holds what is left, so the farm has as many
+//!    chips as the dictionary needs and no half-empty one. Each group is
+//!    compiled to a `ResidentGroup` whose acceptance table every matcher
+//!    shares for every chunk.
 //!
 //! [`DictionaryStats`] reports what planning achieved — dedup ratio,
 //! lane occupancy, prefix sharing — and
@@ -61,14 +65,22 @@
 
 use crate::throughput::SuperWidth;
 use pm_matchers::aho_corasick::DictMatch;
-use pm_systolic::resident::{LaneState, ResidentGroup};
+use pm_systolic::resident::{LaneHit, LaneState, ResidentGroup};
 use pm_systolic::symbol::{PatSym, Pattern, Symbol};
 use pm_systolic::telemetry::{SinkHandle, TraceEvent};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Trie edge key: a literal symbol value, or this for a wild card.
+/// Planning key of a pattern symbol: a literal's value, or this for a
+/// wild card.
 const WILD_KEY: u16 = u16::MAX;
+
+/// A pattern's symbols as planning keys.
+fn keys(p: &Pattern) -> impl Iterator<Item = u16> + '_ {
+    p.symbols().iter().map(|sym| match sym {
+        PatSym::Wild => WILD_KEY,
+        PatSym::Lit(s) => u16::from(s.value()),
+    })
+}
 
 /// What dictionary compilation achieved, for telemetry and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +92,11 @@ pub struct DictionaryStats {
     pub resident: usize,
     /// Superplane groups planned.
     pub groups: usize,
-    /// Lane slots across those groups (`groups × width.lanes()`).
+    /// Lane slots across those groups: the sum of their capacities
+    /// (`W × 64` each, the last group as narrow as its lanes allow).
     pub lane_slots: usize,
-    /// Trie nodes below the root — the symbols actually stored.
+    /// Prefix-trie nodes below the root — the distinct prefixes of the
+    /// resident patterns, i.e. the symbols a trie would store.
     pub trie_nodes: usize,
     /// Symbols summed over all submitted patterns.
     pub pattern_symbols: usize,
@@ -90,7 +104,7 @@ pub struct DictionaryStats {
 
 impl DictionaryStats {
     /// Resident lanes per submitted pattern (1.0 = no duplicates,
-    /// lower = the trie collapsed more).
+    /// lower = dedup collapsed more).
     pub fn dedup_ratio(&self) -> f64 {
         if self.patterns == 0 {
             1.0
@@ -108,8 +122,8 @@ impl DictionaryStats {
         }
     }
 
-    /// Fraction of submitted symbols the trie absorbed into shared
-    /// storage (0.0 = every symbol stored separately).
+    /// Fraction of submitted symbols a prefix trie of the residents
+    /// shares (0.0 = every symbol stored separately).
     pub fn prefix_sharing(&self) -> f64 {
         if self.pattern_symbols == 0 {
             0.0
@@ -132,80 +146,58 @@ pub struct PatternDictionary {
 }
 
 impl PatternDictionary {
-    /// Plans and compiles `patterns` into resident groups of the given
-    /// superplane width. Accepts any count (including zero — an empty
-    /// dictionary matches nothing); wild cards are fine, they simply
-    /// intern as their own trie edge.
+    /// Plans and compiles `patterns` into resident groups no wider than
+    /// `width`: every group but the last holds `width.lanes()` patterns,
+    /// and the last (or only) one compiles at the narrowest of W1/W4/W8
+    /// whose `W × 64` lanes hold the rest. Accepts any count (including
+    /// zero — an empty dictionary matches nothing); wild cards are fine,
+    /// they simply plan as their own key.
     pub fn new(patterns: &[Pattern], width: SuperWidth) -> Self {
-        // 1. Prefix-dedup trie. Nodes are BTreeMaps so the DFS below
-        //    is deterministic and prefix-adjacent.
-        let mut children: Vec<BTreeMap<u16, usize>> = vec![BTreeMap::new()];
-        let mut terminals: Vec<Vec<u32>> = vec![Vec::new()];
-        let mut pattern_symbols = 0usize;
-        for (id, p) in patterns.iter().enumerate() {
-            pattern_symbols += p.len();
-            let mut node = 0usize;
-            for sym in p.symbols() {
-                let key = match sym {
-                    PatSym::Wild => WILD_KEY,
-                    PatSym::Lit(s) => u16::from(s.value()),
-                };
-                node = match children[node].get(&key) {
-                    Some(&next) => next,
-                    None => {
-                        let next = children.len();
-                        children.push(BTreeMap::new());
-                        terminals.push(Vec::new());
-                        children[node].insert(key, next);
-                        next
-                    }
-                };
+        // 1. Prefix dedup: a stable sort of the ids by key sequence is
+        //    the trie's depth-first order, with duplicates adjacent and
+        //    in id order.
+        let mut order: Vec<usize> = (0..patterns.len()).collect();
+        order.sort_by(|&a, &b| keys(&patterns[a]).cmp(keys(&patterns[b])));
+        let mut survivors: Vec<(Pattern, Vec<u32>)> = Vec::new();
+        let mut trie_nodes = 0;
+        for id in order {
+            let p = &patterns[id];
+            let last = survivors.last_mut();
+            // Each key adds the trie nodes below its longest common
+            // prefix with the key before it.
+            let shared = last.as_ref().map_or(0, |(q, _)| {
+                keys(q).zip(keys(p)).take_while(|(a, b)| a == b).count()
+            });
+            match last {
+                Some((q, ids)) if shared == q.len() && shared == p.len() => ids.push(id as u32),
+                _ => {
+                    trie_nodes += p.len() - shared;
+                    survivors.push((p.clone(), vec![id as u32]));
+                }
             }
-            terminals[node].push(id as u32);
         }
 
-        // 2. DFS emits survivors prefix-adjacent; stable length sort
-        //    then buckets them without destroying that adjacency.
-        let mut order: Vec<usize> = Vec::new(); // trie node per survivor
-        let mut stack = vec![0usize];
-        while let Some(node) = stack.pop() {
-            if !terminals[node].is_empty() {
-                order.push(node);
-            }
-            // Reverse so the smallest edge is popped (visited) first.
-            stack.extend(children[node].values().rev());
-        }
-        let mut survivors: Vec<(Pattern, Vec<u32>)> = order
-            .into_iter()
-            .map(|node| {
-                let ids = std::mem::take(&mut terminals[node]);
-                (patterns[ids[0] as usize].clone(), ids)
-            })
-            .collect();
-        // Stable, so equal-length survivors keep the trie walk's
-        // prefix-adjacent order.
+        // 2. Stable length sort: buckets survivors without destroying
+        //    their prefix-adjacent order.
         survivors.sort_by_key(|(p, _)| p.len());
 
-        // 3. Resident lane l lives in group l / width.lanes(); each
-        //    group's acceptance table is built here, once.
+        // 3. Resident lane l lives in group l / width.lanes(). Every
+        //    group but the last is full, so at `width`; the last is as
+        //    narrow as its lanes allow. Each group's acceptance table is
+        //    built here, once.
         let span = width.lanes();
         let (residents, ids_of): (Vec<Pattern>, _) = survivors.into_iter().unzip();
-        let groups = residents.len().div_ceil(span);
+        let groups: Vec<Group> = residents.chunks(span).map(Group::new).collect();
         let stats = DictionaryStats {
             patterns: patterns.len(),
             resident: residents.len(),
-            groups,
-            lane_slots: groups * span,
-            trie_nodes: children.len() - 1,
-            pattern_symbols,
+            groups: groups.len(),
+            lane_slots: groups.iter().map(Group::capacity).sum(),
+            trie_nodes,
+            pattern_symbols: patterns.iter().map(Pattern::len).sum(),
         };
-        let chunks = residents.chunks(span);
         let farm = Arc::new(Farm {
-            groups: match width {
-                SuperWidth::W1 => Groups::W1(chunks.map(compile_group).collect()),
-                SuperWidth::W4 => Groups::W4(chunks.map(compile_group).collect()),
-                SuperWidth::W8 => Groups::W8(chunks.map(compile_group).collect()),
-            },
+            groups,
             ids_of,
             span,
         });
@@ -240,20 +232,16 @@ impl PatternDictionary {
     }
 }
 
-/// Builds one resident group; the plan guarantees the chunk fits.
-fn compile_group<const W: usize>(chunk: &[Pattern]) -> ResidentGroup<W> {
-    ResidentGroup::new(chunk).expect("planned group exceeds its own width")
-}
-
 /// The compiled farm, immutable once built: the resident groups and
 /// what it takes to turn their lane hits into pattern ids.
 #[derive(Debug)]
 struct Farm {
-    groups: Groups,
+    groups: Vec<Group>,
     /// Submitted ids fanned out per resident lane (first id is the
     /// lane's representative).
     ids_of: Vec<Vec<u32>>,
-    /// Lane slots per group (`width.lanes()`).
+    /// Lanes per group but the last (`width.lanes()`); only the last
+    /// group may be narrower, so group `g`'s lanes start at `g × span`.
     span: usize,
 }
 
@@ -263,27 +251,10 @@ impl Farm {
     /// hits fan out to submitted ids, reported at `base + position` and
     /// sorted by `(end, pattern)`.
     fn pass(&self, carry: &mut Vec<LaneState>, text: &[Symbol], base: usize) -> Vec<DictMatch> {
+        carry.resize_with(self.groups.len(), LaneState::default);
         let mut events = Vec::new();
-        match &self.groups {
-            Groups::W1(g) => self.pass_at(g, carry, text, base, &mut events),
-            Groups::W4(g) => self.pass_at(g, carry, text, base, &mut events),
-            Groups::W8(g) => self.pass_at(g, carry, text, base, &mut events),
-        }
-        events.sort_unstable();
-        events
-    }
-
-    fn pass_at<const W: usize>(
-        &self,
-        groups: &[ResidentGroup<W>],
-        carry: &mut Vec<LaneState>,
-        text: &[Symbol],
-        base: usize,
-        events: &mut Vec<DictMatch>,
-    ) {
-        carry.resize_with(groups.len(), LaneState::default);
         let mut hits = Vec::new();
-        for (g, (group, state)) in groups.iter().zip(carry).enumerate() {
+        for (g, (group, state)) in self.groups.iter().zip(carry).enumerate() {
             hits.clear();
             group.scan_from(state, text, base, &mut hits);
             for &(end, lane) in &hits {
@@ -295,16 +266,56 @@ impl Farm {
                 }
             }
         }
+        events.sort_unstable();
+        events
     }
 }
 
-/// One vector of resident groups at the planned width. A runtime-width
-/// wrapper over the const-generic kernel.
+/// One resident group at its planned width: a runtime-width wrapper
+/// over the const-generic kernel.
 #[derive(Debug)]
-enum Groups {
-    W1(Vec<ResidentGroup<1>>),
-    W4(Vec<ResidentGroup<4>>),
-    W8(Vec<ResidentGroup<8>>),
+enum Group {
+    W1(ResidentGroup<1>),
+    W4(ResidentGroup<4>),
+    W8(ResidentGroup<8>),
+}
+
+impl Group {
+    /// Compiles `chunk` at the narrowest width whose lanes hold it; the
+    /// plan cuts no chunk wider than W8.
+    fn new(chunk: &[Pattern]) -> Self {
+        fn compile<const W: usize>(chunk: &[Pattern]) -> ResidentGroup<W> {
+            ResidentGroup::new(chunk).expect("planned group exceeds its own width")
+        }
+        match chunk.len() {
+            n if n <= SuperWidth::W1.lanes() => Group::W1(compile(chunk)),
+            n if n <= SuperWidth::W4.lanes() => Group::W4(compile(chunk)),
+            _ => Group::W8(compile(chunk)),
+        }
+    }
+
+    /// Lane slots this group's width offers.
+    fn capacity(&self) -> usize {
+        match self {
+            Group::W1(r) => r.capacity(),
+            Group::W4(r) => r.capacity(),
+            Group::W8(r) => r.capacity(),
+        }
+    }
+
+    fn scan_from(
+        &self,
+        state: &mut LaneState,
+        text: &[Symbol],
+        base: usize,
+        hits: &mut Vec<LaneHit>,
+    ) {
+        match self {
+            Group::W1(r) => r.scan_from(state, text, base, hits),
+            Group::W4(r) => r.scan_from(state, text, base, hits),
+            Group::W8(r) => r.scan_from(state, text, base, hits),
+        }
+    }
 }
 
 /// Streams text through every resident group of a
@@ -319,7 +330,8 @@ enum Groups {
 /// each group's array state between chunks, so matches that straddle a
 /// chunk boundary (or span several chunks) are still reported exactly
 /// once, at their global end offset. The carry is one bit per farm cell
-/// (lane slot × pattern position): at most `groups × kmax × W` words.
+/// (lane slot × pattern position): `kmax × W` words per group, with
+/// each group's own `kmax` and `W`.
 ///
 /// ```
 /// use pm_chip::dictionary::PatternDictionary;
@@ -461,6 +473,49 @@ mod tests {
             .collect()
     }
 
+    /// `n ≤ 1024` distinct 5-letter patterns over `ABCD`, spelled from
+    /// the base-4 digits of their index.
+    fn distinct_patterns(n: u32) -> Vec<Pattern> {
+        (0..n)
+            .map(|i| {
+                let s: String = (0..5)
+                    .map(|j| ["A", "B", "C", "D"][((i >> (2 * j)) % 4) as usize])
+                    .collect();
+                Pattern::parse(&s).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_last_group_is_as_narrow_as_its_lanes_allow() {
+        // (patterns, cap) → (groups, lane slots)
+        for (n, width, groups, slots) in [
+            (0, SuperWidth::W8, 0, 0),
+            (1, SuperWidth::W8, 1, 64),
+            (64, SuperWidth::W8, 1, 64),
+            (65, SuperWidth::W8, 1, 256),
+            (256, SuperWidth::W8, 1, 256),
+            (257, SuperWidth::W8, 1, 512),
+            (600, SuperWidth::W8, 2, 512 + 256),
+            (600, SuperWidth::W4, 3, 3 * 256),
+            (550, SuperWidth::W4, 3, 256 + 256 + 64),
+            (200, SuperWidth::W1, 4, 4 * 64),
+        ] {
+            let pats = distinct_patterns(n);
+            let s = *PatternDictionary::new(&pats, width).stats();
+            assert_eq!(s.resident, n as usize);
+            assert_eq!(
+                (s.groups, s.lane_slots),
+                (groups, slots),
+                "{n} at {}",
+                width.label()
+            );
+        }
+        // A 256-pattern dictionary at the default W8 fills one W4 group.
+        let s = *PatternDictionary::new(&distinct_patterns(256), SuperWidth::W8).stats();
+        assert_eq!(s.occupancy(), 1.0);
+    }
+
     #[test]
     fn multi_group_dictionary_equals_spec() {
         // 150 distinct patterns on W1: three groups of 64 lanes.
@@ -587,7 +642,7 @@ mod tests {
                 patterns: 3,
                 resident: 2,
                 groups: 1,
-                lane_slots: 512,
+                lane_slots: 64,
             }
         ));
     }

@@ -19,10 +19,11 @@
 //!   positional reads (`read_at` on Unix, seek-and-read elsewhere):
 //!   std-only paging, no per-page allocation after the first;
 //! * [`OverlapChunker`] — carries only the `kmax − 1` overlap tail
-//!   between chunks — the same carry discipline as
-//!   [`DictionaryMatcher::feed`](crate::dictionary::DictionaryMatcher::feed)
-//!   — so matches spanning chunk boundaries are exact at every width
-//!   while per-chunk state stays O(`kmax`), never O(chunk).
+//!   between chunks, for kernels that start each scan from an empty
+//!   array ([`DictionaryMatcher::feed`](crate::dictionary::DictionaryMatcher::feed)
+//!   carries the array state instead), so matches spanning chunk
+//!   boundaries are exact at every width while per-chunk state stays
+//!   O(`kmax`), never O(chunk).
 //!
 //! ```
 //! use pm_chip::ingest::{SliceSource, TextSource};
@@ -256,11 +257,12 @@ impl<'a> ChunkView<'a> {
 }
 
 /// Streams a [`TextSource`] in windows that overlap by `kmax − 1`
-/// symbols — the carry discipline of
-/// [`DictionaryMatcher::feed`](crate::dictionary::DictionaryMatcher::feed),
-/// externalised for drivers that scan each chunk themselves (the
-/// batch engines, the E36 ingest figure). State is the tail plus a
-/// boundary scratch buffer: O(`kmax`) regardless of chunk size.
+/// symbols, for drivers that scan each chunk themselves from an empty
+/// array (the batch engines, the E36 ingest figure); a
+/// [`DictionaryMatcher`](crate::dictionary::DictionaryMatcher) carries
+/// its array state between chunks instead and needs no overlap. State
+/// is the tail plus a boundary scratch buffer: O(`kmax`) regardless of
+/// chunk size.
 #[derive(Debug)]
 pub struct OverlapChunker<S> {
     source: S,

@@ -2,7 +2,8 @@
 //! software oracle, and the scalar specification must agree event for
 //! event on arbitrary dictionaries — overlapping patterns, shared
 //! prefixes, duplicates, ragged lane counts, patterns longer than a
-//! feed chunk — at every superplane width, and dictionary workloads
+//! feed chunk — at every superplane width, including farms whose last
+//! group is narrower than the rest, and dictionary workloads
 //! must survive the PR 6 fault plan with spec-identical output.
 
 use pm_chip::dictionary::PatternDictionary;
@@ -89,6 +90,27 @@ fn stem_workload() -> impl Strategy<Value = (Vec<Vec<u8>>, Vec<u8>)> {
         })
 }
 
+/// 1–700 distinct patterns (duplicates of an earlier draw dropped), so
+/// the residents cross the 64 / 256 / 512 lane cuts. Half the
+/// dictionaries are literal (AC-comparable), half carry wild cards; the
+/// text also draws symbols 4 and 5, outside the patterns' alphabet.
+fn wide_workload() -> impl Strategy<Value = (bool, Vec<Vec<Option<u8>>>, Vec<u8>)> {
+    (any::<bool>(), 1usize..=700).prop_flat_map(|(literal, n)| {
+        let sym = (0u8..=3, 0u8..6).prop_map(move |(v, roll)| (literal || roll > 0).then_some(v));
+        (
+            Just(literal),
+            proptest::collection::vec(proptest::collection::vec(sym, 1..=10), n).prop_map(
+                |mut dict| {
+                    let mut seen = std::collections::HashSet::new();
+                    dict.retain(|p| seen.insert(p.clone()));
+                    dict
+                },
+            ),
+            proptest::collection::vec(0u8..=5, 0..=160),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -150,6 +172,43 @@ proptest! {
             streamed.extend(m.feed(c));
         }
         prop_assert_eq!(streamed, whole);
+    }
+
+    /// Dictionaries wide enough to fill several groups: at every cap the
+    /// plan cuts full groups at the cap and sizes the last one to its
+    /// lanes, and the farm ≡ spec (≡ Aho–Corasick when literal), whole
+    /// and fed in chunks.
+    #[test]
+    fn mixed_width_farms_equal_spec(
+        (literal, dict, text) in wide_workload(),
+        chunk in 1usize..=16,
+    ) {
+        let pats: Vec<Pattern> = dict.iter().map(|p| build(p)).collect();
+        let text = symbols(&text);
+        let want = spec_events(&pats, &text);
+        if literal {
+            prop_assert_eq!(&AhoCorasick::new(&pats).unwrap().find_all(&text), &want);
+        }
+        for width in WIDTHS {
+            let dictionary = PatternDictionary::new(&pats, width);
+            let s = *dictionary.stats();
+            prop_assert_eq!(s.resident, pats.len());
+            let cap = width.lanes();
+            prop_assert_eq!(s.groups, s.resident.div_ceil(cap));
+            // Full groups at the cap, then the narrowest that holds the rest.
+            let tail = s.resident - (s.groups - 1) * cap;
+            let last = WIDTHS.iter().map(|w| w.lanes()).find(|&l| l >= tail).unwrap();
+            prop_assert!(last <= cap);
+            prop_assert_eq!(s.lane_slots, (s.groups - 1) * cap + last, "width {}", width.label());
+            let whole = dictionary.matcher().find_all(&text);
+            prop_assert_eq!(&whole, &want, "width {}", width.label());
+            let mut m = dictionary.matcher();
+            let mut streamed = Vec::new();
+            for c in text.chunks(chunk) {
+                streamed.extend(m.feed(c));
+            }
+            prop_assert_eq!(&streamed, &want, "width {} chunk {}", width.label(), chunk);
+        }
     }
 
     /// The chaos interaction: a dictionary fanned out as one job per

@@ -20,7 +20,9 @@ pub struct ServeConfig {
     /// Worker threads multiplexing connections. 0 means one per
     /// available core (thread-per-core).
     pub workers: usize,
-    /// Superplane width sessions' dictionaries are planned at.
+    /// Widest group sessions' dictionaries are planned at: every group
+    /// but the last is this wide, and the last is as narrow as its
+    /// lanes allow.
     pub width: SuperWidth,
     /// Shards in the memory system the server routes sessions over.
     /// Each shard owns a slice of the global byte budget; sessions are
@@ -39,7 +41,7 @@ pub struct ServeConfig {
     /// send in one frame; oversized chunks are a hard error, not a
     /// retry. It bounds the chunk a session buffers. The matcher's
     /// carried array state is separate and fixed: one bit per farm cell,
-    /// `groups × kmax × W` words, at most 32 KiB at these defaults
+    /// `kmax × W` words per group, at most 32 KiB at these defaults
     /// (4096 patterns of 64 symbols on 8 W8 groups).
     pub session_budget_bytes: usize,
     /// Global byte budget: total `FEED` bytes in flight across all

@@ -226,7 +226,8 @@ pub enum TraceEvent {
         resident: u64,
         /// Superplane groups planned.
         groups: u32,
-        /// Total lane slots across those groups (`groups × W × 64`).
+        /// Total lane slots across those groups: the sum of their
+        /// `W × 64` capacities.
         lane_slots: u64,
     },
     /// A front-door client session was admitted (`pm-serve`).
