@@ -10,6 +10,16 @@
 //! on-line property — one result per character at fixed latency, no
 //! buffering of the text — is what makes this interface natural.
 //!
+//! The bus owns that protocol once, over either of two [`Backend`]s:
+//!
+//! - the bare array, [`Driver<BooleanMatch>`] ([`HostBus::new`]): a
+//!   match is delivered as the pipeline emits it, a fixed latency after
+//!   its last byte;
+//! - the self-healing board of [`recovery`](crate::recovery),
+//!   [`SelfHealingCascade`](crate::recovery::SelfHealingCascade)
+//!   ([`HostBus::resilient`]): a match is delivered once a passing
+//!   scrub has committed it, so no later fault can retract it.
+//!
 //! # Example
 //!
 //! The driver's life cycle on Figure 3-1's workload (`AXC` against
@@ -51,7 +61,7 @@ pub enum DeviceState {
     /// Pattern loaded; text may be streamed.
     Streaming,
     /// The hardware array is out of service; a software matcher is
-    /// standing in for it (see `recovery::ResilientHostBus`).
+    /// standing in for it (see [`HostBus::resilient`]).
     Degraded,
 }
 
@@ -189,19 +199,81 @@ impl RetryPolicy {
     }
 }
 
-/// The pattern matcher as a bus peripheral.
+/// What a [`HostBus`] drives. The bus owns the driver protocol and the
+/// event queue; a backend owns only what differs between devices.
+pub trait Backend: Sized {
+    /// What a device is built from: a card's cells or a board's shape.
+    type Config;
+    /// What a call reports; protocol misuse arrives as a [`HostError`].
+    type Error: From<HostError>;
+    /// Builds a device with `pattern` loaded and an empty stream.
+    fn load(config: &Self::Config, pattern: &Pattern) -> Result<Self, Self::Error>;
+    /// Feeds one in-alphabet symbol; returns the `(position, match)`
+    /// results this made deliverable, in position order.
+    fn feed(&mut self, sym: Symbol) -> Result<Vec<(u64, bool)>, Self::Error>;
+    /// Makes the result of every symbol fed so far deliverable, and
+    /// returns the results as [`feed`](Self::feed) does.
+    fn flush(&mut self) -> Result<Vec<(u64, bool)>, Self::Error>;
+    /// Whether the hardware array is out of service.
+    fn degraded(&self) -> bool {
+        false
+    }
+}
+
+/// The bare card: a result is deliverable as the pipeline emits it.
+impl Backend for Driver<BooleanMatch> {
+    type Config = usize;
+    type Error = HostError;
+
+    fn load(cells: &usize, pattern: &Pattern) -> Result<Self, HostError> {
+        Ok(Driver::new(
+            BooleanMatch,
+            pattern.symbols().to_vec(),
+            &[*cells],
+        )?)
+    }
+
+    fn feed(&mut self, sym: Symbol) -> Result<Vec<(u64, bool)>, HostError> {
+        // The inherent `Driver::feed`: one bus cycle.
+        Ok(Driver::feed(self, sym))
+    }
+
+    fn flush(&mut self) -> Result<Vec<(u64, bool)>, HostError> {
+        Ok(self.drain())
+    }
+}
+
+/// The pattern matcher as a bus peripheral, over either [`Backend`]:
+/// [`HostBus::new`] installs a bare card, whose events surface after
+/// the array's fixed latency, and [`HostBus::resilient`] a self-healing
+/// board, whose events surface once a passing scrub has verified them.
 #[derive(Debug, Clone)]
-pub struct HostBus {
-    cells: usize,
-    device: Option<Device>,
+pub struct HostBus<B: Backend = Driver<BooleanMatch>> {
+    pub(crate) config: B::Config,
+    pub(crate) device: Option<Device<B>>,
 }
 
 #[derive(Debug, Clone)]
-struct Device {
-    driver: Driver<BooleanMatch>,
+pub(crate) struct Device<B> {
+    pub(crate) backend: B,
     pattern: Pattern,
     events: VecDeque<MatchEvent>,
     chars_in: u64,
+}
+
+impl<B> Device<B> {
+    /// Queues an event for every match that closes a whole window.
+    fn deliver(&mut self, results: Vec<(u64, bool)>) {
+        let k = self.pattern.k() as u64;
+        for (end, hit) in results {
+            if hit && end >= k {
+                self.events.push_back(MatchEvent {
+                    end,
+                    start: end - k,
+                });
+            }
+        }
+    }
 }
 
 impl HostBus {
@@ -213,23 +285,22 @@ impl HostBus {
     pub fn new(cells: usize) -> Self {
         assert!(cells > 0, "a matcher card needs cells");
         HostBus {
-            cells,
+            config: cells,
             device: None,
         }
     }
+}
 
-    /// Device state.
+impl<B: Backend> HostBus<B> {
+    /// Device state: `Idle` before a pattern is loaded, `Degraded` once
+    /// the backend has taken the array out of service, else
+    /// `Streaming`.
     pub fn state(&self) -> DeviceState {
-        if self.device.is_some() {
-            DeviceState::Streaming
-        } else {
-            DeviceState::Idle
+        match &self.device {
+            None => DeviceState::Idle,
+            Some(d) if d.backend.degraded() => DeviceState::Degraded,
+            Some(_) => DeviceState::Streaming,
         }
-    }
-
-    /// Array capacity of the card.
-    pub fn cells(&self) -> usize {
-        self.cells
     }
 
     /// Loads (or replaces) the pattern; resets the stream and clears
@@ -237,12 +308,12 @@ impl HostBus {
     ///
     /// # Errors
     ///
-    /// [`HostError::BadPattern`] if the pattern doesn't fit the card.
-    pub fn load_pattern(&mut self, pattern: &Pattern) -> Result<(), HostError> {
-        let driver = Driver::new(BooleanMatch, pattern.symbols().to_vec(), &[self.cells])
-            .map_err(HostError::BadPattern)?;
+    /// Whatever the backend reports when it cannot load the pattern:
+    /// [`HostError::BadPattern`] if it doesn't fit a bare card.
+    pub fn load_pattern(&mut self, pattern: &Pattern) -> Result<(), B::Error> {
+        let backend = B::load(&self.config, pattern)?;
         self.device = Some(Device {
-            driver,
+            backend,
             pattern: pattern.clone(),
             events: VecDeque::new(),
             chars_in: 0,
@@ -251,26 +322,20 @@ impl HostBus {
     }
 
     /// Streams one text byte through the device. Matches surface in
-    /// the event queue after the array's fixed latency.
+    /// the event queue when the backend makes them deliverable.
     ///
     /// # Errors
     ///
-    /// [`HostError::NoPattern`] or [`HostError::BadByte`].
-    pub fn write_byte(&mut self, byte: u8) -> Result<(), HostError> {
+    /// [`HostError::NoPattern`] or [`HostError::BadByte`], plus
+    /// whatever the backend reports.
+    pub fn write_byte(&mut self, byte: u8) -> Result<(), B::Error> {
         let dev = self.device.as_mut().ok_or(HostError::NoPattern)?;
         if !dev.pattern.alphabet().contains(byte) {
-            return Err(HostError::BadByte(byte));
+            return Err(HostError::BadByte(byte).into());
         }
         dev.chars_in += 1;
-        let k = dev.pattern.k() as u64;
-        for (seq, hit) in dev.driver.feed(Symbol::new(byte)) {
-            if hit && seq >= k {
-                dev.events.push_back(MatchEvent {
-                    end: seq,
-                    start: seq - k,
-                });
-            }
-        }
+        let results = dev.backend.feed(Symbol::new(byte))?;
+        dev.deliver(results);
         Ok(())
     }
 
@@ -278,31 +343,25 @@ impl HostBus {
     ///
     /// # Errors
     ///
-    /// As [`write_byte`](Self::write_byte); stops at the first bad byte.
-    pub fn write(&mut self, bytes: &[u8]) -> Result<(), HostError> {
+    /// As [`write_byte`](Self::write_byte); stops at the first error.
+    pub fn write(&mut self, bytes: &[u8]) -> Result<(), B::Error> {
         for &b in bytes {
             self.write_byte(b)?;
         }
         Ok(())
     }
 
-    /// Flushes the pipeline at end of stream so that every match for
-    /// bytes already written becomes visible.
+    /// Flushes at end of stream so that every match for bytes already
+    /// written becomes a delivered event.
     ///
     /// # Errors
     ///
-    /// [`HostError::NoPattern`] if no pattern is loaded.
-    pub fn flush(&mut self) -> Result<(), HostError> {
+    /// [`HostError::NoPattern`] if no pattern is loaded, plus whatever
+    /// the backend reports.
+    pub fn flush(&mut self) -> Result<(), B::Error> {
         let dev = self.device.as_mut().ok_or(HostError::NoPattern)?;
-        let k = dev.pattern.k() as u64;
-        for (seq, hit) in dev.driver.drain() {
-            if hit && seq >= k {
-                dev.events.push_back(MatchEvent {
-                    end: seq,
-                    start: seq - k,
-                });
-            }
-        }
+        let results = dev.backend.flush()?;
+        dev.deliver(results);
         Ok(())
     }
 

@@ -88,8 +88,7 @@ pub mod prelude {
     pub use crate::multipass::MultipassMatcher;
     pub use crate::pins::{Package, PinBudget};
     pub use crate::recovery::{
-        ChipFault, FaultError, Mode, RecoveryEvent, RecoveryPolicy, ResilientHostBus,
-        SelfHealingCascade,
+        ChipFault, FaultError, Mode, RecoveryEvent, RecoveryPolicy, SelfHealingCascade,
     };
     pub use crate::shard::{Router, RouterConfig, RouterReport, Shard, SlotLease, SlotPool};
     pub use crate::telemetry::{Histogram, HistogramSnapshot, MetricsRegistry, TelemetrySnapshot};

@@ -41,6 +41,12 @@
 //! latency bounded by the scrub interval — the classic
 //! availability-versus-integrity trade a device driver makes.
 //!
+//! The cascade is one of the host bus's two backends:
+//! [`HostBus::resilient`] drives it with the same byte-level protocol
+//! as a bare card ([`HostBus::new`]), and delivers a match event once
+//! the scrub that commits it has passed, where a bare card delivers it
+//! as the pipeline emits it.
+//!
 //! # Example
 //!
 //! A two-chip board with one spare socket loses a chip to a stuck
@@ -65,7 +71,7 @@
 //! ```
 
 use crate::bist::{BistPort, BistProgram, BistTarget};
-use crate::host::{DeviceState, HostError, MatchEvent, RetryPolicy};
+use crate::host::{Backend, HostBus, HostError, RetryPolicy};
 use crate::wafer::Wafer;
 use pm_matchers::{software_fallback, MatchError};
 use pm_nmos::error::SimError;
@@ -75,7 +81,7 @@ use pm_systolic::segment::{Segment, SegmentIo, TxtItem};
 use pm_systolic::semantics::BooleanMatch;
 use pm_systolic::symbol::{PatSym, Pattern, Symbol};
 use pm_systolic::telemetry::{SinkHandle, TraceEvent};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Unified error taxonomy of the fault-tolerance runtime: every layer's
@@ -388,6 +394,8 @@ pub struct SelfHealingCascade {
     history: Vec<Symbol>,
     /// Verified-final result bits for positions `0..committed.len()`.
     committed: Vec<bool>,
+    /// Committed positions already handed to a host bus.
+    delivered: usize,
     /// Quarantined results awaiting the next passing scrub.
     pending: BTreeMap<u64, bool>,
     /// All positions below this are accounted for (committed, `< k`, or
@@ -463,6 +471,7 @@ impl SelfHealingCascade {
             beat: 0,
             history: Vec::new(),
             committed: Vec::new(),
+            delivered: 0,
             pending: BTreeMap::new(),
             watermark: 0,
             chars_since_scrub: 0,
@@ -656,12 +665,25 @@ impl SelfHealingCascade {
     ///
     /// As [`checkpoint`](Self::checkpoint).
     pub fn finish(&mut self) -> Result<MatchBits, FaultError> {
-        // A scrub can itself condemn chips and remap; loop until the
-        // commit covers the whole history or the board gives up.
+        self.commit_history()?;
+        Ok(MatchBits::new(self.committed.clone(), self.pattern.k()))
+    }
+
+    /// Checkpoints until the commit covers the whole history or the
+    /// board gives up: a scrub can itself condemn chips and remap.
+    fn commit_history(&mut self) -> Result<(), FaultError> {
         while self.committed.len() < self.history.len() {
             self.checkpoint()?;
         }
-        Ok(MatchBits::new(self.committed.clone(), self.pattern.k()))
+        Ok(())
+    }
+
+    /// The committed results not yet taken, with their positions.
+    fn take_delivered(&mut self) -> Vec<(u64, bool)> {
+        let from = std::mem::replace(&mut self.delivered, self.committed.len());
+        (from..self.committed.len())
+            .map(|i| (i as u64, self.committed[i]))
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -972,192 +994,101 @@ impl SelfHealingCascade {
     }
 }
 
-/// The fault-tolerant flavour of [`HostBus`](crate::host::HostBus): the
-/// same byte-level device-driver protocol, backed by a
-/// [`SelfHealingCascade`] instead of a bare array. The one visible
-/// difference is the delivery contract — match events surface only once
-/// their window has been *verified* by a passing scrub, so event
-/// latency is bounded by the scrub interval rather than the array
-/// pipeline. In exchange, every delivered event is final: no later
-/// fault can retract it.
+/// What [`HostBus::resilient`] builds each pattern's board from: the
+/// arguments of [`SelfHealingCascade::with_sink`] but the pattern.
 #[derive(Debug, Clone)]
-pub struct ResilientHostBus {
+pub struct Board {
     chips: usize,
     cells_per_chip: usize,
     spares: usize,
     policy: RecoveryPolicy,
-    device: Option<ResilientDevice>,
-    /// Trace sink handed to each cascade this bus builds.
     sink: SinkHandle,
 }
 
-#[derive(Debug, Clone)]
-struct ResilientDevice {
-    cascade: SelfHealingCascade,
-    /// Next committed position to scan for deliverable events.
-    delivered: usize,
-    events: VecDeque<MatchEvent>,
+/// The self-healing board: a result is deliverable once a passing scrub
+/// has committed it, so no later fault can retract a delivered event.
+impl Backend for SelfHealingCascade {
+    type Config = Board;
+    type Error = FaultError;
+
+    fn load(board: &Board, pattern: &Pattern) -> Result<Self, FaultError> {
+        Self::with_sink(
+            pattern,
+            board.chips,
+            board.cells_per_chip,
+            board.spares,
+            board.policy,
+            board.sink.clone(),
+        )
+    }
+
+    fn feed(&mut self, sym: Symbol) -> Result<Vec<(u64, bool)>, FaultError> {
+        self.write(sym)?;
+        Ok(self.take_delivered())
+    }
+
+    fn flush(&mut self) -> Result<Vec<(u64, bool)>, FaultError> {
+        self.commit_history()?;
+        Ok(self.take_delivered())
+    }
+
+    fn degraded(&self) -> bool {
+        self.mode != Mode::Hardware
+    }
 }
 
-impl ResilientHostBus {
+impl HostBus<SelfHealingCascade> {
     /// Installs a board with `chips` active sockets plus `spares`
-    /// spares, `cells_per_chip` cells each.
+    /// spares, `cells_per_chip` cells each; each pattern load builds
+    /// and attach-tests the whole board.
     ///
     /// # Panics
     ///
     /// Panics if `chips` or `cells_per_chip` is zero.
-    pub fn new(chips: usize, cells_per_chip: usize, spares: usize, policy: RecoveryPolicy) -> Self {
+    pub fn resilient(
+        chips: usize,
+        cells_per_chip: usize,
+        spares: usize,
+        policy: RecoveryPolicy,
+    ) -> Self {
         assert!(chips > 0, "a board needs active sockets");
         assert!(cells_per_chip > 0, "a chip needs cells");
-        ResilientHostBus {
-            chips,
-            cells_per_chip,
-            spares,
-            policy,
+        HostBus {
+            config: Board {
+                chips,
+                cells_per_chip,
+                spares,
+                policy,
+                sink: SinkHandle::null(),
+            },
             device: None,
-            sink: SinkHandle::null(),
         }
     }
 
     /// Installs a trace sink: future cascades (and the current one, if
     /// a pattern is loaded) emit stall/scrub/recovery events into it.
     pub fn set_sink(&mut self, sink: SinkHandle) {
-        if let Some(dev) = &mut self.device {
-            dev.cascade.set_sink(sink.clone());
+        if let Some(cascade) = self.cascade_mut() {
+            cascade.set_sink(sink.clone());
         }
-        self.sink = sink;
-    }
-
-    /// Device state: `Idle` before a pattern is loaded, `Streaming` on
-    /// hardware, `Degraded` once the fallback (or a hard failure) has
-    /// taken the array out of service.
-    pub fn state(&self) -> DeviceState {
-        match &self.device {
-            None => DeviceState::Idle,
-            Some(d) => match d.cascade.mode() {
-                Mode::Hardware => DeviceState::Streaming,
-                Mode::Degraded | Mode::Failed => DeviceState::Degraded,
-            },
-        }
+        self.config.sink = sink;
     }
 
     /// The underlying cascade, for fault injection and telemetry.
     pub fn cascade(&self) -> Option<&SelfHealingCascade> {
-        self.device.as_ref().map(|d| &d.cascade)
+        self.device.as_ref().map(|d| &d.backend)
     }
 
     /// Mutable access to the cascade (the fault-campaign hook).
     pub fn cascade_mut(&mut self) -> Option<&mut SelfHealingCascade> {
-        self.device.as_mut().map(|d| &mut d.cascade)
-    }
-
-    /// Loads (or replaces) the pattern: builds and attach-tests the
-    /// whole board, resets the stream and clears pending events.
-    ///
-    /// # Errors
-    ///
-    /// Any [`FaultError`] from board bring-up.
-    pub fn load_pattern(&mut self, pattern: &Pattern) -> Result<(), FaultError> {
-        let cascade = SelfHealingCascade::with_sink(
-            pattern,
-            self.chips,
-            self.cells_per_chip,
-            self.spares,
-            self.policy,
-            self.sink.clone(),
-        )?;
-        self.device = Some(ResilientDevice {
-            cascade,
-            delivered: 0,
-            events: VecDeque::new(),
-        });
-        Ok(())
-    }
-
-    /// Streams one text byte. Scrubbing, recovery and fallback all
-    /// happen inside this call when they are due.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::Host`] for protocol misuse, plus anything the
-    /// recovery machinery reports.
-    pub fn write_byte(&mut self, byte: u8) -> Result<(), FaultError> {
-        let dev = self
-            .device
-            .as_mut()
-            .ok_or(FaultError::Host(HostError::NoPattern))?;
-        if !dev.cascade.pattern().alphabet().contains(byte) {
-            return Err(FaultError::Host(HostError::BadByte(byte)));
-        }
-        dev.cascade.write(Symbol::new(byte))?;
-        Self::harvest_events(dev);
-        Ok(())
-    }
-
-    /// Streams a whole buffer.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_byte`](Self::write_byte); stops at the first error.
-    pub fn write(&mut self, bytes: &[u8]) -> Result<(), FaultError> {
-        for &b in bytes {
-            self.write_byte(b)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes and checkpoints so every match for bytes already written
-    /// becomes a delivered, final event.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::Host`] (`NoPattern`) if no pattern is loaded, plus
-    /// anything the recovery machinery reports.
-    pub fn flush(&mut self) -> Result<(), FaultError> {
-        let dev = self
-            .device
-            .as_mut()
-            .ok_or(FaultError::Host(HostError::NoPattern))?;
-        while dev.cascade.committed().len() < dev.cascade.chars_in() as usize {
-            dev.cascade.checkpoint()?;
-        }
-        Self::harvest_events(dev);
-        Ok(())
-    }
-
-    fn harvest_events(dev: &mut ResilientDevice) {
-        let k = dev.cascade.pattern().k();
-        let committed = dev.cascade.committed();
-        for (i, &bit) in committed.iter().enumerate().skip(dev.delivered) {
-            if bit && i >= k {
-                dev.events.push_back(MatchEvent {
-                    end: i as u64,
-                    start: (i - k) as u64,
-                });
-            }
-        }
-        dev.delivered = committed.len();
-    }
-
-    /// The interrupt line: asserted while verified events are queued.
-    pub fn irq_pending(&self) -> bool {
-        self.device.as_ref().is_some_and(|d| !d.events.is_empty())
-    }
-
-    /// Pops the oldest verified match event.
-    pub fn read_event(&mut self) -> Option<MatchEvent> {
-        self.device.as_mut()?.events.pop_front()
-    }
-
-    /// Bytes accepted since the pattern was loaded.
-    pub fn bytes_streamed(&self) -> u64 {
-        self.device.as_ref().map_or(0, |d| d.cascade.chars_in())
+        self.device.as_mut().map(|d| &mut d.backend)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::DeviceState;
     use pm_systolic::spec::match_spec;
     use pm_systolic::symbol::text_from_letters;
 
@@ -1418,7 +1349,7 @@ mod tests {
 
     #[test]
     fn resilient_host_bus_delivers_verified_events() {
-        let mut bus = ResilientHostBus::new(3, 2, 1, quick_policy());
+        let mut bus = HostBus::resilient(3, 2, 1, quick_policy());
         assert_eq!(bus.state(), DeviceState::Idle);
         assert!(matches!(
             bus.write_byte(0),
@@ -1453,7 +1384,7 @@ mod tests {
 
     #[test]
     fn resilient_host_bus_survives_mid_stream_fault() {
-        let mut bus = ResilientHostBus::new(3, 2, 2, quick_policy());
+        let mut bus = HostBus::resilient(3, 2, 2, quick_policy());
         let p = Pattern::parse("ABA").unwrap();
         bus.load_pattern(&p).unwrap();
         let text_src = "ABAAB".repeat(10);
@@ -1487,7 +1418,7 @@ mod tests {
         use crate::telemetry::MetricsRegistry;
         use std::sync::Arc;
         let metrics = Arc::new(MetricsRegistry::new());
-        let mut bus = ResilientHostBus::new(3, 2, 2, quick_policy());
+        let mut bus = HostBus::resilient(3, 2, 2, quick_policy());
         bus.set_sink(SinkHandle::new(metrics.clone()));
         let p = Pattern::parse("ABA").unwrap();
         bus.load_pattern(&p).unwrap();

@@ -79,7 +79,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// How wide one batch is: the number of 64-lane machine words packed
@@ -1033,10 +1033,7 @@ impl ThroughputEngine {
         // Every worker runs it, even one whose batches were all stolen,
         // so a fault active from batch 0 quarantines its worker whatever
         // the steal order.
-        if policy.is_some()
-            && condemned.is_none()
-            && !known_answer_test(worker, width, sticky, batch_no)
-        {
+        if policy.is_some() && condemned.is_none() && !known_answer_test(width, sticky, batch_no) {
             condemned = Some("kat_mismatch");
         }
         if condemned.is_some() {
@@ -1414,40 +1411,63 @@ fn add_work(totals: &mut CounterSnapshot, stats: &WorkerStats) {
     totals.lane_slots_total += stats.lane_slots;
 }
 
-/// Runs a deterministic known-answer workload through the worker's own
+/// The known-answer vectors of one width, like the paper's fixed §4
+/// production test: `ABAB` against one 40-char A/B text per lane, and
+/// the spec's answers.
+struct KnownAnswers {
+    pattern: Pattern,
+    compiled: CompiledPattern,
+    texts: Vec<Vec<Symbol>>,
+    answers: Vec<MatchBits>,
+}
+
+/// The width's known-answer vectors, built on first use.
+fn known_answers(width: SuperWidth) -> &'static KnownAnswers {
+    static SETS: [OnceLock<KnownAnswers>; 3] = [const { OnceLock::new() }; 3];
+    SETS[width as usize].get_or_init(|| {
+        let pattern = Pattern::parse("ABAB").expect("A/B are alphabet letters");
+        let mut rng = XorShift64::new(mix(1) ^ 0x04A7_0000);
+        let texts: Vec<Vec<Symbol>> = (0..width.lanes())
+            .map(|_| {
+                let len = 40usize;
+                let mut s: String = (0..len)
+                    .map(|_| if rng.next_u64() & 1 == 1 { 'A' } else { 'B' })
+                    .collect();
+                // Plant one guaranteed match so a stuck-at-false lane is
+                // always distinguishable from an honest all-miss lane.
+                let at = rng.bounded(len as u64 - 4) as usize;
+                s.replace_range(at..at + 4, "ABAB");
+                text_from_letters(&s).expect("A/B are alphabet letters")
+            })
+            .collect();
+        let answers = texts
+            .iter()
+            .map(|t| MatchBits::new(match_spec(t, &pattern), pattern.k()))
+            .collect();
+        KnownAnswers {
+            compiled: CompiledPattern::compile(&pattern),
+            pattern,
+            texts,
+            answers,
+        }
+    })
+}
+
+/// Runs the width's known-answer vectors through the worker's own
 /// datapath — the run-width kernel and any sticky data fault — and
-/// checks every lane against the scalar spec. The pattern is compiled
-/// once and executed twice; the second round stands for the cache hit
-/// that flushes out [`PlaneFault::CachePoison`].
+/// checks every lane against the known answers. The vectors run
+/// twice; the second round stands for the cache hit that flushes out
+/// [`PlaneFault::CachePoison`].
 /// Liveness faults (stall, panic) are not replayed: they cannot
 /// corrupt data and are caught by the watchdog and `catch_unwind`
 /// during real batches.
-fn known_answer_test(
-    worker: usize,
-    width: SuperWidth,
-    sticky: Option<StickyFault>,
-    batches_started: u64,
-) -> bool {
-    let Ok(pattern) = Pattern::parse("ABAB") else {
-        return false;
-    };
-    let mut rng = XorShift64::new(mix(worker as u64 + 1) ^ 0x04A7_0000);
-    let texts: Vec<Vec<Symbol>> = (0..width.lanes())
-        .map(|_| {
-            let len = 40usize;
-            let mut s: String = (0..len)
-                .map(|_| if rng.next_u64() & 1 == 1 { 'A' } else { 'B' })
-                .collect();
-            // Plant one guaranteed match so a stuck-at-false lane is
-            // always distinguishable from an honest all-miss lane.
-            let at = rng.bounded(len as u64 - 4) as usize;
-            s.replace_range(at..at + 4, "ABAB");
-            text_from_letters(&s).expect("A/B are alphabet letters")
-        })
+fn known_answer_test(width: SuperWidth, sticky: Option<StickyFault>, batches_started: u64) -> bool {
+    let kat = known_answers(width);
+    let lanes: Vec<(&CompiledPattern, &[Symbol])> = kat
+        .texts
+        .iter()
+        .map(|t| (&kat.compiled, t.as_slice()))
         .collect();
-    let compiled = CompiledPattern::compile(&pattern);
-    let lanes: Vec<(&CompiledPattern, &[Symbol])> =
-        texts.iter().map(|t| (&compiled, t.as_slice())).collect();
     for round in 0..2u64 {
         let cache_hit = round == 1;
         let Ok(mut hits) = run_lanes(width, &lanes) else {
@@ -1456,13 +1476,11 @@ fn known_answer_test(
         if let Some(f) =
             sticky.filter(|f| f.kind.corrupts_data() && f.onset <= batches_started + round)
         {
-            let ks = std::iter::repeat(pattern.k());
+            let ks = std::iter::repeat(kat.pattern.k());
             corrupt_hits(f, mix(batches_started + round), &mut hits, ks, cache_hit);
         }
-        for (hit, text) in hits.iter().zip(&texts) {
-            if hit.bits() != match_spec(text, &pattern).as_slice() {
-                return false;
-            }
+        if hits != kat.answers {
+            return false;
         }
     }
     true
@@ -2139,7 +2157,7 @@ pub(crate) mod tests {
     fn known_answer_test_passes_clean_and_fails_corrupt() {
         for width in [SuperWidth::W1, SuperWidth::W4, SuperWidth::W8] {
             assert!(
-                known_answer_test(0, width, None, 3),
+                known_answer_test(width, None, 3),
                 "clean datapath must pass at {width}"
             );
             for kind in [
@@ -2154,7 +2172,7 @@ pub(crate) mod tests {
                     salt: 0x1234_5677, // odd, like the plan draws
                 };
                 assert!(
-                    !known_answer_test(1, width, Some(sticky), 3),
+                    !known_answer_test(width, Some(sticky), 3),
                     "{kind:?} must fail the KAT at {width}"
                 );
             }

@@ -1,18 +1,20 @@
 //! A blocking client for the match service.
 //!
-//! [`MatchClient`] wraps a `TcpStream` in the blocking half of the
-//! codec and exposes one method per request frame. `SERVER_BUSY`
-//! answers surface as [`ClientError::Busy`] carrying the server's
-//! retry hint; [`MatchClient::feed_with_retry`] and
+//! [`MatchClient`] writes requests to a `TcpStream` with
+//! [`write_frame`], reads replies through one [`Decoder`] (a single
+//! `read` can bring a whole reply, several frames long), and exposes
+//! one method per request frame. `SERVER_BUSY` answers surface as
+//! [`ClientError::Busy`] carrying the server's retry hint;
+//! [`MatchClient::feed_with_retry`] and
 //! [`MatchClient::open_session_with_retry`] honour the hint by
 //! sleeping and retrying, which is the whole backpressure contract
 //! from the client's side. Used by the e2e tests, the loadtest figure
 //! and `examples/serve_client.rs`.
 
 use crate::protocol::{
-    read_frame, write_frame, BusyReason, ErrorCode, Frame, Match, PROTOCOL_VERSION,
+    write_frame, BusyReason, Decoder, ErrorCode, Frame, Match, PROTOCOL_VERSION,
 };
-use std::io;
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -73,9 +75,16 @@ pub type Result<T> = std::result::Result<T, ClientError>;
 #[derive(Debug)]
 pub struct MatchClient {
     stream: TcpStream,
+    /// Reply bytes read but not yet taken as frames.
+    decoder: Decoder,
+    /// The buffer every `read` of the socket fills.
+    buf: Vec<u8>,
     /// The server's advertised frame ceiling, from `HELLO_OK`.
     max_frame: u32,
 }
+
+/// Bytes one `read` of the socket may bring.
+const READ_BUF: usize = 64 << 10;
 
 impl MatchClient {
     /// Connects and performs the `HELLO`/`HELLO_OK` handshake.
@@ -84,6 +93,8 @@ impl MatchClient {
         stream.set_nodelay(true)?;
         let mut client = MatchClient {
             stream,
+            decoder: Decoder::new(),
+            buf: vec![0; READ_BUF],
             max_frame: crate::protocol::MAX_FRAME,
         };
         match client.request(&Frame::Hello {
@@ -107,8 +118,24 @@ impl MatchClient {
         Ok(())
     }
 
+    /// The next reply frame: from the bytes already read if they hold
+    /// one, else from as many reads as it takes.
+    fn read_frame(&mut self) -> io::Result<Frame> {
+        loop {
+            if let Some(frame) = self.decoder.next()? {
+                return Ok(frame);
+            }
+            match self.stream.read(&mut self.buf) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.decoder.push(&self.buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     fn recv(&mut self) -> Result<Frame> {
-        match read_frame(&mut self.stream)? {
+        match self.read_frame()? {
             Frame::ServerBusy {
                 reason,
                 retry_after_ms,

@@ -29,8 +29,10 @@
 //! spanning chunk boundaries exact.
 //!
 //! [`Decoder`] is the incremental half (the server reads nonblocking
-//! sockets, so frames arrive split at arbitrary byte boundaries);
-//! [`read_frame`]/[`write_frame`] are the blocking half for clients.
+//! sockets, so frames arrive split at arbitrary byte boundaries, and
+//! the client reads whatever one `read` brings);
+//! [`read_frame`]/[`write_frame`] are the blocking half for clients
+//! and tests.
 
 use std::io::{self, Read, Write};
 

@@ -19,12 +19,17 @@
 //! [`MatchServer::shutdown`] writes to every one after setting `stop`.
 //! Each thread drains its wake fd *before* it checks its channel and
 //! `stop`, so a wake-up posted after the drain stays unread and ends
-//! the next wait at once: none is lost. A worker waits for `POLLIN` on
-//! every connection and for `POLLOUT` only on those with a backlogged
-//! outbox; its timeout is the nearest idle-watchdog deadline, or
-//! infinite with the watchdog off. `poll` is declared through
-//! `extern "C"` (std already links libc on Linux), and calling it in
-//! `readiness` is the crate's only `unsafe`.
+//! the next wait at once: none is lost. A worker drains only when
+//! `poll` flagged the fd, and once before its first wait. That loses
+//! none either: an unflagged fd held no byte when `poll` looked, so a
+//! wake-up posted since is still unread and ends the next wait. A
+//! worker waits for `POLLIN` on every connection and for `POLLOUT`
+//! only on those with a backlogged outbox; its timeout is the nearest
+//! idle-watchdog deadline, or infinite with the watchdog off. It stops
+//! reading a socket after a read shorter than its buffer: `poll` is
+//! level-triggered, so bytes that arrive later end the next wait.
+//! `poll` is declared through `extern "C"` (std already links libc on
+//! Linux), and calling it in `readiness` is the crate's only `unsafe`.
 //!
 //! Lifecycle: [`MatchServer::start`] binds and spawns, `local_addr`
 //! tells tests the ephemeral port, [`MatchServer::shutdown`] stops the
@@ -254,8 +259,13 @@ fn worker_loop(
     let mut wires: Vec<Wire> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut buf = vec![0u8; READ_BUF];
-    // Drain before `try_recv` and `stop`: see the module docs.
-    while drain_wakes(&wake) {
+    // Drain before `try_recv` and `stop`, and only when `poll` flagged
+    // the wake fd (or before the first wait): see the module docs.
+    let mut woken = true;
+    loop {
+        if woken && !drain_wakes(&wake) {
+            return;
+        }
         // Adopt new connections.
         loop {
             match rx.try_recv() {
@@ -311,6 +321,7 @@ fn worker_loop(
             &mut fds,
             deadline.map(|d| d.saturating_duration_since(Instant::now())),
         );
+        woken = fds[0].revents != 0;
     }
 }
 
@@ -373,7 +384,8 @@ impl Wire {
     /// One multiplexer turn: read what's there, handle complete
     /// frames, flush what the socket will take.
     fn poll(&mut self, buf: &mut [u8]) {
-        // Read until the socket runs dry (or errors/hangs up).
+        // Read until a read comes back short (or errors/hangs up):
+        // level-triggered `poll` reports anything that arrives later.
         loop {
             match self.stream.read(buf) {
                 Ok(0) => {
@@ -384,6 +396,9 @@ impl Wire {
                 Ok(n) => {
                     self.last_activity = Instant::now();
                     self.decoder.push(&buf[..n]);
+                    if n < buf.len() {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,

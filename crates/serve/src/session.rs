@@ -20,8 +20,9 @@
 //! and releases it when the chunk has been matched. Exhaustion is answered with
 //! `SERVER_BUSY` and a retry hint paced by the host
 //! [`RetryPolicy`](pm_chip::host::RetryPolicy) — the same
-//! stall/backoff discipline `ResilientHostBus` applies to sick
-//! hardware, pointed the other way.
+//! stall/backoff discipline the self-healing host bus
+//! (`HostBus::resilient`) applies to sick hardware, pointed the other
+//! way.
 
 use crate::config::ServeConfig;
 use crate::protocol::{BusyReason, ErrorCode, Frame, Match};

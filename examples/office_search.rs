@@ -3,8 +3,9 @@
 //! The paper cites a proposal to use string-matching hardware in office
 //! automation systems. This example plays that role: ASCII documents
 //! (8-bit characters, so an 8-row bit-serial chip), a query with wild
-//! cards, the chip mounted as a host peripheral ([`HostBus`]), and a
-//! pattern longer than one card handled by §3.4's multi-pass protocol.
+//! cards, the chip mounted as a host peripheral (a bare card on the
+//! host bus, [`HostBus::new`]), and a pattern longer than one card
+//! handled by §3.4's multi-pass protocol.
 //!
 //! ```text
 //! cargo run --example office_search

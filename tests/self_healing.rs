@@ -103,7 +103,7 @@ fn resilient_host_bus_end_to_end_events_survive_a_fault() {
     let golden = match_spec(&text, &pattern);
     let k = pattern.k();
 
-    let mut bus = ResilientHostBus::new(5, 8, 2, policy());
+    let mut bus = HostBus::resilient(5, 8, 2, policy());
     bus.load_pattern(&pattern).unwrap();
     let bytes: Vec<u8> = text.iter().map(|s| s.value()).collect();
     let mid = bytes.len() / 2;
