@@ -40,6 +40,7 @@
 
 use crate::host::HostError;
 use crate::recovery::ChipFault;
+use pm_systolic::engine::MatchBits;
 use std::fmt;
 
 /// A splitmix64-style bit finaliser: spreads a small integer (worker
@@ -364,48 +365,38 @@ impl FaultPlan {
 }
 
 /// Applies a sticky fault's datapath corruption to one batch's result
-/// bits (one `Vec<bool>` per lane). `salt` should vary per batch (mix
-/// the worker salt with the batch number); `cache_hit` reports whether
-/// the batch's pattern lookup was served from cache, which is what
-/// [`PlaneFault::CachePoison`] keys on. Returns `true` if any bit
-/// changed — [`PlaneFault::WorkerStall`] / [`PlaneFault::WorkerPanic`]
-/// never corrupt data and always return `false`.
-pub fn corrupt_bits(kind: PlaneFault, salt: u64, lanes: &mut [Vec<bool>], cache_hit: bool) -> bool {
-    match kind {
-        PlaneFault::LaneUpset => flip_one_bit(salt, lanes),
-        PlaneFault::CachePoison => cache_hit && flip_one_bit(salt, lanes),
-        PlaneFault::StuckComparator { level } => {
-            if lanes.is_empty() {
-                return false;
-            }
-            let lane = (salt % lanes.len() as u64) as usize;
-            let mut changed = false;
-            for bit in &mut lanes[lane] {
-                changed |= *bit != level;
-                *bit = level;
-            }
-            changed
-        }
-        PlaneFault::WorkerStall | PlaneFault::WorkerPanic => false,
-    }
-}
-
-/// Flips one result bit in the first non-empty lane at or after the
-/// salt-chosen one. Returns `false` only when every lane is empty.
-fn flip_one_bit(salt: u64, lanes: &mut [Vec<bool>]) -> bool {
+/// lanes in place. `salt` should vary per batch (mix the worker salt
+/// with the batch number); `cache_hit` reports whether the batch's
+/// pattern lookup was served from cache, which is what
+/// [`PlaneFault::CachePoison`] keys on. A lane upset (or a poisoned
+/// hit) flips position `(salt >> 16) % len` of the first non-empty lane
+/// from lane `salt % lanes`; a stuck comparator sets every bit of lane
+/// `salt % lanes` to its level. Returns `true` if any bit changed —
+/// [`PlaneFault::WorkerStall`] / [`PlaneFault::WorkerPanic`] never
+/// corrupt data and always return `false`.
+pub fn corrupt_bits(kind: PlaneFault, salt: u64, lanes: &mut [MatchBits], cache_hit: bool) -> bool {
     if lanes.is_empty() {
         return false;
     }
     let start = (salt % lanes.len() as u64) as usize;
-    for off in 0..lanes.len() {
-        let lane = &mut lanes[(start + off) % lanes.len()];
-        if !lane.is_empty() {
-            let pos = ((salt >> 16) % lane.len() as u64) as usize;
-            lane[pos] = !lane[pos];
-            return true;
-        }
+    match kind {
+        PlaneFault::LaneUpset => flip_one_bit(salt, start, lanes),
+        PlaneFault::CachePoison => cache_hit && flip_one_bit(salt, start, lanes),
+        PlaneFault::StuckComparator { level } => lanes[start].fill(level),
+        PlaneFault::WorkerStall | PlaneFault::WorkerPanic => false,
     }
-    false
+}
+
+/// Flips one result bit in the first non-empty lane at or after
+/// `start`, wrapping. Returns `false` only when every lane is empty.
+fn flip_one_bit(salt: u64, start: usize, lanes: &mut [MatchBits]) -> bool {
+    let (before, after) = lanes.split_at_mut(start);
+    after
+        .iter_mut()
+        .chain(before)
+        .find(|lane| !lane.is_empty())
+        .map(|lane| lane.flip(((salt >> 16) % lane.len() as u64) as usize))
+        .is_some()
 }
 
 #[cfg(test)]
@@ -523,9 +514,25 @@ mod tests {
         assert!(c.source().is_none());
     }
 
+    /// Positions whose bit differs between two batches, as
+    /// `(lane, position)`.
+    fn changed(before: &[MatchBits], after: &[MatchBits]) -> Vec<(usize, usize)> {
+        let mut sites = Vec::new();
+        for (lane, (a, b)) in before.iter().zip(after).enumerate() {
+            let (a, b) = (a.bits(), b.bits());
+            sites.extend((0..a.len()).filter(|&i| a[i] != b[i]).map(|i| (lane, i)));
+        }
+        sites
+    }
+
     #[test]
     fn corruption_changes_exactly_what_it_claims() {
-        let mk = || vec![vec![true, false, true], vec![false, false, false]];
+        let mk = || {
+            vec![
+                MatchBits::from_ends(vec![0, 2], 3, 0),
+                MatchBits::from_ends(Vec::new(), 3, 0),
+            ]
+        };
         // LaneUpset flips exactly one bit.
         let mut lanes = mk();
         assert!(corrupt_bits(
@@ -534,13 +541,7 @@ mod tests {
             &mut lanes,
             false
         ));
-        let diff: usize = lanes
-            .iter()
-            .flatten()
-            .zip(mk().iter().flatten())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(diff, 1);
+        assert_eq!(changed(&mk(), &lanes).len(), 1);
         // Poison only bites on cache hits.
         let mut lanes = mk();
         assert!(!corrupt_bits(PlaneFault::CachePoison, 7, &mut lanes, false));
@@ -554,7 +555,7 @@ mod tests {
             &mut lanes,
             false
         ));
-        assert!(lanes[0].iter().all(|&b| b));
+        assert!(lanes[0].bits().iter().all(|&b| b));
         // Stall and panic never touch data.
         let mut lanes = mk();
         assert!(!corrupt_bits(PlaneFault::WorkerStall, 1, &mut lanes, true));
@@ -562,7 +563,71 @@ mod tests {
         assert_eq!(lanes, mk());
         // Empty batches cannot be corrupted.
         assert!(!corrupt_bits(PlaneFault::LaneUpset, 1, &mut [], true));
-        let mut empties = vec![Vec::new(), Vec::new()];
+        let mut empties = vec![MatchBits::from_ends(Vec::new(), 0, 0); 2];
         assert!(!corrupt_bits(PlaneFault::LaneUpset, 1, &mut empties, true));
+    }
+
+    /// The corruption sites each salt draws over a ragged batch with
+    /// empty lanes (lengths 0, 5, 0, 7, 3, 0), recorded on the dense
+    /// `Vec<bool>` form this function had before it took `MatchBits`:
+    /// `(salt, lane and position a LaneUpset or poisoned hit flips,
+    /// lane a StuckComparator forces)`. Equal seeds must corrupt the
+    /// same bits whatever form the lanes are held in.
+    #[test]
+    fn fault_draws_are_pinned_across_result_forms() {
+        let ragged = || {
+            [
+                (0, vec![]),
+                (5, vec![1, 4]),
+                (0, vec![]),
+                (7, vec![0, 6]),
+                (3, vec![2]),
+                (0, vec![]),
+            ]
+            .map(|(len, ends)| MatchBits::from_ends(ends, len, 0))
+        };
+        let draws: [(u64, (usize, usize), usize); 8] = [
+            (0x1d0b_14e4_db01_8fed, (3, 6), 3),
+            (0x6303_3b0c_a389_c35a, (3, 4), 2),
+            (0x9e56_51b0_ef95_3636, (4, 1), 4),
+            (0xbc40_75f2_ef43_1a44, (1, 2), 0),
+            (0x875b_9307_abf5_5005, (1, 1), 5),
+            (0xc4ca_37b7_f8ad_8aff, (1, 2), 1),
+            (0x3_0001, (1, 3), 1),
+            (u64::MAX, (3, 0), 3),
+        ];
+        for (salt, site, stuck) in draws {
+            for (kind, cache_hit) in [
+                (PlaneFault::LaneUpset, false),
+                (PlaneFault::CachePoison, true),
+            ] {
+                let mut lanes = ragged();
+                assert!(corrupt_bits(kind, salt, &mut lanes, cache_hit));
+                assert_eq!(
+                    changed(&ragged(), &lanes),
+                    vec![site],
+                    "{kind} at {salt:#x}"
+                );
+            }
+            for level in [false, true] {
+                let mut lanes = ragged();
+                let hit = corrupt_bits(
+                    PlaneFault::StuckComparator { level },
+                    salt,
+                    &mut lanes,
+                    false,
+                );
+                let want: Vec<(usize, usize)> = (0..ragged()[stuck].len())
+                    .filter(|&i| ragged()[stuck].bit(i) != level)
+                    .map(|i| (stuck, i))
+                    .collect();
+                assert_eq!(
+                    changed(&ragged(), &lanes),
+                    want,
+                    "stuck-at-{level} at {salt:#x}"
+                );
+                assert_eq!(hit, !want.is_empty());
+            }
+        }
     }
 }

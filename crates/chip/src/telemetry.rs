@@ -318,6 +318,8 @@ metrics! {
         ladder_words: "pm_ladder_words", "Current degradation-ladder rung in words (0 = software).";
         shard_queue_depth: "pm_shard_queue_depth",
             "High-water mark of jobs admitted to any one shard per routing round.";
+        outbox_high_water: "pm_outbox_high_water_bytes",
+            "High-water mark of reply bytes any one front-door connection held unsent.";
     }
     histograms {
         batch_occupancy: "pm_batch_occupancy", "Lane slots carried per word batch.",
@@ -427,6 +429,9 @@ impl TraceSink for MetricsRegistry {
             }
             TraceEvent::EventsDelivered { events, .. } => self.events_delivered.add(events),
             TraceEvent::BackpressureSignalled { .. } => self.backpressure_signals.add(1),
+            TraceEvent::OutboxBacklog { bytes } => {
+                self.outbox_high_water.fetch_max(bytes, Ordering::Relaxed);
+            }
             TraceEvent::BatchStolen { .. } => self.batch_steals.add(1),
             TraceEvent::RouterPlanned {
                 jobs,

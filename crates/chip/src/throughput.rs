@@ -37,7 +37,12 @@
 //!   installed [`ResiliencePolicy`] adds fault tolerance to that loop —
 //!   a watchdog, lane scrubbing, `catch_unwind` containment and an exit
 //!   known-answer test gating each worker's commit — plus a recovery
-//!   ladder for whatever a condemned worker left unresolved;
+//!   ladder for whatever a condemned worker left unresolved. All three
+//!   checks hold lanes in the kernel's own sparse [`MatchBits`] form and
+//!   compare them with `==` against one truth, the scalar spec's answer
+//!   (`spec_answer`); the chaos harness corrupts that same form in
+//!   place ([`corrupt_bits`]), and the ladder's software rung commits
+//!   the spec's answer it already holds;
 //! * per-worker [`WorkerStats`] and whole-run rates (chars/sec, lane
 //!   occupancy, cache hit rate) are surfaced through the
 //!   [`counters`](crate::counters) module.
@@ -67,7 +72,6 @@
 use crate::counters::CounterSnapshot;
 use crate::faults::{corrupt_bits, mix, FaultPlan, PlaneFault, StickyFault, XorShift64};
 use crate::host::RetryPolicy;
-use pm_matchers::software_fallback;
 use pm_systolic::batch::CompiledPattern;
 use pm_systolic::engine::MatchBits;
 use pm_systolic::error::Error;
@@ -962,15 +966,7 @@ impl ThroughputEngine {
                         label: f.kind.label(),
                     });
                     faults_injected += 1;
-                    apply_sticky(
-                        f,
-                        batch_no,
-                        stall_millis,
-                        members,
-                        jobs,
-                        &mut hits,
-                        looked.hits > 0,
-                    );
+                    apply_sticky(f, batch_no, stall_millis, &mut hits, looked.hits > 0);
                 }
                 Ok(hits)
             };
@@ -1004,7 +1000,7 @@ impl ThroughputEngine {
                 {
                     let pos = scrub_rng.bounded(members.len() as u64 - 1) as usize;
                     let i = members[pos];
-                    if hits[pos].bits() != match_spec(jobs[i].text, jobs[i].pattern).as_slice() {
+                    if hits[pos] != spec_answer(jobs[i].text, jobs[i].pattern) {
                         sink.record(TraceEvent::ScrubMismatch {
                             worker: worker as u32,
                             batch: b as u64,
@@ -1054,9 +1050,10 @@ impl ThroughputEngine {
     }
 
     /// Re-executes unresolved jobs down the ladder: group by pattern at
-    /// the rung's width, retry with backoff, verify *every* lane
-    /// against the scalar spec, descend on failure, land on the
-    /// software fallback when hardware rungs are exhausted. Returns the
+    /// the rung's width, retry with backoff, compare *every* lane with
+    /// the scalar spec's answer (`spec_answer`), descend on failure,
+    /// and commit that answer — from a verified rung or, once the
+    /// hardware rungs are exhausted, as the software rung. Returns the
     /// deepest hardware rung index recovery used (`rung0` when nothing
     /// needed recovery; `rungs.len()` when the fallback was needed) and
     /// the work the recovered chunks committed.
@@ -1088,98 +1085,70 @@ impl ThroughputEngine {
             for chunk in members.chunks(narrow) {
                 let batch: Vec<(&CompiledPattern, &[Symbol])> =
                     chunk.iter().map(|&i| (&compiled, jobs[i].text)).collect();
-                let truth: Vec<Vec<bool>> = chunk
+                let truth: Vec<MatchBits> = chunk
                     .iter()
-                    .map(|&i| match_spec(jobs[i].text, pattern))
+                    .map(|&i| spec_answer(jobs[i].text, pattern))
                     .collect();
-                let mut committed = false;
-                for (ri, &rung) in rungs.iter().enumerate().skip(rung0) {
-                    let attempts = policy.retry.max_retries.max(1);
-                    for attempt in 1..=attempts {
-                        if attempt > 1 {
-                            let beats = policy.retry.backoff_beats(attempt - 1);
-                            self.sink.record(TraceEvent::HostRetry {
+                // The first rung whose lanes equal the spec's answer.
+                let landed = 'rungs: {
+                    for (ri, &rung) in rungs.iter().enumerate().skip(rung0) {
+                        let attempts = policy.retry.max_retries.max(1);
+                        for attempt in 1..=attempts {
+                            if attempt > 1 {
+                                let beats = policy.retry.backoff_beats(attempt - 1);
+                                self.sink.record(TraceEvent::HostRetry {
+                                    attempt,
+                                    backoff_beats: beats,
+                                });
+                                let nap = policy
+                                    .beat
+                                    .saturating_mul(beats.min(u64::from(u32::MAX)) as u32);
+                                std::thread::sleep(nap);
+                            }
+                            self.sink.record(TraceEvent::BatchRetried {
+                                batch: chunk_no as u64,
                                 attempt,
-                                backoff_beats: beats,
+                                words: rung.words() as u32,
                             });
-                            let nap = policy
-                                .beat
-                                .saturating_mul(beats.min(u64::from(u32::MAX)) as u32);
-                            std::thread::sleep(nap);
-                        }
-                        self.sink.record(TraceEvent::BatchRetried {
-                            batch: chunk_no as u64,
-                            attempt,
-                            words: rung.words() as u32,
-                        });
-                        report.retried_batches += 1;
-                        let Ok(hits) = run_lanes(rung, &batch) else {
-                            continue;
-                        };
-                        let mut lanes: Vec<Vec<bool>> = hits.iter().map(|h| h.bits()).collect();
-                        // An armed plan can fail the rung itself,
-                        // modelling damage wider than one worker.
-                        if let Some(plan) = self.chaos.as_ref() {
-                            if plan.rung_fails(chunk_no, ri) {
-                                corrupt_bits(
-                                    PlaneFault::LaneUpset,
-                                    plan.seed() ^ mix((chunk_no as u64) << 8 | ri as u64),
-                                    &mut lanes,
-                                    true,
-                                );
+                            report.retried_batches += 1;
+                            let Ok(mut hits) = run_lanes(rung, &batch) else {
+                                continue;
+                            };
+                            // An armed plan can fail the rung itself,
+                            // modelling damage wider than one worker.
+                            if let Some(plan) = self.chaos.as_ref() {
+                                if plan.rung_fails(chunk_no, ri) {
+                                    corrupt_bits(
+                                        PlaneFault::LaneUpset,
+                                        plan.seed() ^ mix((chunk_no as u64) << 8 | ri as u64),
+                                        &mut hits,
+                                        true,
+                                    );
+                                }
+                            }
+                            if hits == truth {
+                                break 'rungs Some((ri, rung));
                             }
                         }
-                        if lanes == truth {
-                            commit_recovered(
-                                chunk,
-                                lanes,
-                                jobs,
-                                outputs,
-                                &mut booked,
-                                &self.sink,
-                                rung,
-                            );
-                            committed = true;
-                            deepest = deepest.max(ri);
-                            break;
-                        }
+                        // This rung failed every attempt: step down.
+                        let next_words = rungs.get(ri + 1).map_or(0, |r| r.words());
+                        self.sink.record(TraceEvent::LadderMoved {
+                            words: next_words as u32,
+                            down: true,
+                        });
+                        report.demotions += 1;
                     }
-                    if committed {
-                        break;
-                    }
-                    // This rung failed every attempt: step down.
-                    let next_words = rungs.get(ri + 1).map_or(0, |r| r.words());
-                    self.sink.record(TraceEvent::LadderMoved {
-                        words: next_words as u32,
-                        down: true,
-                    });
-                    report.demotions += 1;
-                }
-                if !committed {
-                    // Software rung: exact by construction.
-                    deepest = rungs.len();
+                    None
+                };
+                // A verified rung's lanes equal the spec's answer, and
+                // the software rung commits that answer itself.
+                let (ri, width) = landed.unwrap_or_else(|| {
                     self.sink.record(TraceEvent::FallbackEngaged);
                     report.fallback_jobs += chunk.len() as u64;
-                    let matcher = software_fallback(pattern);
-                    let lanes: Vec<Vec<bool>> = chunk
-                        .iter()
-                        .zip(&truth)
-                        .map(|(&i, t)| {
-                            matcher
-                                .find(jobs[i].text, pattern)
-                                .unwrap_or_else(|_| t.clone())
-                        })
-                        .collect();
-                    commit_recovered(
-                        chunk,
-                        lanes,
-                        jobs,
-                        outputs,
-                        &mut booked,
-                        &self.sink,
-                        rungs[rungs.len() - 1],
-                    );
-                }
+                    (rungs.len(), rungs[rungs.len() - 1])
+                });
+                deepest = deepest.max(ri);
+                commit_recovered(chunk, truth, jobs, outputs, &mut booked, &self.sink, width);
                 chunk_no += 1;
             }
         }
@@ -1256,38 +1225,14 @@ fn apply_sticky(
     fault: StickyFault,
     batch_no: u64,
     stall_millis: u64,
-    members: &[usize],
-    jobs: &[JobRef<'_>],
     hits: &mut [MatchBits],
     cache_hit: bool,
 ) {
     match fault.kind {
         PlaneFault::WorkerStall => std::thread::sleep(Duration::from_millis(stall_millis)),
         PlaneFault::WorkerPanic => panic!("injected fault: worker panic"),
-        _ => corrupt_hits(
-            fault,
-            mix(batch_no),
-            hits,
-            members.iter().map(|&i| jobs[i].pattern.k()),
-            cache_hit,
-        ),
-    }
-}
-
-/// Corrupts result lanes in place through [`corrupt_bits`], salted by
-/// `fault.salt ^ stir`, rewrapping each changed lane with its
-/// pattern's `k` (one per lane, in order).
-fn corrupt_hits(
-    fault: StickyFault,
-    stir: u64,
-    hits: &mut [MatchBits],
-    ks: impl IntoIterator<Item = usize>,
-    cache_hit: bool,
-) {
-    let mut lanes: Vec<Vec<bool>> = hits.iter().map(|h| h.bits()).collect();
-    if corrupt_bits(fault.kind, fault.salt ^ stir, &mut lanes, cache_hit) {
-        for ((hit, bits), k) in hits.iter_mut().zip(lanes).zip(ks) {
-            *hit = MatchBits::new(bits, k);
+        _ => {
+            corrupt_bits(fault.kind, fault.salt ^ mix(batch_no), hits, cache_hit);
         }
     }
 }
@@ -1368,12 +1313,12 @@ fn book_pending(
     stats.lane_slots += slots;
 }
 
-/// Commits one recovery chunk: spec-verified (or software-exact) lanes
-/// become outputs, booked into `booked` and traced under the
+/// Commits one recovery chunk: the spec's answers become outputs,
+/// booked into `booked` at the rung's `width` and traced under the
 /// coordinator's pseudo-worker id `u32::MAX`.
 fn commit_recovered(
     chunk: &[usize],
-    lanes: Vec<Vec<bool>>,
+    lanes: Vec<MatchBits>,
     jobs: &[JobRef<'_>],
     outputs: &mut [Option<JobOutput>],
     booked: &mut WorkerStats,
@@ -1381,10 +1326,9 @@ fn commit_recovered(
     width: SuperWidth,
 ) {
     let mut chars = 0u64;
-    for (&i, bits) in chunk.iter().zip(lanes) {
+    for (&i, hits) in chunk.iter().zip(lanes) {
         let job = &jobs[i];
         chars += job.text.len() as u64;
-        let hits = MatchBits::new(bits, job.pattern.k());
         if sink.enabled() {
             sink.record(TraceEvent::JobCompleted {
                 job: job.id,
@@ -1411,11 +1355,17 @@ fn add_work(totals: &mut CounterSnapshot, stats: &WorkerStats) {
     totals.lane_slots_total += stats.lane_slots;
 }
 
+/// The scalar spec's answer for one job, in the form the kernel
+/// reports: the one truth the sampled-lane scrub, the known-answer test
+/// and the recovery ladder compare lanes with.
+fn spec_answer(text: &[Symbol], pattern: &Pattern) -> MatchBits {
+    MatchBits::new(match_spec(text, pattern), pattern.k())
+}
+
 /// The known-answer vectors of one width, like the paper's fixed §4
 /// production test: `ABAB` against one 40-char A/B text per lane, and
 /// the spec's answers.
 struct KnownAnswers {
-    pattern: Pattern,
     compiled: CompiledPattern,
     texts: Vec<Vec<Symbol>>,
     answers: Vec<MatchBits>,
@@ -1440,15 +1390,10 @@ fn known_answers(width: SuperWidth) -> &'static KnownAnswers {
                 text_from_letters(&s).expect("A/B are alphabet letters")
             })
             .collect();
-        let answers = texts
-            .iter()
-            .map(|t| MatchBits::new(match_spec(t, &pattern), pattern.k()))
-            .collect();
         KnownAnswers {
             compiled: CompiledPattern::compile(&pattern),
-            pattern,
+            answers: texts.iter().map(|t| spec_answer(t, &pattern)).collect(),
             texts,
-            answers,
         }
     })
 }
@@ -1476,8 +1421,12 @@ fn known_answer_test(width: SuperWidth, sticky: Option<StickyFault>, batches_sta
         if let Some(f) =
             sticky.filter(|f| f.kind.corrupts_data() && f.onset <= batches_started + round)
         {
-            let ks = std::iter::repeat(kat.pattern.k());
-            corrupt_hits(f, mix(batches_started + round), &mut hits, ks, cache_hit);
+            corrupt_bits(
+                f.kind,
+                f.salt ^ mix(batches_started + round),
+                &mut hits,
+                cache_hit,
+            );
         }
         if hits != kat.answers {
             return false;

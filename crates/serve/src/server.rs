@@ -23,24 +23,33 @@
 //! `poll` flagged the fd, and once before its first wait. That loses
 //! none either: an unflagged fd held no byte when `poll` looked, so a
 //! wake-up posted since is still unread and ends the next wait. A
-//! worker waits for `POLLIN` on every connection and for `POLLOUT`
-//! only on those with a backlogged outbox; its timeout is the nearest
-//! idle-watchdog deadline, or infinite with the watchdog off. It stops
-//! reading a socket after a read shorter than its buffer: `poll` is
-//! level-triggered, so bytes that arrive later end the next wait.
+//! worker waits for `POLLOUT` on every connection with unsent replies,
+//! and for `POLLIN` on every connection with at most half of
+//! [`OUTBOX_MARK`] unsent; its timeout is the nearest idle-watchdog
+//! deadline, or infinite with the watchdog off. Past half the mark a
+//! connection decodes and reads nothing, so a client that does not
+//! read its replies is stalled by TCP flow control instead of growing
+//! the server's memory. A connection's turn flushes before it decodes
+//! again, so the turn `POLLOUT` starts also decodes the frames it had
+//! buffered. Each turn therefore ends in one of two states, and
+//! neither loses a wake-up: past half the mark, waiting on `POLLOUT`;
+//! or with no complete frame buffered and its socket read short,
+//! waiting on `POLLIN` — `poll` is level-triggered, so bytes that
+//! arrive later end the next wait.
 //! `poll` is declared through `extern "C"` (std already links libc on
 //! Linux), and calling it in `readiness` is the crate's only `unsafe`.
 //!
 //! Lifecycle: [`MatchServer::start`] binds and spawns, `local_addr`
 //! tells tests the ephemeral port, [`MatchServer::shutdown`] stops the
 //! loops and joins every thread. The stall watchdog reaps connections
-//! that stay silent past `idle_timeout_ms`, returning their sessions
-//! to the admission cap.
+//! that neither send a byte nor take one for `idle_timeout_ms`,
+//! returning their sessions to the admission cap.
 
 use crate::config::ServeConfig;
-use crate::protocol::{Decoder, ErrorCode, Frame};
+use crate::protocol::{Decoder, ErrorCode, Frame, MAX_FRAME};
 use crate::session::{Conn, Shared};
 use pm_chip::telemetry::MetricsRegistry;
+use pm_systolic::telemetry::{SinkHandle, TraceEvent};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -54,6 +63,15 @@ use std::time::{Duration, Instant};
 
 /// Read buffer per poll per connection.
 const READ_BUF: usize = 64 << 10;
+
+/// A wire's outbox high-water mark, in unsent reply bytes. A wire
+/// decodes its next request only while at most half the mark is
+/// unsent, and past that it stops asking `poll` for `POLLIN`, so TCP
+/// flow control stalls a sender that does not read its replies. The
+/// other half is room for the replies to the request decoded last, so
+/// the backlog stays within the mark whenever one request's replies
+/// fit in `MAX_FRAME`.
+pub const OUTBOX_MARK: usize = 2 * MAX_FRAME as usize;
 
 /// How long the acceptor waits (on its wake fd alone) after an
 /// `accept` error other than `WouldBlock`, such as `EMFILE`: the
@@ -84,6 +102,9 @@ struct Wire {
     outbox: Vec<u8>,
     /// Read cursor into `outbox`: bytes the socket has taken.
     sent: usize,
+    /// The most reply bytes this wire has held unsent, exported as the
+    /// `pm_outbox_high_water_bytes` gauge each time it rises.
+    peak: usize,
     conn: Conn,
     last_activity: Instant,
     /// Set on hangup, codec poison or `BYE`; the worker drops the
@@ -274,6 +295,7 @@ fn worker_loop(
                     decoder: Decoder::new(),
                     outbox: Vec::new(),
                     sent: 0,
+                    peak: 0,
                     conn: Conn::new(Arc::clone(&shared)),
                     last_activity: Instant::now(),
                     closing: false,
@@ -294,7 +316,7 @@ fn worker_loop(
         let now = Instant::now();
         let mut deadline: Option<Instant> = None;
         for wire in &mut wires {
-            wire.poll(&mut buf);
+            wire.poll(&mut buf, &shared.sink);
             if let (Some(timeout), false) = (idle_timeout, wire.closing) {
                 let due = wire.last_activity + timeout;
                 if due <= now {
@@ -310,7 +332,9 @@ fn worker_loop(
         fds.clear();
         fds.push(PollFd::new(&wake, POLLIN));
         fds.extend(wires.iter().map(|w| {
-            let events = if w.unsent().is_empty() {
+            let events = if w.backlogged() {
+                POLLOUT
+            } else if w.unsent().is_empty() {
                 POLLIN
             } else {
                 POLLIN | POLLOUT
@@ -381,63 +405,91 @@ impl Wire {
         self.sent = 0;
     }
 
-    /// One multiplexer turn: read what's there, handle complete
-    /// frames, flush what the socket will take.
-    fn poll(&mut self, buf: &mut [u8]) {
-        // Read until a read comes back short (or errors/hangs up):
-        // level-triggered `poll` reports anything that arrives later.
+    /// Whether more than half the outbox mark is unsent: the wire then
+    /// decodes nothing and waits for `POLLOUT` alone.
+    fn backlogged(&self) -> bool {
+        self.unsent().len() > OUTBOX_MARK / 2
+    }
+
+    /// One multiplexer turn: handle every complete frame, reading the
+    /// socket whenever the decoder runs dry, until the socket is drained
+    /// or the wire is backlogged; then flush what the socket will take.
+    /// A backlogged wire flushes before it decodes again, so the turn
+    /// that `POLLOUT` starts also decodes the frames it had buffered.
+    fn poll(&mut self, buf: &mut [u8], sink: &SinkHandle) {
+        let mut drained = false;
+        let mut responses = Vec::new();
         loop {
-            match self.stream.read(buf) {
-                Ok(0) => {
-                    self.closing = true;
-                    self.discard_outbox(); // peer is gone; nothing to flush
-                    break;
-                }
-                Ok(n) => {
-                    self.last_activity = Instant::now();
-                    self.decoder.push(&buf[..n]);
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.closing = true;
-                    self.discard_outbox();
+            if self.backlogged() {
+                self.flush();
+                if self.backlogged() {
                     break;
                 }
             }
-        }
-
-        // Decode and handle every complete frame.
-        let mut responses = Vec::new();
-        loop {
             match self.decoder.next() {
                 Ok(Some(frame)) => {
                     self.conn.handle(frame, &mut responses);
+                    for r in responses.drain(..) {
+                        r.encode(&mut self.outbox);
+                    }
+                    if self.unsent().len() > self.peak {
+                        self.peak = self.unsent().len();
+                        sink.record(TraceEvent::OutboxBacklog {
+                            bytes: self.peak as u64,
+                        });
+                    }
                     if self.conn.finished() {
                         self.closing = true;
                         break;
                     }
                 }
-                Ok(None) => break,
+                Ok(None) if drained => break,
+                Ok(None) => drained = self.read(buf),
                 Err(e) => {
                     // Framing is lost: answer once, then hang up.
-                    responses.push(Frame::Error {
+                    Frame::Error {
                         code: ErrorCode::Protocol,
                         message: e.to_string().into_bytes(),
-                    });
+                    }
+                    .encode(&mut self.outbox);
                     self.closing = true;
                     break;
                 }
             }
         }
-        for r in &responses {
-            r.encode(&mut self.outbox);
-        }
+        self.flush();
+    }
 
-        // Flush as much as the socket will take.
+    /// Reads once into the decoder. Returns whether the socket is
+    /// drained for now: the read came back short (level-triggered
+    /// `poll` reports anything that arrives later), or the peer hung up
+    /// or failed.
+    fn read(&mut self, buf: &mut [u8]) -> bool {
+        loop {
+            match self.stream.read(buf) {
+                Ok(0) => {
+                    self.closing = true;
+                    self.discard_outbox(); // peer is gone; nothing to flush
+                    return true;
+                }
+                Ok(n) => {
+                    self.last_activity = Instant::now();
+                    self.decoder.push(&buf[..n]);
+                    return n < buf.len();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.closing = true;
+                    self.discard_outbox();
+                    return true;
+                }
+            }
+        }
+    }
+
+    /// Writes as much of the outbox as the socket will take.
+    fn flush(&mut self) {
         while !self.unsent().is_empty() {
             match self.stream.write(&self.outbox[self.sent..]) {
                 Ok(0) => {
@@ -446,6 +498,9 @@ impl Wire {
                     break;
                 }
                 Ok(n) => {
+                    // A peer that takes replies is alive, even while a
+                    // backlog keeps this wire from reading its requests.
+                    self.last_activity = Instant::now();
                     self.sent += n;
                     // Drop the sent prefix once it is half the buffer
                     // (all of it when the cursor catches up): each byte

@@ -428,8 +428,8 @@ impl MatchBits {
     }
 
     /// The result bits, one per text position, materialised: O(len).
-    /// Meant for differential checks against the dense spec and for
-    /// fault injection, not for the hot path.
+    /// Meant for differential checks against the dense spec in tests,
+    /// not for the hot path.
     pub fn bits(&self) -> Vec<bool> {
         let mut bits = vec![false; self.len];
         for &e in &self.ends {
@@ -467,6 +467,36 @@ impl MatchBits {
     /// Whether any match was found.
     pub fn any(&self) -> bool {
         !self.ends.is_empty()
+    }
+
+    /// Number of text positions.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the text had no positions.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Inverts `r_i`, which must lie inside the text (fault injection).
+    pub fn flip(&mut self, i: usize) {
+        assert!(i < self.len, "flipped position must lie inside the text");
+        match self.ends.binary_search(&i) {
+            Ok(at) => drop(self.ends.remove(at)),
+            Err(at) => self.ends.insert(at, i),
+        }
+    }
+
+    /// Sets every `r_i` to `level`, as a stuck result column would;
+    /// returns whether any bit changed (the match count did).
+    pub fn fill(&mut self, level: bool) -> bool {
+        let before = self.ends.len();
+        self.ends.clear();
+        if level {
+            self.ends.extend(0..self.len);
+        }
+        self.ends.len() != before
     }
 }
 
@@ -751,6 +781,33 @@ mod tests {
         assert_eq!(none.count(), 0);
         assert!(!none.any());
         assert!(none.starting_positions().is_empty());
+    }
+
+    #[test]
+    fn match_bits_flip_and_fill_edit_in_place() {
+        let mut m = MatchBits::from_ends(vec![1, 4], 6, 1);
+        assert_eq!((m.len(), m.is_empty()), (6, false));
+        m.flip(1);
+        m.flip(5);
+        m.flip(0);
+        assert_eq!(
+            m,
+            MatchBits::new(vec![true, false, false, false, true, true], 1)
+        );
+        assert!(m.fill(true));
+        assert_eq!(m.bits(), vec![true; 6]);
+        assert!(!m.fill(true), "already all true");
+        assert!(m.fill(false));
+        assert!(!m.any() && !m.fill(false));
+        let mut empty = MatchBits::from_ends(Vec::new(), 0, 0);
+        assert!(empty.is_empty());
+        assert!(!empty.fill(true) && !empty.fill(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the text")]
+    fn match_bits_flip_rejects_a_position_past_the_text() {
+        MatchBits::from_ends(vec![0], 3, 0).flip(3);
     }
 
     #[test]

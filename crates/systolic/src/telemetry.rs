@@ -273,6 +273,12 @@ pub enum TraceEvent {
         /// Milliseconds the client was asked to back off.
         backoff_ms: u64,
     },
+    /// A front-door connection's unsent replies reached a new high for
+    /// that connection (`pm_serve`'s outbox high-water mark bounds it).
+    OutboxBacklog {
+        /// Reply bytes held unsent.
+        bytes: u64,
+    },
     /// A worker's own deque was empty, so it stole a batch from a
     /// sibling (`pm_chip`'s work-stealing scheduler).
     BatchStolen {

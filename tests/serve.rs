@@ -10,6 +10,7 @@ use systolic_pm::chip::dictionary::PatternDictionary;
 use systolic_pm::serve::client::ClientError;
 use systolic_pm::serve::prelude::*;
 use systolic_pm::serve::protocol::{read_frame, write_frame, PROTOCOL_VERSION};
+use systolic_pm::serve::server::OUTBOX_MARK;
 use systolic_pm::systolic::symbol::{Alphabet, Pattern, Symbol};
 
 /// The shared test dictionary: two literals and a wildcard pattern.
@@ -278,5 +279,132 @@ fn hangup_without_close_returns_sessions_to_the_cap() {
     let mut polite = MatchClient::connect(addr).unwrap();
     let open = || polite.open_session().map(drop);
     assert!(admitted(open), "the hung-up session was never reclaimed");
+    server.shutdown();
+}
+
+/// The `pm_outbox_high_water_bytes` gauge, read over `METRICS`.
+fn outbox_high_water(client: &mut MatchClient) -> u64 {
+    let metrics = client.metrics().unwrap();
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("pm_outbox_high_water_bytes "))
+        .unwrap_or_else(|| panic!("no outbox gauge in:\n{metrics}"))
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn a_client_that_never_reads_is_stalled_not_buffered() {
+    // One worker, so the rude and the polite connection share it.
+    let server = MatchServer::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+
+    let mut rude = TcpStream::connect(addr).unwrap();
+    rude.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut request = |frame: Frame| {
+        write_frame(&mut rude, &frame).unwrap();
+        read_frame(&mut rude).unwrap()
+    };
+    let hello = request(Frame::Hello {
+        version: PROTOCOL_VERSION,
+    });
+    assert!(matches!(hello, Frame::HelloOk { .. }), "{hello:?}");
+    for (id, (bytes, wild)) in PATTERNS.iter().enumerate() {
+        let added = request(Frame::AddPattern {
+            wild: *wild,
+            bytes: bytes.to_vec(),
+        });
+        assert_eq!(added, Frame::PatternAdded { id: id as u32 });
+    }
+    let Frame::SessionOpened { session } = request(Frame::OpenSession) else {
+        panic!("OPEN_SESSION refused");
+    };
+
+    // `abc` over and over: one event per three bytes, about four reply
+    // bytes per text byte. Write FEEDs without reading a reply until
+    // the socket has refused bytes for half a second.
+    let chunk: Vec<u8> = b"abc".iter().cycle().take(3 * 1365).copied().collect();
+    let feed = Frame::Feed {
+        session,
+        bytes: chunk.clone(),
+    }
+    .to_bytes();
+    rude.set_nonblocking(true).unwrap();
+    let (mut fed, mut partial) = (0usize, 0usize);
+    let mut refused_since: Option<Instant> = None;
+    loop {
+        match rude.write(&feed[partial..]) {
+            Ok(n) => {
+                partial += n;
+                if partial == feed.len() {
+                    (fed, partial) = (fed + 1, 0);
+                }
+                refused_since = None;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if refused_since.get_or_insert_with(Instant::now).elapsed()
+                    > Duration::from_millis(500)
+                {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("write failed: {e}"),
+        }
+        assert!(
+            fed < 16 << 10,
+            "64 MiB written: the server never stopped reading"
+        );
+    }
+
+    // The worker still serves a polite session, and it holds the rude
+    // client's backlog within the mark, past the point where it stops
+    // reading.
+    let mut polite = MatchClient::connect(addr).unwrap();
+    let held = outbox_high_water(&mut polite);
+    assert!(held <= OUTBOX_MARK as u64, "{held} unsent bytes held");
+    assert!(held > OUTBOX_MARK as u64 / 2, "{held}: never backpressured");
+    for (bytes, wild) in PATTERNS {
+        polite.add_pattern(bytes, *wild).unwrap();
+    }
+    let id = polite.open_session().unwrap();
+    let text = text_for(0);
+    let (events, consumed) = polite.feed(id, &text).unwrap();
+    assert_eq!(consumed, text.len() as u64);
+    assert_eq!(events, oracle_events(&text));
+    polite.close_session(id).unwrap();
+    polite.bye().unwrap();
+
+    // Now the rude client reads everything while it finishes its last
+    // FEED, and its events equal the offline oracle.
+    rude.set_nonblocking(false).unwrap();
+    let total = (fed + usize::from(partial > 0)) * chunk.len();
+    let mut reader = rude.try_clone().unwrap();
+    let drain = std::thread::spawn(move || {
+        let mut events = Vec::new();
+        loop {
+            match read_frame(&mut reader).unwrap() {
+                Frame::MatchEvents { events: batch, .. } => events.extend(batch),
+                Frame::FeedOk { consumed, .. } if consumed == total as u64 => return events,
+                Frame::FeedOk { .. } => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    });
+    if partial > 0 {
+        rude.write_all(&feed[partial..]).unwrap();
+    }
+    let events = drain.join().unwrap();
+    let stream: Vec<u8> = chunk.iter().cycle().take(total).copied().collect();
+    assert!(
+        events == oracle_events(&stream),
+        "events differ from the oracle"
+    );
+    write_frame(&mut rude, &Frame::Bye).unwrap();
     server.shutdown();
 }

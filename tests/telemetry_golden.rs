@@ -153,6 +153,8 @@ fn events() -> Vec<TraceEvent> {
             session: 1,
             backoff_ms: 10,
         },
+        OutboxBacklog { bytes: 4096 },
+        OutboxBacklog { bytes: 1024 },
         BatchStolen {
             worker: 0,
             victim: 1,
