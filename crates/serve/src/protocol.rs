@@ -43,6 +43,11 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// frame can make either side buffer: 1 MiB.
 pub const MAX_FRAME: u32 = 1 << 20;
 
+/// The most events one `MATCH_EVENTS` frame holds: its length is 13
+/// bytes (kind, session, count) plus 12 per event (pattern, end), and
+/// must not exceed [`MAX_FRAME`].
+pub(crate) const MAX_EVENTS_PER_FRAME: usize = (MAX_FRAME as usize - 13) / 12;
+
 /// One match event on the wire: pattern id and the global text offset
 /// of the match's last character.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

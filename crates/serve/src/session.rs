@@ -25,7 +25,7 @@
 //! way.
 
 use crate::config::ServeConfig;
-use crate::protocol::{BusyReason, ErrorCode, Frame, Match};
+use crate::protocol::{BusyReason, ErrorCode, Frame, Match, MAX_EVENTS_PER_FRAME};
 use pm_chip::dictionary::{DictionaryMatcher, PatternDictionary};
 use pm_chip::shard::SlotPool;
 use pm_chip::telemetry::MetricsRegistry;
@@ -303,16 +303,20 @@ impl Conn {
                 session,
                 events: events.len() as u64,
             });
-            out.push(Frame::MatchEvents {
-                session,
-                events: events
-                    .iter()
-                    .map(|e| Match {
-                        pattern: e.pattern as u32,
-                        end: e.end as u64,
-                    })
-                    .collect(),
-            });
+            // One chunk can match more events than a frame holds; the
+            // protocol lets several MATCH_EVENTS precede FEED_OK.
+            for batch in events.chunks(MAX_EVENTS_PER_FRAME) {
+                out.push(Frame::MatchEvents {
+                    session,
+                    events: batch
+                        .iter()
+                        .map(|e| Match {
+                            pattern: e.pattern as u32,
+                            end: e.end as u64,
+                        })
+                        .collect(),
+                });
+            }
         }
         out.push(Frame::FeedOk {
             session,
@@ -364,6 +368,7 @@ impl Drop for Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::MAX_FRAME;
     use pm_chip::throughput::SuperWidth;
 
     fn shared(config: ServeConfig) -> Arc<Shared> {
@@ -655,6 +660,56 @@ mod tests {
             matches!(out.last(), Some(Frame::FeedOk { consumed: 4, .. })),
             "{out:?}"
         );
+    }
+
+    #[test]
+    fn events_beyond_one_frame_split_across_match_events_frames() {
+        // 64 KiB of `a` against `a` and `aa`: 131 071 events, whose one
+        // frame would be 1 572 865 bytes long, past MAX_FRAME.
+        let mut conn = Conn::new(shared(ServeConfig::default()));
+        for pattern in [&b"a"[..], b"aa"] {
+            handle(
+                &mut conn,
+                Frame::AddPattern {
+                    wild: None,
+                    bytes: pattern.to_vec(),
+                },
+            );
+        }
+        let Frame::SessionOpened { session } = handle(&mut conn, Frame::OpenSession)[0] else {
+            panic!()
+        };
+        let n = 64 << 10;
+        let out = handle(
+            &mut conn,
+            Frame::Feed {
+                session,
+                bytes: vec![b'a'; n],
+            },
+        );
+        let [Frame::MatchEvents { events: first, .. }, Frame::MatchEvents { events: second, .. }, Frame::FeedOk { consumed, .. }] =
+            &out[..]
+        else {
+            panic!(
+                "expected two MATCH_EVENTS then FEED_OK, got {} frames",
+                out.len()
+            );
+        };
+        assert_eq!(*consumed, n as u64);
+        for frame in &out[..2] {
+            let len = frame.to_bytes().len() - 4;
+            assert!(len <= MAX_FRAME as usize, "frame of {len} bytes");
+        }
+        // The first frame is full: one more event would not fit.
+        assert_eq!(first.len(), MAX_EVENTS_PER_FRAME);
+        assert!(13 + 12 * (first.len() + 1) > MAX_FRAME as usize);
+        let oracle: Vec<Match> = (0..n as u64)
+            .flat_map(|end| {
+                let aa = (end >= 1).then_some(Match { pattern: 1, end });
+                std::iter::once(Match { pattern: 0, end }).chain(aa)
+            })
+            .collect();
+        assert_eq!([&first[..], &second[..]].concat(), oracle);
     }
 
     #[test]
