@@ -8,9 +8,9 @@
 //! module splits the machine the way §3.4 splits the array:
 //!
 //! * a [`Shard`] is a self-contained slice of the lane budget — its
-//!   own worker pool, work-stealing deques, compiled-pattern index,
-//!   resilience ladder and byte-budget [`SlotPool`]. A fault
-//!   quarantines *inside* its shard; the others keep their width.
+//!   own worker pool, work-stealing deques, compiled-pattern index and
+//!   resilience ladder. A fault quarantines *inside* its shard; the
+//!   others keep their width.
 //! * the [`Router`] is the front of the memory system: it admits a
 //!   batch of jobs, groups them by pattern (same-pattern jobs share
 //!   compiled planes, so they belong together), routes each group to
@@ -70,8 +70,6 @@ pub struct RouterConfig {
     /// [`PatternIndex`](crate::throughput::PatternIndex), which the
     /// shard's workers share.
     pub cache_capacity: usize,
-    /// Total in-flight byte budget, split across shard slot pools.
-    pub budget_bytes: u64,
     /// Superplane width every shard starts at.
     pub width: SuperWidth,
 }
@@ -82,15 +80,14 @@ impl Default for RouterConfig {
             shards: 4,
             workers_per_shard: 4,
             cache_capacity: 256,
-            budget_bytes: 8 << 20,
             width: SuperWidth::default(),
         }
     }
 }
 
-/// A bounded budget of batch-slot bytes: one [`Shard`]'s slice of the
-/// memory system's byte budget, leased by any front end that feeds it
-/// (the `pm-serve` front door).
+/// A bounded budget of batch-slot bytes, leased by a front end that
+/// feeds the engines (the `pm-serve` front door keeps one per shard,
+/// cut by [`SlotPool::split`]).
 ///
 /// The superplane engine's capacity is finite: `workers × W × 64`
 /// lanes, each carrying a stream of text. A front door multiplexing
@@ -219,13 +216,11 @@ impl Drop for SlotLease {
     }
 }
 
-/// One slice of the machine: an engine plus the admission state the
-/// router tracks for it.
+/// One slice of the machine: an engine and its index in the router.
 #[derive(Debug)]
 pub struct Shard {
     id: usize,
     engine: ThroughputEngine,
-    pool: SlotPool,
 }
 
 impl Shard {
@@ -242,12 +237,6 @@ impl Shard {
     /// The shard's engine, for configuration (width, faults, policy).
     pub fn engine_mut(&mut self) -> &mut ThroughputEngine {
         &mut self.engine
-    }
-
-    /// The shard's slice of the byte budget. [`SlotPool`] clones share
-    /// state, so admission layers may hold their own handle.
-    pub fn pool(&self) -> &SlotPool {
-        &self.pool
     }
 }
 
@@ -281,14 +270,12 @@ impl Router {
     /// into `sink`.
     pub fn with_sink(config: RouterConfig, sink: SinkHandle) -> Self {
         let workers = config.workers_per_shard.max(1);
-        let shards = SlotPool::split(config.budget_bytes, config.shards)
-            .into_iter()
-            .enumerate()
-            .map(|(id, pool)| {
+        let shards = (0..config.shards.max(1))
+            .map(|id| {
                 let mut engine =
                     ThroughputEngine::with_sink(workers, config.cache_capacity, sink.clone());
                 engine.set_width(config.width);
-                Shard { id, engine, pool }
+                Shard { id, engine }
             })
             .collect();
         Router { shards, sink }
@@ -310,27 +297,11 @@ impl Router {
         &mut self.shards[id]
     }
 
-    /// The shard a session or stream key pins to: stable for the key's
-    /// lifetime, uniform across keys.
-    pub fn shard_for(&self, key: u64) -> &Shard {
-        &self.shards[(key % self.shards.len() as u64) as usize]
-    }
-
     /// Installs (or clears) the same resilience policy on every shard.
     pub fn set_resilience(&mut self, policy: Option<ResiliencePolicy>) {
         for shard in &mut self.shards {
             shard.engine.set_resilience(policy);
         }
-    }
-
-    /// Total in-flight byte budget across all shard pools.
-    pub fn capacity(&self) -> u64 {
-        self.shards.iter().map(|s| s.pool.capacity()).sum()
-    }
-
-    /// Bytes currently leased across all shard pools.
-    pub fn in_flight(&self) -> u64 {
-        self.shards.iter().map(|s| s.pool.in_flight()).sum()
     }
 
     /// As [`run_refs`](Self::run_refs), over owned jobs.
@@ -654,24 +625,11 @@ mod tests {
     }
 
     #[test]
-    fn budget_splits_exactly_and_session_pinning_is_stable() {
-        let router = Router::new(RouterConfig {
-            shards: 3,
-            budget_bytes: 10,
-            ..RouterConfig::default()
-        });
-        let slices: Vec<u64> = router
-            .shards()
-            .iter()
-            .map(|s| s.pool().capacity())
-            .collect();
-        assert_eq!(slices.iter().sum::<u64>(), 10);
+    fn slot_pool_split_is_exact() {
+        let pools = SlotPool::split(10, 3);
+        let slices: Vec<u64> = pools.iter().map(SlotPool::capacity).collect();
         assert_eq!(slices, vec![4, 3, 3]);
-        assert_eq!(router.capacity(), 10);
-        assert_eq!(router.in_flight(), 0);
-        let first = router.shard_for(42).id();
-        assert_eq!(router.shard_for(42).id(), first);
-        assert_eq!(router.shard(first).id(), first);
+        assert!(pools.iter().all(|p| p.in_flight() == 0));
     }
 
     #[test]
